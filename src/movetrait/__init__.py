@@ -27,12 +27,14 @@ from .features import (
 )
 from .regression import (
     BayesRidgeModel,
+    CenteredSvd,
     Dataset,
     DatasetMode,
     PcaBasis,
     PcrModel,
     Prediction,
     build_dataset,
+    centered_svd,
     fit_bayes_ridge,
     fit_pca,
     fit_pcr,

@@ -22,7 +22,6 @@ import numpy as np
 
 from .evaluation import (
     INPUT_KINDS,
-    FoldPlan,
     ModelSpec,
     ScoreRow,
     ScoreTable,
@@ -48,8 +47,7 @@ from .regression import (
     PCR_DEFAULT_COMPONENTS,
     TRAIT_NAMES,
     build_dataset,
-    fit_bayes_ridge,
-    fit_pcr,
+    centered_svd,
     load_model,
     load_trait_table,
     predict_means,
@@ -177,13 +175,13 @@ def _base_kind(input_kind: str) -> str:
     return input_kind.removesuffix("_n")
 
 
-def _resolve_k(cfg: PipelineConfig, base_kind: str, n_rows: int) -> int:
-    k = cfg.pcr_components.get(base_kind, PCR_DEFAULT_COMPONENTS[base_kind])
-    k = int(k)
+def _resolve_k(cfg: PipelineConfig, base_kind: str, n_rows: int, rows_of: str) -> int:
+    """PCR k from the config, checked against the rows PCR will be fitted on."""
+    k = int(cfg.pcr_components.get(base_kind, PCR_DEFAULT_COMPONENTS[base_kind]))
     if k > n_rows - 1:
         raise ValueError(
-            f"PCR component count {k} exceeds rows-1 ({n_rows - 1}) for "
-            f"{base_kind} features; set pcr_components in the config"
+            f"PCR component count {k} exceeds rows-1 ({n_rows - 1}) of {rows_of} "
+            f"({n_rows} rows) for {base_kind} features; set pcr_components in the config"
         )
     return k
 
@@ -237,9 +235,8 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     return {"features": written, "takes": len(take_paths)}
 
 
-def _load_features_for(cfg: PipelineConfig, input_kind: str):
-    base = _base_kind(input_kind)
-    path = cfg.resolved_features_dir() / f"features_{base}.csv"
+def _load_features_for(cfg: PipelineConfig, base_kind: str):
+    path = cfg.resolved_features_dir() / f"features_{base_kind}.csv"
     if not path.exists():
         raise ValueError(f"feature file {path} not found; run extract first")
     return load_feature_matrix(path), path
@@ -253,8 +250,12 @@ def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path]:
 
 
 def cmd_train(cfg: PipelineConfig) -> dict:
-    """Fit one model per requested trait on the full feature matrix."""
-    matrix, features_path = _load_features_for(cfg, cfg.train_input)
+    """Fit one model per requested trait on the full feature matrix.
+
+    The design is factored once; every trait's model is fitted from it.
+    """
+    base = _base_kind(cfg.train_input)
+    matrix, features_path = _load_features_for(cfg, base)
     table, traits_path = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,23 +273,31 @@ def cmd_train(cfg: PipelineConfig) -> dict:
         "dataset_mode": cfg.dataset_mode,
         "model_kind": cfg.train_model,
     }
+    dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
+    rows = dataset.X.shape[0]
+    spec = ModelSpec(
+        kind=cfg.train_model,
+        k=(_resolve_k(cfg, base, rows, "the training set")
+           if cfg.train_model == "pcr" else None),
+        tol=cfg.bayes_tol,
+        max_iter=cfg.bayes_max_iter,
+    )
+    spec.check()
+    factor = centered_svd(dataset.X)
     results = {}
-    for trait in cfg.traits:
-        dataset = build_dataset(matrix, table, trait, cfg.dataset_mode)
-        if cfg.train_model == "pcr":
-            k = _resolve_k(cfg, _base_kind(cfg.train_input), dataset.X.shape[0])
-            model = fit_pcr(dataset.X, dataset.y, k)
-        elif cfg.train_model == "bayes_ridge":
-            model = fit_bayes_ridge(
-                dataset.X, dataset.y, tol=cfg.bayes_tol, max_iter=cfg.bayes_max_iter
-            )
-        else:
-            raise ValueError(f"unknown model kind {cfg.train_model!r}")
-        train_r2 = r2(dataset.y, predict_means(model, dataset.X))
+    for trait, y in zip(cfg.traits, dataset.y.T):
+        model = spec.fit(factor, y)
+        diagnostics = {}
+        if spec.kind == "bayes_ridge":
+            diagnostics = {
+                "converged": model.converged, "iterations": model.iterations,
+                "alpha": model.alpha, "lambda": model.lambda_, "gamma": model.gamma,
+            }
+        train_r2 = r2(y, predict_means(model, dataset.X))
         path = out_dir / f"model_{trait}.json"
         save_model(model, path, provenance=provenance)
-        log("train", trait=trait, model=cfg.train_model, rows=dataset.X.shape[0],
-            train_r2=train_r2, out=path)
+        log("train", trait=trait, model=cfg.train_model, rows=rows,
+            train_r2=train_r2, **diagnostics, out=path)
         results[trait] = {"path": path, "train_r2": train_r2}
 
     write_run_info(out_dir, cfg, {"features": features_path, "traits": traits_path})
@@ -296,41 +305,56 @@ def cmd_train(cfg: PipelineConfig) -> dict:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
-    """Cross-validated score table over input kinds x models x traits."""
+    """Cross-validated score table over input kinds x models x traits.
+
+    Each feature file is read once per base kind. Every fold plan and PCR
+    component count is checked before the first fit; then one
+    ``cross_validate`` per input kind scores all models and traits.
+    """
     table, traits_path = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "evaluate"
-    rows: list[ScoreRow] = []
     inputs: dict[str, Path] = {"traits": traits_path}
+    designs = {}   # base kind -> (dataset, plan, specs)
     for input_kind in cfg.eval_inputs:
-        matrix, features_path = _load_features_for(cfg, input_kind)
-        inputs[f"features_{_base_kind(input_kind)}"] = features_path
-        normalize = input_kind.endswith("_n")
-        plan: FoldPlan | None = None
-        for model_kind in cfg.model_kinds:
-            for trait in cfg.traits:
-                dataset = build_dataset(matrix, table, trait, cfg.dataset_mode)
-                if plan is None:
-                    groups = dataset.participants if cfg.grouping == "participant" else None
-                    plan = make_fold_plan(
-                        len(dataset.y), cfg.n_folds, cfg.fold_seed, groups
-                    )
-                    shared = leaked_groups(plan, dataset.participants)
-                    log("leakage_audit", input=input_kind,
-                        grouping=cfg.grouping, shared_participants=shared)
-                spec = ModelSpec(
+        base = _base_kind(input_kind)
+        if base not in designs:
+            matrix, features_path = _load_features_for(cfg, base)
+            inputs[f"features_{base}"] = features_path
+            dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
+            groups = dataset.participants if cfg.grouping == "participant" else None
+            plan = make_fold_plan(len(dataset.X), cfg.n_folds, cfg.fold_seed, groups)
+            specs = [
+                ModelSpec(
                     kind=model_kind,
-                    k=(_resolve_k(cfg, _base_kind(input_kind), len(dataset.y))
+                    k=(_resolve_k(cfg, base, plan.smallest_train_size,
+                                  "the smallest training fold")
                        if model_kind == "pcr" else None),
                     tol=cfg.bayes_tol,
                     max_iter=cfg.bayes_max_iter,
                 )
-                result = cross_validate(
-                    dataset.X, dataset.y, spec, plan,
-                    normalize=normalize, pooled=cfg.pooled_metrics,
-                )
-                log("evaluate", input=input_kind, model=model_kind, trait=trait,
-                    mean_rmse=result.mean_rmse, mean_r2=result.mean_r2)
-                rows.append(ScoreRow(input_kind, model_kind, trait, result))
+                for model_kind in cfg.model_kinds
+            ]
+            designs[base] = (dataset, plan, specs)
+        dataset, plan, _ = designs[base]
+        log("leakage_audit", input=input_kind, grouping=cfg.grouping,
+            shared_participants=leaked_groups(plan, dataset.participants))
+
+    rows: list[ScoreRow] = []
+    for input_kind in cfg.eval_inputs:
+        dataset, plan, specs = designs[_base_kind(input_kind)]
+        results = cross_validate(
+            dataset.X, dataset.y, specs, plan,
+            normalize=input_kind.endswith("_n"), pooled=cfg.pooled_metrics,
+        )
+        for spec, per_trait in zip(specs, results):
+            for trait, result in zip(cfg.traits, per_trait):
+                diagnostics = {}
+                if spec.kind == "bayes_ridge":
+                    diagnostics = {"converged_folds": result.converged_folds,
+                                   "max_iterations": result.max_iterations}
+                log("evaluate", input=input_kind, model=spec.kind, trait=trait,
+                    mean_rmse=result.mean_rmse, mean_r2=result.mean_r2, **diagnostics)
+                rows.append(ScoreRow(input_kind, spec.kind, trait, result))
     score_table = ScoreTable(
         rows=tuple(rows), n_folds=cfg.n_folds, seed=cfg.fold_seed, grouping=cfg.grouping
     )

@@ -3,18 +3,26 @@
 RMSE and R^2 follow the usual definitions; Spearman is the Pearson
 correlation of average-ranked values. Cross-validation refits any
 normalization statistics on the training rows of each fold so no
-validation information leaks into the transform.
+validation information leaks into the transform, and factors each fold's
+training block once for every trait and model.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .features import apply_gaussian_stats, gaussian_stats
-from .regression import fit_bayes_ridge, fit_pcr, predict_means
+from .regression import (
+    CenteredSvd,
+    centered_svd,
+    fit_bayes_ridge,
+    fit_pcr,
+    predict_means,
+)
 
 INPUT_KINDS = ("position", "position_n", "velocity", "velocity_n")
 INPUT_KIND_LABELS = {
@@ -174,8 +182,11 @@ class FoldPlan:
             raise ValueError("fold assignment out of range")
         object.__setattr__(self, "assignments", a)
 
-    def fold_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
+    @property
+    def smallest_train_size(self) -> int:
+        """Rows left for training by the fold with the most validation rows."""
+        counts = np.bincount(self.assignments, minlength=self.n_folds)
+        return int(self.assignments.size - counts.max())
 
 
 def make_fold_plan(
@@ -232,48 +243,69 @@ class ModelSpec:
     tol: float = 1e-3
     max_iter: int = 300
 
-    def fit(self, X: np.ndarray, y: np.ndarray):
+    def check(self) -> None:
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.kind == "pcr" and self.k is None:
+            raise ValueError("PCR needs a component count k")
+
+    def fit(self, X: np.ndarray | CenteredSvd, y: np.ndarray):
+        """Fit on a design matrix or on its ``centered_svd``."""
+        self.check()
         if self.kind == "pcr":
-            if self.k is None:
-                raise ValueError("PCR needs a component count k")
             return fit_pcr(X, y, self.k)
-        if self.kind == "bayes_ridge":
-            return fit_bayes_ridge(X, y, tol=self.tol, max_iter=self.max_iter)
-        raise ValueError(f"unknown model kind {self.kind!r}")
+        return fit_bayes_ridge(X, y, tol=self.tol, max_iter=self.max_iter)
 
 
 @dataclass(frozen=True)
 class CvResult:
+    """Fold and mean scores of one (model, trait) cell.
+
+    For Bayesian ridge, ``converged_folds`` and ``max_iterations`` summarize
+    the evidence loop over the folds; they are diagnostics, not scores.
+    """
+
     fold_rmse: tuple[float, ...]
     fold_r2: tuple[float, ...]
     mean_rmse: float
     mean_r2: float
     pooled_rmse: float | None = None
     pooled_r2: float | None = None
+    converged_folds: int | None = None
+    max_iterations: int | None = None
 
 
 def cross_validate(
     X: np.ndarray,
-    y: np.ndarray,
-    spec: ModelSpec,
+    Y: np.ndarray,
+    specs: Sequence[ModelSpec],
     plan: FoldPlan,
     normalize: bool = False,
     pooled: bool = False,
-) -> CvResult:
+) -> list[list[CvResult]]:
     """Fit on out-of-fold rows, score on in-fold rows, for every fold.
 
-    When ``normalize`` is set, Gaussian normalization statistics are
-    computed on each fold's training rows only and applied to both sides.
+    ``Y`` holds one target column per trait (a vector is one trait). Each
+    fold's training rows are normalized (when ``normalize`` is set, with
+    Gaussian statistics of those rows only, applied to both sides) and
+    factored once; every spec and trait is fitted from that factor.
     ``pooled`` additionally scores the concatenated out-of-sample
-    predictions as a single set.
+    predictions as a single set. Returns ``results[spec][trait]``.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
     if plan.assignments.shape[0] != X.shape[0]:
         raise ValueError("fold plan does not cover the sample count")
-    fold_rmse: list[float] = []
-    fold_r2: list[float] = []
-    all_pred = np.empty_like(y)
+    if Y.shape[0] != X.shape[0]:
+        raise ValueError("Y needs one row per sample")
+    for spec in specs:
+        spec.check()
+    cells = [(spec, y) for spec in specs for y in Y.T]
+    # per cell, one (rmse, r2, converged, iterations) tuple per fold
+    folds: list[list[tuple]] = [[] for _ in cells]
+    all_pred = [np.empty_like(y) for _, y in cells]
     for f in range(plan.n_folds):
         val = plan.assignments == f
         if val.sum() < 2:
@@ -284,18 +316,35 @@ def cross_validate(
             mu, sd = gaussian_stats(xtr)
             xtr = apply_gaussian_stats(xtr, mu, sd)
             xva = apply_gaussian_stats(xva, mu, sd)
-        model = spec.fit(xtr, y[train])
-        pred = predict_means(model, xva)
-        all_pred[val] = pred
-        fold_rmse.append(rmse(y[val], pred))
-        fold_r2.append(r2(y[val], pred))
+        factor = centered_svd(xtr)
+        for c, (spec, y) in enumerate(cells):
+            model = spec.fit(factor, y[train])
+            pred = predict_means(model, xva)
+            all_pred[c][val] = pred
+            folds[c].append((rmse(y[val], pred), r2(y[val], pred),
+                             getattr(model, "converged", None),
+                             getattr(model, "iterations", None)))
+    results = [
+        _cv_result(spec, folds[c], y, all_pred[c], pooled)
+        for c, (spec, y) in enumerate(cells)
+    ]
+    n_traits = Y.shape[1]
+    return [results[i:i + n_traits] for i in range(0, len(results), n_traits)]
+
+
+def _cv_result(spec: ModelSpec, folds: list[tuple], y: np.ndarray,
+               all_pred: np.ndarray, pooled: bool) -> CvResult:
+    fold_rmse, fold_r2, converged, iterations = zip(*folds)
+    bayes = spec.kind == "bayes_ridge"
     return CvResult(
-        fold_rmse=tuple(fold_rmse),
-        fold_r2=tuple(fold_r2),
+        fold_rmse=fold_rmse,
+        fold_r2=fold_r2,
         mean_rmse=float(np.mean(fold_rmse)),
         mean_r2=float(np.mean(fold_r2)),
         pooled_rmse=rmse(y, all_pred) if pooled else None,
         pooled_r2=r2(y, all_pred) if pooled else None,
+        converged_folds=sum(converged) if bayes else None,
+        max_iterations=max(iterations) if bayes else None,
     )
 
 

@@ -5,11 +5,17 @@ squares on the top-k PCA scores; the Bayesian model places a zero-mean
 isotropic Gaussian prior on the weights and estimates the noise precision
 (alpha) and weight-prior precision (lambda) by iterative evidence
 maximization, so its predictions carry a variance.
+
+Both fits need only the SVD of the centered design, which does not depend
+on the target. ``centered_svd`` computes it once; every fit accepts either
+a design matrix or that factor, so one SVD serves every trait and both
+model kinds.
 """
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -19,7 +25,6 @@ import numpy as np
 from .features import FeatureMatrix
 
 TRAIT_NAMES = ("O", "C", "E", "A", "N", "EQ", "SQ")
-PERSONALITY_TRAITS = ("O", "C", "E", "A", "N")
 
 # PCR component counts that worked best for each input kind; overridable.
 PCR_DEFAULT_COMPONENTS = {"position": 243, "velocity": 137}
@@ -38,6 +43,53 @@ def _as_matrix(X) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError("X must be 2-D (samples x features)")
     return X
+
+
+@dataclass(frozen=True)
+class CenteredSvd:
+    """Thin SVD of a centered design: ``centered = X - mean = u @ diag(s) @ vh``.
+
+    Built by ``centered_svd``, which rejects fewer than 2 rows and
+    non-finite values before factoring.
+    """
+
+    mean: np.ndarray
+    centered: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.centered.shape
+
+
+def centered_svd(X) -> CenteredSvd:
+    """Column means, the centered block and its thin SVD, checked first."""
+    X = _as_matrix(X)
+    if X.shape[0] < 2:
+        raise ValueError("need at least 2 samples")
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite values in training data")
+    mean = X.mean(axis=0)
+    centered = X - mean
+    u, s, vh = np.linalg.svd(centered, full_matrices=False)
+    return CenteredSvd(mean=mean, centered=centered, u=u, s=s, vh=vh)
+
+
+def _design(X) -> np.ndarray | CenteredSvd:
+    return X if isinstance(X, CenteredSvd) else _as_matrix(X)
+
+
+def _factored(X: np.ndarray | CenteredSvd) -> CenteredSvd:
+    return X if isinstance(X, CenteredSvd) else centered_svd(X)
+
+
+def _check_k(n: int, d: int, k: int) -> None:
+    if n < 2:
+        raise ValueError("PCA needs at least 2 samples")
+    if not 1 <= k <= min(n - 1, d):
+        raise ValueError(f"k out of range: {k} not in [1, {min(n - 1, d)}]")
 
 
 @dataclass(frozen=True)
@@ -91,6 +143,12 @@ class BayesRidgeModel:
         return self.weights.shape[0]
 
     @property
+    def gamma(self) -> float:
+        """Effective degrees of freedom, sum_i e_i / (e_i + lambda/alpha)."""
+        eig = self.eigenvalues
+        return float(np.sum(eig / (eig + self.lambda_ / self.alpha)))
+
+    @property
     def posterior_covariance(self) -> np.ndarray:
         """Dense (alpha X^T X + lambda I)^-1, symmetric positive definite."""
         inv_span = 1.0 / (self.alpha * self.eigenvalues + self.lambda_)
@@ -119,44 +177,42 @@ class Prediction:
 def fit_pca(X, k: int) -> PcaBasis:
     """Centered SVD basis of the top-k principal directions.
 
-    Components are ordered by non-increasing singular value; each row is
-    sign-fixed so its largest-magnitude entry is positive.
+    ``X`` is a design matrix or its ``centered_svd``. Components are ordered
+    by non-increasing singular value; each row is sign-fixed so its
+    largest-magnitude entry is positive.
     """
-    X = _as_matrix(X)
-    n, d = X.shape
-    if n < 2:
-        raise ValueError("PCA needs at least 2 samples")
-    if not 1 <= k <= min(n - 1, d):
-        raise ValueError(f"k out of range: {k} not in [1, {min(n - 1, d)}]")
-    mean = X.mean(axis=0)
-    _, s, vh = np.linalg.svd(X - mean, full_matrices=False)
-    components = vh[:k].copy()
+    X = _design(X)
+    _check_k(*X.shape, k)
+    f = _factored(X)
+    components = f.vh[:k].copy()
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     return PcaBasis(
-        mean=mean,
+        mean=f.mean,
         components=components,
-        explained_variance=s[:k] ** 2 / n,
+        explained_variance=f.s[:k] ** 2 / f.shape[0],
     )
 
 
 def fit_pcr(X, y: np.ndarray, k: int) -> PcrModel:
     """Least squares with intercept on the top-k PCA scores.
 
-    Solved by orthogonal decomposition (lstsq), so the fit is deterministic
-    for identical inputs.
+    ``X`` is a design matrix or its ``centered_svd``. Solved by orthogonal
+    decomposition (lstsq), so the fit is deterministic for identical inputs.
     """
-    X = _as_matrix(X)
+    X = _design(X)
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != X.shape[0]:
         raise ValueError("y length must match the number of rows")
-    basis = fit_pca(X, k)
-    scores = basis.project(X)
+    _check_k(*X.shape, k)
+    f = _factored(X)
+    basis = fit_pca(f, k)
+    scores = f.centered @ basis.components.T
     spread = np.max(np.abs(scores), axis=0)
-    if np.any(spread <= np.finfo(float).eps * max(X.shape) * max(spread.max(), 1.0)):
+    if np.any(spread <= np.finfo(float).eps * max(f.shape) * max(spread.max(), 1.0)):
         raise ValueError("degenerate principal scores: a selected component has zero variance")
-    design = np.column_stack([np.ones(X.shape[0]), scores])
+    design = np.column_stack([np.ones(f.shape[0]), scores])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return PcrModel(basis=basis, weights=coef[1:], intercept=float(coef[0]))
 
@@ -180,28 +236,27 @@ def fit_bayes_ridge(
     gamma = sum_i e_i / (e_i + lambda/alpha) over the eigenvalues e_i of
     X^T X: lambda <- gamma / ||beta||^2 and alpha <- (n - gamma) / rss.
     Stops when max |delta beta| < tol, or reports converged=False after
-    max_iter. Columns and targets are centered internally; the intercept is
-    restored on the model. ``optimize=False`` performs a single posterior
-    evaluation at the given fixed hyperparameters.
+    max_iter. ``X`` is a design matrix or its ``centered_svd``; columns and
+    targets are centered internally and the intercept is restored on the
+    model. ``optimize=False`` performs a single posterior evaluation at the
+    given fixed hyperparameters.
     """
-    X = _as_matrix(X)
+    X = _design(X)
     y = np.asarray(y, dtype=float).ravel()
     n, d = X.shape
     if y.shape[0] != n:
         raise ValueError("y length must match the number of rows")
     if n < 2:
         raise ValueError("need at least 2 samples")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+    if not np.isfinite(y).all():
         raise ValueError("non-finite values in training data")
+    f = _factored(X)
+    s, vh = f.s, f.vh
 
-    x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
-    xc = X - x_mean
     yc = y - y_mean
-
-    u, s, vh = np.linalg.svd(xc, full_matrices=False)
     eig = s**2
-    uty = u.T @ yc
+    uty = f.u.T @ yc
 
     var_y = float(yc @ yc) / n
     alpha = float(alpha_init) if alpha_init is not None else 1.0 / max(var_y, _HYPER_MIN)
@@ -240,7 +295,7 @@ def fit_bayes_ridge(
         alpha=alpha,
         lambda_=lam,
         intercept=y_mean,
-        x_mean=x_mean,
+        x_mean=f.mean,
         converged=converged,
         iterations=iterations,
         components=vh,
@@ -284,7 +339,10 @@ class DatasetMode(str, Enum):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design matrix, targets, and the participant of each sample row."""
+    """Design matrix, targets, and the participant of each sample row.
+
+    ``y`` is a vector for one trait, or n x t with one column per trait.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -294,32 +352,38 @@ class Dataset:
 def build_dataset(
     features: FeatureMatrix,
     trait_table: dict,
-    trait: str,
+    traits: str | Sequence[str],
     mode: DatasetMode | str = DatasetMode.PER_STIMULUS,
 ) -> Dataset:
-    """Pair feature rows with one trait's targets.
+    """Pair feature rows with the targets of one trait or of several.
 
-    PER_STIMULUS keeps one sample per take (the participant's target is
-    repeated); PARTICIPANT_MEAN averages each participant's feature rows
-    into a single sample. Raises if any participant lacks a target.
+    A single trait name gives a target vector; a sequence of names gives an
+    n x t target matrix whose columns follow that order. PER_STIMULUS keeps
+    one sample per take (the participant's target is repeated);
+    PARTICIPANT_MEAN averages each participant's feature rows into a single
+    sample. Raises if any participant lacks a target.
     """
     mode = DatasetMode(mode)
+    names = (traits,) if isinstance(traits, str) else tuple(traits)
     pids = [meta.participant_id for meta in features.rows]
     for pid in pids:
-        if pid not in trait_table or trait not in trait_table[pid]:
-            raise ValueError(f"no '{trait}' target for participant '{pid}'")
+        for trait in names:
+            if pid not in trait_table or trait not in trait_table[pid]:
+                raise ValueError(f"no '{trait}' target for participant '{pid}'")
+
+    def targets(order: list[str]) -> np.ndarray:
+        y = np.array([[trait_table[pid][t] for t in names] for pid in order], dtype=float)
+        return y[:, 0].copy() if isinstance(traits, str) else y
 
     if mode is DatasetMode.PER_STIMULUS:
-        y = np.array([trait_table[pid][trait] for pid in pids], dtype=float)
-        return Dataset(X=features.values.copy(), y=y, participants=tuple(pids))
+        return Dataset(X=features.values.copy(), y=targets(pids), participants=tuple(pids))
 
     order = list(dict.fromkeys(pids))  # first-appearance order
     X = np.stack([
         features.values[[i for i, p in enumerate(pids) if p == pid]].mean(axis=0)
         for pid in order
     ])
-    y = np.array([trait_table[pid][trait] for pid in order], dtype=float)
-    return Dataset(X=X, y=y, participants=tuple(order))
+    return Dataset(X=X, y=targets(order), participants=tuple(order))
 
 
 def load_trait_table(path: str | Path) -> dict:

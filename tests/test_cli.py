@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from movetrait.cli import (
@@ -148,6 +149,33 @@ class TestTrain:
         with pytest.raises(ValueError, match="exceeds rows-1"):
             cmd_train(cfg)
 
+    @pytest.mark.parametrize("model", ["bayes_ridge", "pcr"])
+    def test_one_svd_for_all_traits(self, extracted, tmp_path, monkeypatch, model):
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "train_model": model, "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        assert len(cmd_train(cfg)) == 7
+        assert len(calls) == 1
+
+    def test_bayes_diagnostics_logged(self, extracted, tmp_path, capsys):
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        cmd_train(cfg)
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("event=train ")]
+        assert len(lines) == 7
+        for line in lines:
+            keys = {part.split("=", 1)[0] for part in line.split()}
+            assert {"converged", "iterations", "alpha", "lambda", "gamma"} <= keys
+        doc = json.loads((tmp_path / "train" / "model_EQ.json").read_text())
+        assert "gamma" not in doc
+
 
 class TestEvaluate:
     def test_eq_table_shape(self, extracted, capsys):
@@ -172,6 +200,52 @@ class TestEvaluate:
         r1 = t1.lookup("position", "bayes_ridge", "EQ")
         r2 = t2.lookup("position", "bayes_ridge", "EQ")
         assert r1.fold_rmse != r2.fold_rmse
+
+    def test_bayes_diagnostics_logged_not_scored(self, extracted, tmp_path, capsys):
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "traits": ["EQ", "SQ"], "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        cmd_evaluate(cfg)
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("event=evaluate ")]
+        assert len(lines) == 4 * 2 * 2
+        for line in lines:
+            has = "converged_folds=" in line and "max_iterations=" in line
+            assert has == ("model=bayes_ridge" in line)
+        for name in ("scores.csv", "scores.json", "scores.txt"):
+            text = (tmp_path / "evaluate" / name).read_text()
+            assert "converged" not in text and "iterations" not in text
+
+    def test_each_feature_file_loaded_once(self, extracted, tmp_path, monkeypatch):
+        import movetrait.cli as cli
+
+        loaded = []
+        load = cli.load_feature_matrix
+        monkeypatch.setattr(cli, "load_feature_matrix",
+                            lambda path: loaded.append(path.name) or load(path))
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "traits": ["EQ"], "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        cmd_evaluate(cfg)
+        assert sorted(loaded) == ["features_position.csv", "features_velocity.csv"]
+
+    def test_pcr_k_checked_against_training_fold_before_fit(
+            self, extracted, tmp_path, capsys):
+        # 10 participants in 5 grouped folds: every training fold has 16 rows,
+        # so k = 18 passes a check against all 20 rows but cannot be fitted
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+            "pcr_components": {"position": 18}, "model_kinds": ["bayes_ridge", "pcr"],
+        })
+        with pytest.raises(ValueError) as err:
+            cmd_evaluate(cfg)
+        for part in ("pcr_components", "position", "smallest training fold (16 rows)"):
+            assert part in str(err.value)
+        assert "event=evaluate " not in capsys.readouterr().out
+        assert not list(tmp_path.glob("evaluate/scores.*"))
 
     def test_reference_rendered_in_text(self, extracted):
         cfg = PipelineConfig.from_dict({**extracted.to_dict(), "traits": ["EQ"]})

@@ -166,7 +166,7 @@ class TestCrossValidate:
         X = rng.normal(size=(100, 8))
         y = X @ rng.normal(size=8)
         plan = make_fold_plan(100, 5, seed=0)
-        res = cross_validate(X, y, ModelSpec("bayes_ridge"), plan)
+        res = cross_validate(X, y, [ModelSpec("bayes_ridge")], plan)[0][0]
         assert res.mean_r2 >= 0.99
         assert len(res.fold_r2) == 5
 
@@ -177,7 +177,7 @@ class TestCrossValidate:
         shuffled = y.copy()
         np.random.default_rng(1).shuffle(shuffled)
         plan = make_fold_plan(100, 5, seed=0)
-        res = cross_validate(X, shuffled, ModelSpec("bayes_ridge"), plan)
+        res = cross_validate(X, shuffled, [ModelSpec("bayes_ridge")], plan)[0][0]
         assert res.mean_r2 <= 0.1
 
     def test_grouping_respected_inside_cv(self):
@@ -186,7 +186,7 @@ class TestCrossValidate:
         X = rng.normal(size=(80, 5))
         y = rng.normal(size=80)
         plan = make_fold_plan(80, 5, seed=4, groups=groups)
-        cross_validate(X, y, ModelSpec("bayes_ridge"), plan)  # must not raise
+        cross_validate(X, y, [ModelSpec("bayes_ridge")], plan)  # must not raise
         assert leaked_groups(plan, groups) == 0
 
     def test_normalization_stats_fit_on_train_rows_only(self):
@@ -199,7 +199,7 @@ class TestCrossValidate:
         X = rng.normal(size=(40, 4))
         y = X @ np.array([1.0, -1.0, 0.5, 2.0]) + rng.normal(scale=0.05, size=40)
         plan = make_fold_plan(40, 4, seed=7)
-        res = cross_validate(X, y, ModelSpec("bayes_ridge"), plan, normalize=True)
+        res = cross_validate(X, y, [ModelSpec("bayes_ridge")], plan, normalize=True)[0][0]
         f = 0
         val = plan.assignments == f
         mu, sd = gaussian_stats(X[~val])
@@ -213,9 +213,9 @@ class TestCrossValidate:
         X = rng.normal(size=(50, 4))
         y = X[:, 0] + rng.normal(scale=0.1, size=50)
         plan = make_fold_plan(50, 5, seed=0)
-        res = cross_validate(X, y, ModelSpec("bayes_ridge"), plan, pooled=True)
+        res = cross_validate(X, y, [ModelSpec("bayes_ridge")], plan, pooled=True)[0][0]
         assert res.pooled_rmse is not None and res.pooled_r2 is not None
-        res2 = cross_validate(X, y, ModelSpec("bayes_ridge"), plan)
+        res2 = cross_validate(X, y, [ModelSpec("bayes_ridge")], plan)[0][0]
         assert res2.pooled_rmse is None
 
     def test_pcr_inside_cv(self):
@@ -223,13 +223,13 @@ class TestCrossValidate:
         X = rng.normal(size=(60, 6))
         y = X @ rng.normal(size=6) + rng.normal(scale=0.01, size=60)
         plan = make_fold_plan(60, 5, seed=2)
-        res = cross_validate(X, y, ModelSpec("pcr", k=6), plan)
+        res = cross_validate(X, y, [ModelSpec("pcr", k=6)], plan)[0][0]
         assert res.mean_r2 >= 0.99
 
     def test_plan_must_cover_samples(self):
         plan = make_fold_plan(10, 5, seed=0)
         with pytest.raises(ValueError, match="cover"):
-            cross_validate(np.zeros((12, 3)), np.zeros(12), ModelSpec("bayes_ridge"), plan)
+            cross_validate(np.zeros((12, 3)), np.zeros(12), [ModelSpec("bayes_ridge")], plan)
 
     def test_single_sample_fold_rejected(self):
         # 7 samples over 5 folds leaves folds with one validation sample
@@ -238,7 +238,7 @@ class TestCrossValidate:
         y = rng.normal(size=7)
         plan = make_fold_plan(7, 5, seed=0)
         with pytest.raises(ValueError, match="fewer than 2 validation"):
-            cross_validate(X, y, ModelSpec("bayes_ridge"), plan)
+            cross_validate(X, y, [ModelSpec("bayes_ridge")], plan)
 
     def test_determinism_same_seed_same_scores(self):
         rng = np.random.default_rng(105)
@@ -246,10 +246,100 @@ class TestCrossValidate:
         y = rng.normal(size=50)
         plan1 = make_fold_plan(50, 5, seed=11)
         plan2 = make_fold_plan(50, 5, seed=11)
-        r1 = cross_validate(X, y, ModelSpec("bayes_ridge"), plan1)
-        r2_ = cross_validate(X, y, ModelSpec("bayes_ridge"), plan2)
+        r1 = cross_validate(X, y, [ModelSpec("bayes_ridge")], plan1)[0][0]
+        r2_ = cross_validate(X, y, [ModelSpec("bayes_ridge")], plan2)[0][0]
         assert r1.fold_rmse == r2_.fold_rmse
         assert r1.fold_r2 == r2_.fold_r2
+
+
+def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
+    """One (spec, trait) cell fitted fold by fold on raw arrays, as before sharing."""
+    from movetrait.features import apply_gaussian_stats, gaussian_stats
+    from movetrait.regression import fit_bayes_ridge, fit_pcr, predict_means
+
+    y = Y[:, trait].copy()
+    fold_rmse, fold_r2, converged, iterations = [], [], [], []
+    all_pred = np.empty_like(y)
+    for f in range(plan.n_folds):
+        val = plan.assignments == f
+        xtr, xva = X[~val], X[val]
+        if normalize:
+            mu, sd = gaussian_stats(xtr)
+            xtr = apply_gaussian_stats(xtr, mu, sd)
+            xva = apply_gaussian_stats(xva, mu, sd)
+        if spec.kind == "pcr":
+            model = fit_pcr(xtr, y[~val], spec.k)
+        else:
+            model = fit_bayes_ridge(xtr, y[~val], tol=spec.tol, max_iter=spec.max_iter)
+            converged.append(model.converged)
+            iterations.append(model.iterations)
+        pred = predict_means(model, xva)
+        all_pred[val] = pred
+        fold_rmse.append(rmse(y[val], pred))
+        fold_r2.append(r2(y[val], pred))
+    bayes = spec.kind == "bayes_ridge"
+    return CvResult(
+        fold_rmse=tuple(fold_rmse),
+        fold_r2=tuple(fold_r2),
+        mean_rmse=float(np.mean(fold_rmse)),
+        mean_r2=float(np.mean(fold_r2)),
+        pooled_rmse=rmse(y, all_pred),
+        pooled_r2=r2(y, all_pred),
+        converged_folds=sum(converged) if bayes else None,
+        max_iterations=max(iterations) if bayes else None,
+    )
+
+
+class TestSharedFactor:
+    SPECS = [ModelSpec("pcr", k=4), ModelSpec("bayes_ridge"), ModelSpec("pcr", k=9)]
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(107)
+        X = rng.normal(size=(45, 14)) * np.linspace(0.5, 3.0, 14) + 2.0
+        W = rng.normal(size=(14, 3))
+        Y = X @ W + rng.normal(scale=0.5, size=(45, 3))
+        groups = tuple(f"P{i // 3}" for i in range(45))
+        return X, Y, make_fold_plan(45, 5, seed=3, groups=groups)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_every_cell_equals_separate_fits(self, normalize):
+        X, Y, plan = self._data()
+        results = cross_validate(X, Y, self.SPECS, plan, normalize=normalize, pooled=True)
+        assert len(results) == len(self.SPECS)
+        for spec, per_trait in zip(self.SPECS, results):
+            assert len(per_trait) == Y.shape[1]
+            for trait, got in enumerate(per_trait):
+                assert got == _separate_fit_oracle(X, Y, spec, plan, trait, normalize)
+
+    def test_one_svd_per_fold(self, monkeypatch):
+        X, Y, plan = self._data()
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        cross_validate(X, Y, self.SPECS, plan, normalize=True)
+        assert len(calls) == plan.n_folds
+        calls.clear()
+        cross_validate(X, Y[:, 0], self.SPECS[:1], plan)
+        assert len(calls) == plan.n_folds
+
+    def test_vector_target_is_one_column(self):
+        X, Y, plan = self._data()
+        col = cross_validate(X, Y[:, 1:2], self.SPECS, plan)
+        vec = cross_validate(X, Y[:, 1], self.SPECS, plan)
+        assert col == vec
+
+    def test_bad_spec_rejected_before_any_fit(self, monkeypatch):
+        X, Y, plan = self._data()
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("fitted"))
+        with pytest.raises(ValueError, match="unknown model kind"):
+            cross_validate(X, Y, [ModelSpec("bayes_ridge"), ModelSpec("lasso")], plan)
+        with pytest.raises(ValueError, match="component count"):
+            cross_validate(X, Y, [ModelSpec("bayes_ridge"), ModelSpec("pcr")], plan)
+
+    def test_smallest_train_size(self):
+        plan = make_fold_plan(7, 3, seed=0)  # folds of 3, 2 and 2 rows
+        assert plan.smallest_train_size == 4
 
 
 def _toy_table():

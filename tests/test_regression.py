@@ -8,6 +8,7 @@ from movetrait.regression import (
     DatasetMode,
     PcrModel,
     build_dataset,
+    centered_svd,
     fit_bayes_ridge,
     fit_pca,
     fit_pcr,
@@ -291,11 +292,105 @@ class TestBuildDataset:
         ds = build_dataset(features, table, "O", "participant_mean")
         np.testing.assert_allclose(ds.X[1], features.values[4:8].mean(axis=0), atol=1e-12)
 
+    def test_several_traits_give_target_columns(self):
+        features = _feature_matrix(6, 3, seed=8)
+        table = {f"P{p:03d}": {"EQ": float(p), "SQ": 10.0 - p} for p in range(6)}
+        for mode in DatasetMode:
+            both = build_dataset(features, table, ("SQ", "EQ"), mode)
+            sq = build_dataset(features, table, "SQ", mode)
+            eq = build_dataset(features, table, "EQ", mode)
+            assert both.y.shape == (len(sq.y), 2)
+            np.testing.assert_array_equal(both.y[:, 0], sq.y)
+            np.testing.assert_array_equal(both.y[:, 1], eq.y)
+            np.testing.assert_array_equal(both.X, sq.X)
+            assert both.participants == sq.participants
+
     def test_missing_participant_named_in_error(self):
         features = _feature_matrix(3, 2)
         table = {"P000": {"EQ": 1.0}, "P001": {"EQ": 2.0}}
         with pytest.raises(ValueError, match="P002"):
             build_dataset(features, table, "EQ", "per_stimulus")
+
+
+class TestCenteredSvd:
+    """A precomputed factor gives the same fit, and the same checks, as the array."""
+
+    @staticmethod
+    def _data(seed=60, n=24, d=9):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) + 5.0
+        return X, X @ rng.normal(size=d) + rng.normal(scale=0.1, size=n)
+
+    def test_factor_reconstructs_centered_block(self):
+        X, _ = self._data()
+        f = centered_svd(X)
+        np.testing.assert_array_equal(f.mean, X.mean(axis=0))
+        np.testing.assert_array_equal(f.centered, X - X.mean(axis=0))
+        np.testing.assert_allclose((f.u * f.s) @ f.vh, f.centered, atol=1e-12)
+
+    def test_pca_from_factor_identical(self):
+        X, _ = self._data()
+        a, b = fit_pca(X, k=4), fit_pca(centered_svd(X), k=4)
+        for field in ("mean", "components", "explained_variance"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    def test_pcr_from_factor_identical(self):
+        X, y = self._data()
+        a, b = fit_pcr(X, y, k=5), fit_pcr(centered_svd(X), y, k=5)
+        np.testing.assert_array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(a.basis.components, b.basis.components)
+        assert a.intercept == b.intercept
+
+    def test_bayes_from_factor_identical(self):
+        X, y = self._data()
+        a, b = fit_bayes_ridge(X, y), fit_bayes_ridge(centered_svd(X), y)
+        for field in ("weights", "x_mean", "components", "eigenvalues"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert (a.alpha, a.lambda_, a.intercept, a.converged, a.iterations) == (
+            b.alpha, b.lambda_, b.intercept, b.converged, b.iterations)
+
+    def test_one_factor_serves_several_targets(self):
+        X, y = self._data()
+        f = centered_svd(X)
+        for target in (y, -2.0 * y + 1.0, np.sin(y)):
+            np.testing.assert_array_equal(
+                fit_bayes_ridge(f, target).weights, fit_bayes_ridge(X, target).weights)
+
+    def test_factor_rejects_bad_blocks(self):
+        X, _ = self._data()
+        X[3, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            centered_svd(X)
+        with pytest.raises(ValueError, match="at least 2"):
+            centered_svd(np.ones((1, 4)))
+
+    def test_checks_run_on_factor_path(self):
+        X, y = self._data()
+        f = centered_svd(X)
+        with pytest.raises(ValueError, match="k out of range"):
+            fit_pca(f, k=24)
+        with pytest.raises(ValueError, match="k out of range"):
+            fit_pcr(f, y, k=0)
+        with pytest.raises(ValueError, match="y length"):
+            fit_pcr(f, y[:-1], k=3)
+        with pytest.raises(ValueError, match="y length"):
+            fit_bayes_ridge(f, y[:-1])
+        y_bad = y.copy()
+        y_bad[0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_bayes_ridge(f, y_bad)
+        # rank-1 design: the second principal direction has zero scores
+        flat = centered_svd(np.outer(np.arange(20.0), np.ones(4)))
+        with pytest.raises(ValueError, match="degenerate"):
+            fit_pcr(flat, np.arange(20.0), k=2)
+
+    def test_gamma_is_effective_dof(self):
+        X, y = self._data()
+        model = fit_bayes_ridge(X, y)
+        e = model.eigenvalues
+        expected = float(np.sum(e / (e + model.lambda_ / model.alpha)))
+        assert model.gamma == expected
+        assert 0.0 < model.gamma <= min(X.shape)
 
 
 class TestTraitTable:
