@@ -15,13 +15,10 @@ from .mocap import (
     velocity,
 )
 from .features import (
-    CorrentropyMatrix,
     FeatureMatrix,
     FeatureVector,
     correntropy,
-    correntropy_matrix,
     extract_features,
-    gaussian_normalize,
     unvectorize_lower,
     vectorize_lower,
 )

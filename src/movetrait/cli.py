@@ -34,11 +34,11 @@ from .evaluation import (
     TRAIT_CORRELATION_REFERENCE,
 )
 from .features import (
+    apply_gaussian_stats,
     extract_features,
-    gaussian_normalize,
+    gaussian_stats,
     load_feature_matrix,
     save_feature_matrix,
-    save_gaussian_stats,
     stack_features,
 )
 from .importance import importance_from_model, importance_report
@@ -188,6 +188,8 @@ def _resolve_k(cfg: PipelineConfig, base_kind: str, n_rows: int, rows_of: str) -
 
 def cmd_extract(cfg: PipelineConfig) -> dict:
     """Takes directory -> one feature CSV per requested kind."""
+    if not isinstance(cfg.workers, int) or cfg.workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {cfg.workers!r}")
     takes_dir = Path(cfg.takes_dir) if cfg.takes_dir else None
     if takes_dir is None or not takes_dir.is_dir():
         raise ValueError(f"takes_dir {cfg.takes_dir!r} is not a directory")
@@ -199,21 +201,20 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
             raise ValueError(f"extract kind must be position or velocity, got {kind!r}")
 
     def featurize(path: Path) -> dict:
-        take = load_take(path)
-        joints = derive_joints(take)
+        take = load_take(path)  # its TakeFormatErrors already carry file:line
         out = {}
-        if "position" in cfg.extract_kinds:
-            out["position"] = extract_features(joints, cfg.sigma)
-        if "velocity" in cfg.extract_kinds:
-            out["velocity"] = extract_features(velocity(joints), cfg.sigma)
+        try:
+            joints = derive_joints(take)
+            if "position" in cfg.extract_kinds:
+                out["position"] = extract_features(joints, cfg.sigma)
+            if "velocity" in cfg.extract_kinds:
+                out["velocity"] = extract_features(velocity(joints), cfg.sigma)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         return out
 
-    workers = max(1, int(cfg.workers))
-    if workers == 1:
-        per_take = [featurize(p) for p in take_paths]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_take = list(pool.map(featurize, take_paths))
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        per_take = list(pool.map(featurize, take_paths))
 
     features_dir = cfg.resolved_features_dir()
     features_dir.mkdir(parents=True, exist_ok=True)
@@ -260,11 +261,6 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     out_dir = cfg.resolved_output_dir() / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    normalize = cfg.train_input.endswith("_n")
-    if normalize:
-        matrix = gaussian_normalize(matrix)
-        save_gaussian_stats(matrix.mu, matrix.sigma, out_dir / "normalization_stats.json")
-
     provenance = {
         "config_sha256": config_hash(cfg),
         "features_sha256": sha256_file(features_path),
@@ -274,7 +270,10 @@ def cmd_train(cfg: PipelineConfig) -> dict:
         "model_kind": cfg.train_model,
     }
     dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
-    rows = dataset.X.shape[0]
+    X = dataset.X
+    if cfg.train_input.endswith("_n"):
+        X = apply_gaussian_stats(X, *gaussian_stats(X))  # as cross_validate does per fold
+    rows = X.shape[0]
     spec = ModelSpec(
         kind=cfg.train_model,
         k=(_resolve_k(cfg, base, rows, "the training set")
@@ -283,7 +282,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
         max_iter=cfg.bayes_max_iter,
     )
     spec.check()
-    factor = centered_svd(dataset.X)
+    factor = centered_svd(X)
     results = {}
     for trait, y in zip(cfg.traits, dataset.y.T):
         model = spec.fit(factor, y)
@@ -293,7 +292,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
                 "converged": model.converged, "iterations": model.iterations,
                 "alpha": model.alpha, "lambda": model.lambda_, "gamma": model.gamma,
             }
-        train_r2 = r2(y, predict_means(model, dataset.X))
+        train_r2 = r2(y, predict_means(model, X))
         path = out_dir / f"model_{trait}.json"
         save_model(model, path, provenance=provenance)
         log("train", trait=trait, model=cfg.train_model, rows=rows,

@@ -11,7 +11,7 @@ triangle, read row by row, is the 1770-dim feature vector of the take.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,53 +43,31 @@ def correntropy(x: np.ndarray, y: np.ndarray, sigma: float = SIGMA_DEFAULT) -> f
 def pairwise_correntropy(data: np.ndarray, sigma: float = SIGMA_DEFAULT) -> np.ndarray:
     """Correntropy between all column pairs of a frames x d matrix.
 
-    Returns a d x d matrix, symmetric by construction (each pair is
-    evaluated once and mirrored) with an exact unit diagonal. Entries are
-    independent, so any evaluation schedule gives identical results.
+    With column means m, centered data F = X - m and G = F^T F, every
+    squared distance is ||x_i - x_j||^2 = T (m_i - m_j)^2 + g_ii + g_jj
+    - 2 g_ij (the cross term vanishes because each column of F sums to
+    zero), so one Gram product serves all pairs. Centering each column on
+    its own mean keeps g small next to the offsets between columns; a
+    single shared shift loses that and misses the scalar formula by more
+    than 1e-12 on short takes. Returns a d x d matrix, exactly symmetric
+    with an exact unit diagonal.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("need a frames x columns matrix with at least one frame")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    t, d = data.shape
-    denom = 2.0 * sigma * sigma * float(t) * float(t)
-    out = np.ones((d, d), dtype=float)
-    for i in range(d - 1):
-        diff = data[:, i + 1:] - data[:, i:i + 1]
-        sq = np.einsum("tj,tj->j", diff, diff)
-        row = np.exp(-sq / denom)
-        out[i, i + 1:] = row
-        out[i + 1:, i] = row
+    t = data.shape[0]
+    mean = data.mean(axis=0)
+    centered = data - mean
+    gram = centered.T @ centered
+    sq_norm = np.diag(gram)
+    offset = mean[:, None] - mean[None, :]
+    sq = t * offset * offset + sq_norm[:, None] + sq_norm[None, :] - 2.0 * gram
+    out = np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma * sigma * t * t))
+    out = (out + out.T) / 2.0
+    np.fill_diagonal(out, 1.0)
     return out
-
-
-@dataclass(frozen=True)
-class CorrentropyMatrix:
-    """Pairwise correntropy of one take's coordinate columns."""
-
-    values: np.ndarray
-    sigma: float
-    series_length: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("correntropy matrix must be square")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-def correntropy_matrix(take: JointTake, sigma: float = SIGMA_DEFAULT) -> CorrentropyMatrix:
-    """Build the 60x60 correntropy matrix of a joint take."""
-    return CorrentropyMatrix(
-        values=pairwise_correntropy(take.data, sigma),
-        sigma=sigma,
-        series_length=take.frames,
-    )
 
 
 def lower_triangle_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,15 +79,15 @@ def lower_triangle_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(dim, k=-1)
 
 
-def vectorize_lower(matrix) -> np.ndarray:
+def vectorize_lower(matrix: np.ndarray) -> np.ndarray:
     """Flatten the strict lower triangle in the declared walk order.
 
     A d x d input yields d*(d-1)/2 values; the standard 60x60 matrix gives
     the 1770-dim feature vector.
     """
-    values = matrix.values if isinstance(matrix, CorrentropyMatrix) else np.asarray(matrix, dtype=float)
-    rows, cols = lower_triangle_indices(values.shape[0])
-    return values[rows, cols].copy()
+    matrix = np.asarray(matrix, dtype=float)
+    rows, cols = lower_triangle_indices(matrix.shape[0])
+    return matrix[rows, cols]
 
 
 def unvectorize_lower(vec: np.ndarray, dim: int) -> np.ndarray:
@@ -151,7 +129,6 @@ class FeatureVector:
 
     values: np.ndarray
     meta: RowMeta
-    normalized: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -162,17 +139,10 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Stacked feature vectors, one row per take.
-
-    When ``normalized``, ``mu``/``sigma`` hold the per-column statistics the
-    rows were standardized with so held-out rows can be mapped identically.
-    """
+    """Stacked feature vectors, one row per take."""
 
     values: np.ndarray
     rows: tuple[RowMeta, ...]
-    normalized: bool = False
-    mu: np.ndarray | None = None
-    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -182,11 +152,6 @@ class FeatureMatrix:
             raise ValueError(
                 f"row metadata length {len(self.rows)} != row count {v.shape[0]}"
             )
-        if self.normalized:
-            if self.mu is None or self.sigma is None:
-                raise ValueError("normalized matrix must carry mu and sigma")
-            if len(self.mu) != v.shape[1] or len(self.sigma) != v.shape[1]:
-                raise ValueError("mu/sigma length must equal column count")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "rows", tuple(self.rows))
 
@@ -201,9 +166,8 @@ class FeatureMatrix:
 
 def extract_features(take: JointTake, sigma: float = SIGMA_DEFAULT) -> FeatureVector:
     """Take -> correntropy matrix -> lower-triangle feature vector."""
-    k = correntropy_matrix(take, sigma)
     return FeatureVector(
-        values=vectorize_lower(k),
+        values=vectorize_lower(pairwise_correntropy(take.data, sigma)),
         meta=RowMeta(take.participant_id, take.stimulus_id, take.kind),
     )
 
@@ -238,34 +202,12 @@ def apply_gaussian_stats(values: np.ndarray, mu: np.ndarray, sigma: np.ndarray) 
     return out
 
 
-def gaussian_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
-    """Standardize each column to mean 0, population std 1.
-
-    The statistics are retained on the result so validation rows can be
-    transformed with the training-set stats rather than their own.
-    """
-    mu, sigma = gaussian_stats(matrix.values)
-    return replace(
-        matrix,
-        values=apply_gaussian_stats(matrix.values, mu, sigma),
-        normalized=True,
-        mu=mu,
-        sigma=sigma,
-    )
-
-
 def save_feature_matrix(matrix: FeatureMatrix, csv_path: str | Path) -> None:
     """Write rows as CSV plus a ``.meta.json`` sidecar with row provenance."""
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(csv_path, matrix.values, fmt="%.17g", delimiter=",")
-    meta = {
-        "rows": [r.to_dict() for r in matrix.rows],
-        "normalized": matrix.normalized,
-    }
-    if matrix.normalized:
-        meta["mu"] = [float(v) for v in matrix.mu]
-        meta["sigma"] = [float(v) for v in matrix.sigma]
+    meta = {"rows": [r.to_dict() for r in matrix.rows]}
     sidecar = csv_path.with_suffix(csv_path.suffix + ".meta.json")
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -278,22 +220,4 @@ def load_feature_matrix(csv_path: str | Path) -> FeatureMatrix:
     return FeatureMatrix(
         values=values,
         rows=tuple(RowMeta.from_dict(r) for r in meta["rows"]),
-        normalized=bool(meta.get("normalized", False)),
-        mu=np.asarray(meta["mu"], dtype=float) if "mu" in meta else None,
-        sigma=np.asarray(meta["sigma"], dtype=float) if "sigma" in meta else None,
     )
-
-
-def save_gaussian_stats(mu: np.ndarray, sigma: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(
-            {"mu": [float(v) for v in mu], "sigma": [float(v) for v in sigma]},
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-
-def load_gaussian_stats(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    d = json.loads(Path(path).read_text())
-    return np.asarray(d["mu"], dtype=float), np.asarray(d["sigma"], dtype=float)

@@ -14,7 +14,8 @@ from movetrait.cli import (
     config_hash,
     main,
 )
-from movetrait.features import load_feature_matrix
+from movetrait.features import apply_gaussian_stats, gaussian_stats, load_feature_matrix
+from movetrait.regression import build_dataset, fit_bayes_ridge, load_model, load_trait_table
 from movetrait.synth import default_strong_spec, write_dataset
 
 
@@ -106,8 +107,37 @@ class TestExtract:
         takes = tmp_path / "short"
         write_dataset(spec, takes)
         cfg = make_config(takes, tmp_path / "out")
-        with pytest.raises(ValueError, match="7 frames"):
+        with pytest.raises(ValueError, match=r"P000_S00\.tsv: .*7 frames"):
             cmd_extract(cfg)
+
+    def test_joint_derivation_failure_names_take(self, dataset_dir, tmp_path):
+        takes = tmp_path / "twenty"
+        takes.mkdir()
+        for src in sorted(dataset_dir.glob("P000_S0*")):
+            (takes / src.name).write_bytes(src.read_bytes())
+        bad = takes / "P000_S01.tsv"
+        header, *rows = bad.read_text().splitlines()
+        labels = header.split("\t")[1:21]
+        bad.write_text("\n".join(
+            ["\t".join(["#MARKERS", *labels])]
+            + ["\t".join(r.split("\t")[:60]) for r in rows]
+        ) + "\n")
+        cfg = make_config(takes, tmp_path / "out")
+        with pytest.raises(ValueError, match=r"P000_S01\.tsv: take has 20 markers"):
+            cmd_extract(cfg)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_workers_rejected_before_any_take_is_read(
+            self, dataset_dir, tmp_path, monkeypatch, workers):
+        import movetrait.cli as cli
+
+        read = []
+        monkeypatch.setattr(cli, "load_take", lambda path: read.append(path))
+        cfg = make_config(dataset_dir, tmp_path, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            cmd_extract(cfg)
+        assert read == []
+        assert not list(tmp_path.rglob("features_*"))
 
     def test_missing_dir_fails(self, tmp_path):
         cfg = make_config(tmp_path / "nope", tmp_path / "out")
@@ -160,6 +190,25 @@ class TestTrain:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         assert len(cmd_train(cfg)) == 7
         assert len(calls) == 1
+
+    def test_normalized_input_matches_cv_normalization(self, extracted, tmp_path):
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "train_input": "position_n",
+            "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        cmd_train(cfg)
+        table = load_trait_table(cfg.traits_csv)
+        matrix = load_feature_matrix(cfg.resolved_features_dir() / "features_position.csv")
+        dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
+        X = apply_gaussian_stats(dataset.X, *gaussian_stats(dataset.X))
+        for trait, y in zip(cfg.traits, dataset.y.T):
+            expected = fit_bayes_ridge(X, y, tol=cfg.bayes_tol, max_iter=cfg.bayes_max_iter)
+            model = load_model(tmp_path / "train" / f"model_{trait}.json")
+            np.testing.assert_array_equal(model.weights, expected.weights)
+        assert sorted(p.name for p in (tmp_path / "train").iterdir()) == sorted(
+            [f"model_{t}.json" for t in cfg.traits] + ["config.json", "manifest.json"]
+        )
 
     def test_bayes_diagnostics_logged(self, extracted, tmp_path, capsys):
         cfg = PipelineConfig.from_dict({

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,7 @@ from movetrait.features import (
     RowMeta,
     apply_gaussian_stats,
     correntropy,
-    correntropy_matrix,
     extract_features,
-    gaussian_normalize,
     gaussian_stats,
     load_feature_matrix,
     lower_triangle_indices,
@@ -20,7 +19,8 @@ from movetrait.features import (
     unvectorize_lower,
     vectorize_lower,
 )
-from movetrait.mocap import JointTake, Kind
+from movetrait.mocap import JointTake, Kind, derive_joints, velocity
+from movetrait.synth import default_strong_spec, generate_take, sample_traits
 
 
 def joint_take(data, frame_rate=120.0, kind=Kind.POSITION, pid="P1", sid="S1"):
@@ -68,11 +68,41 @@ class TestCorrentropy:
         assert doubled == pytest.approx(math.sqrt(single), abs=1e-12)
 
 
+def offset_draws(frames, count):
+    """Columns far apart (offsets up to 2 m) that move little around them.
+
+    A kernel that shifts all columns by one shared mean misses the scalar
+    formula by more than 1e-12 on a few short draws (among these, some of
+    the 2-frame ones), so each case holds several.
+    """
+    draws = []
+    for seed in range(count):
+        rng = np.random.default_rng([frames, seed])
+        draws.append(rng.uniform(-2000, 2000, size=60) + rng.normal(0, 50, size=(frames, 60)))
+    return draws
+
+
+def strong_spec_take(kind):
+    spec = default_strong_spec(participants=1, stimuli=1, frames=4200, seed=5)
+    joints = derive_joints(generate_take(spec, sample_traits(spec)["P000"], 0, 0))
+    return [(joints if kind == "position" else velocity(joints)).data]
+
+
+ORACLE_INPUTS = {
+    "normal-5x8": lambda: [np.random.default_rng(3).normal(0, 40, size=(5, 8))],
+    "offset-2x60": lambda: offset_draws(2, 16),
+    "offset-3x60": lambda: offset_draws(3, 16),
+    "offset-10x60": lambda: offset_draws(10, 4),
+    "position-4200x60": lambda: strong_spec_take("position"),
+    "velocity-4200x60": lambda: strong_spec_take("velocity"),
+}
+
+
 class TestCorrentropyMatrix:
     def test_identical_columns_give_all_ones(self):
         data = np.tile(np.arange(5.0)[:, None], (1, 60))
-        k = correntropy_matrix(joint_take(data))
-        np.testing.assert_array_equal(k.values, np.ones((60, 60)))
+        k = pairwise_correntropy(data)
+        np.testing.assert_array_equal(k, np.ones((60, 60)))
 
     def test_exact_symmetry_and_unit_diagonal(self):
         rng = np.random.default_rng(0)
@@ -80,30 +110,27 @@ class TestCorrentropyMatrix:
         np.testing.assert_array_equal(k, k.T)
         np.testing.assert_array_equal(np.diag(k), np.ones(12))
 
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(0, 40, size=(5, 8))
-        k = pairwise_correntropy(data, sigma=12.0)
-        for i in range(8):
-            for j in range(8):
-                expected = correntropy(data[:, i], data[:, j], sigma=12.0)
-                assert k[i, j] == pytest.approx(expected, abs=1e-12)
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_matches_scalar_oracle(self, name):
+        for data in ORACLE_INPUTS[name]():
+            d = data.shape[1]
+            k = pairwise_correntropy(data, sigma=12.0)
+            expected = np.array([
+                [correntropy(data[:, i], data[:, j], sigma=12.0) for j in range(d)]
+                for i in range(d)
+            ])
+            np.testing.assert_allclose(k, expected, rtol=0, atol=1e-12)
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(11)
         k = pairwise_correntropy(rng.normal(0, 200, size=(30, 10)))
         assert (k > 0).all() and (k <= 1).all()
 
-    def test_sigma_carried(self):
-        data = np.random.default_rng(1).normal(size=(4, 60))
-        k = correntropy_matrix(joint_take(data), sigma=5.0)
-        assert k.sigma == 5.0 and k.series_length == 4 and k.dim == 60
-
 
 class TestVectorize:
     def test_standard_dim_gives_1770(self):
         data = np.random.default_rng(2).normal(0, 30, size=(6, 60))
-        vec = vectorize_lower(correntropy_matrix(joint_take(data)))
+        vec = vectorize_lower(pairwise_correntropy(data))
         assert vec.shape == (1770,)
 
     def test_reduced_dim_walk_order(self):
@@ -143,40 +170,37 @@ class TestVectorize:
 
 
 class TestGaussianNormalize:
-    def make_matrix(self, values):
+    def standardize(self, values):
         values = np.asarray(values, dtype=float)
-        rows = tuple(
-            RowMeta(f"P{i}", "S1", Kind.POSITION) for i in range(values.shape[0])
-        )
-        return FeatureMatrix(values=values, rows=rows)
+        return apply_gaussian_stats(values, *gaussian_stats(values))
 
     def test_hand_example(self):
-        m = gaussian_normalize(self.make_matrix([[1.0], [2.0], [3.0]]))
+        out = self.standardize([[1.0], [2.0], [3.0]])
         np.testing.assert_allclose(
-            m.values[:, 0], [-1.224744871391589, 0.0, 1.224744871391589], atol=1e-9
+            out[:, 0], [-1.224744871391589, 0.0, 1.224744871391589], atol=1e-9
         )
 
     def test_zero_variance_column_maps_to_zero(self):
-        m = gaussian_normalize(self.make_matrix([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
-        np.testing.assert_array_equal(m.values[:, 0], np.zeros(3))
+        out = self.standardize([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
+        np.testing.assert_array_equal(out[:, 0], np.zeros(3))
 
     def test_idempotent_on_standardized_data(self):
         rng = np.random.default_rng(8)
-        raw = self.make_matrix(rng.normal(size=(20, 6)))
-        once = gaussian_normalize(raw)
-        twice = gaussian_normalize(self.make_matrix(once.values))
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-9)
+        once = self.standardize(rng.normal(size=(20, 6)))
+        np.testing.assert_allclose(self.standardize(once), once, atol=1e-9)
 
     def test_columns_standardized(self):
         rng = np.random.default_rng(12)
-        m = gaussian_normalize(self.make_matrix(rng.normal(3, 7, size=(50, 4))))
-        assert np.abs(m.values.mean(axis=0)).max() < 1e-9
-        np.testing.assert_allclose(m.values.std(axis=0), 1.0, atol=1e-9)
-        assert m.normalized and m.mu.shape == (4,) and m.sigma.shape == (4,)
+        values = rng.normal(3, 7, size=(50, 4))
+        mu, sigma = gaussian_stats(values)
+        assert mu.shape == (4,) and sigma.shape == (4,)
+        out = apply_gaussian_stats(values, mu, sigma)
+        assert np.abs(out.mean(axis=0)).max() < 1e-9
+        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-9)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
-            gaussian_normalize(self.make_matrix([[1.0, 2.0]]))
+            gaussian_stats(np.array([[1.0, 2.0]]))
 
     def test_stats_apply_to_held_out_rows(self):
         rng = np.random.default_rng(4)
@@ -207,20 +231,20 @@ class TestExtractAndPersistence:
         loaded = load_feature_matrix(path)
         np.testing.assert_array_equal(loaded.values, matrix.values)
         assert loaded.rows == matrix.rows
-        assert not loaded.normalized
 
-    def test_normalized_matrix_round_trip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        rows = tuple(RowMeta(f"P{i}", "S1", Kind.VELOCITY) for i in range(4))
-        matrix = gaussian_normalize(
-            FeatureMatrix(values=rng.normal(size=(4, 10)), rows=rows)
-        )
+    def test_older_sidecar_normalization_keys_ignored(self, tmp_path):
+        rows = tuple(RowMeta(f"P{i}", "S1", Kind.VELOCITY) for i in range(2))
+        matrix = FeatureMatrix(values=np.arange(6.0).reshape(2, 3), rows=rows)
         path = tmp_path / "features.csv"
         save_feature_matrix(matrix, path)
+        sidecar = tmp_path / "features.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        assert set(meta) == {"rows"}
+        meta.update(normalized=True, mu=[0.0, 0.0, 0.0], sigma=[1.0, 1.0, 1.0])
+        sidecar.write_text(json.dumps(meta))
         loaded = load_feature_matrix(path)
-        assert loaded.normalized
-        np.testing.assert_array_equal(loaded.mu, matrix.mu)
-        np.testing.assert_array_equal(loaded.sigma, matrix.sigma)
+        np.testing.assert_array_equal(loaded.values, matrix.values)
+        assert loaded.rows == matrix.rows
 
     def test_row_metadata_length_enforced(self):
         with pytest.raises(ValueError, match="row metadata"):
