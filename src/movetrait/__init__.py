@@ -29,13 +29,11 @@ from .regression import (
     DatasetMode,
     PcaBasis,
     PcrModel,
-    Prediction,
     build_dataset,
     centered_svd,
     fit_bayes_ridge,
     fit_pca,
     fit_pcr,
-    predict,
 )
 from .evaluation import (
     CvResult,

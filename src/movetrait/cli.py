@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -82,6 +83,15 @@ class PipelineConfig:
     bayes_tol: float = 1e-3
     bayes_max_iter: int = 300
     workers: int = 1
+
+    def __post_init__(self):
+        """Reject bad field values before any stage reads its inputs."""
+        if self.grouping not in ("none", "participant"):
+            raise ValueError(
+                f"grouping must be 'none' or 'participant', got {self.grouping!r}")
+        if (isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float))
+                or not math.isfinite(self.sigma) or self.sigma <= 0):
+            raise ValueError(f"sigma must be a finite number > 0, got {self.sigma!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":

@@ -4,7 +4,7 @@ Both map one feature matrix to one scalar trait. PCR fits ordinary least
 squares on the top-k PCA scores; the Bayesian model places a zero-mean
 isotropic Gaussian prior on the weights and estimates the noise precision
 (alpha) and weight-prior precision (lambda) by iterative evidence
-maximization, so its predictions carry a variance.
+maximization; predictions are its posterior mean.
 
 Both fits need only the SVD of the centered design, which does not depend
 on the target. ``centered_svd`` computes it once; every fit accepts either
@@ -121,11 +121,10 @@ class PcrModel:
 
 @dataclass(frozen=True)
 class BayesRidgeModel:
-    """Posterior mean/precisions of the Bayesian linear model.
+    """Posterior mean and noise/weight-prior precisions of the Bayesian linear model.
 
-    ``components``/``eigenvalues`` factor the centered design so that the
-    full d x d posterior covariance and per-point predictive variances can
-    be formed on demand without storing the dense matrix.
+    ``eigenvalues`` (of the centered design's Gram matrix) give the
+    effective degrees of freedom ``gamma``.
     """
 
     weights: np.ndarray          # posterior mean, length d
@@ -135,7 +134,6 @@ class BayesRidgeModel:
     x_mean: np.ndarray
     converged: bool
     iterations: int
-    components: np.ndarray       # r x d right singular vectors of centered X
     eigenvalues: np.ndarray      # length r, eigenvalues of Xc^T Xc
 
     @property
@@ -147,31 +145,6 @@ class BayesRidgeModel:
         """Effective degrees of freedom, sum_i e_i / (e_i + lambda/alpha)."""
         eig = self.eigenvalues
         return float(np.sum(eig / (eig + self.lambda_ / self.alpha)))
-
-    @property
-    def posterior_covariance(self) -> np.ndarray:
-        """Dense (alpha X^T X + lambda I)^-1, symmetric positive definite."""
-        inv_span = 1.0 / (self.alpha * self.eigenvalues + self.lambda_)
-        delta = inv_span - 1.0 / self.lambda_
-        cov = (self.components.T * delta) @ self.components
-        cov[np.diag_indices_from(cov)] += 1.0 / self.lambda_
-        return (cov + cov.T) / 2.0
-
-    def predictive_variance(self, x_centered: np.ndarray) -> float:
-        t = self.components @ x_centered
-        inv_span = 1.0 / (self.alpha * self.eigenvalues + self.lambda_)
-        residual_sq = max(float(x_centered @ x_centered - t @ t), 0.0)
-        return 1.0 / self.alpha + float((t * t) @ inv_span) + residual_sq / self.lambda_
-
-
-@dataclass(frozen=True)
-class Prediction:
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("prediction std cannot be negative")
 
 
 def fit_pca(X, k: int) -> PcaBasis:
@@ -298,36 +271,20 @@ def fit_bayes_ridge(
         x_mean=f.mean,
         converged=converged,
         iterations=iterations,
-        components=vh,
         eigenvalues=eig,
     )
-
-
-def predict(model, x: np.ndarray) -> Prediction:
-    """Point prediction; the Bayesian model also reports a predictive std."""
-    x = np.asarray(x, dtype=float).ravel()
-    if isinstance(model, PcrModel):
-        if x.shape[0] != model.n_features:
-            raise ValueError(f"expected {model.n_features} features, got {x.shape[0]}")
-        scores = model.basis.project(x)[0]
-        return Prediction(mean=float(model.intercept + model.weights @ scores), std=0.0)
-    if isinstance(model, BayesRidgeModel):
-        if x.shape[0] != model.n_features:
-            raise ValueError(f"expected {model.n_features} features, got {x.shape[0]}")
-        xc = x - model.x_mean
-        mean = model.intercept + float(model.weights @ xc)
-        return Prediction(mean=mean, std=float(np.sqrt(model.predictive_variance(xc))))
-    raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def predict_means(model, X) -> np.ndarray:
     """Vectorized prediction means for a batch of rows."""
     X = _as_matrix(X)
+    if not isinstance(model, (PcrModel, BayesRidgeModel)):
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    if X.shape[1] != model.n_features:
+        raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
     if isinstance(model, PcrModel):
         return model.basis.project(X) @ model.weights + model.intercept
-    if isinstance(model, BayesRidgeModel):
-        return (X - model.x_mean) @ model.weights + model.intercept
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return (X - model.x_mean) @ model.weights + model.intercept
 
 
 class DatasetMode(str, Enum):
@@ -402,7 +359,7 @@ def load_trait_table(path: str | Path) -> dict:
 
 
 def save_model(model, path: str | Path, provenance: dict | None = None) -> None:
-    """Serialize a model to JSON (basis/factor arrays stored row-major)."""
+    """Serialize a model to JSON (the PCR basis stored row-major)."""
     if isinstance(model, PcrModel):
         doc = {
             "kind": "pcr",
@@ -424,10 +381,7 @@ def save_model(model, path: str | Path, provenance: dict | None = None) -> None:
             "iterations": model.iterations,
             "weights": model.weights.tolist(),
             "x_mean": model.x_mean.tolist(),
-            "factor": {
-                "eigenvalues": model.eigenvalues.tolist(),
-                "components": model.components.tolist(),
-            },
+            "factor": {"eigenvalues": model.eigenvalues.tolist()},
         }
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
@@ -460,7 +414,6 @@ def load_model(path: str | Path):
             x_mean=np.asarray(doc["x_mean"], dtype=float),
             converged=bool(doc["converged"]),
             iterations=int(doc["iterations"]),
-            components=np.asarray(doc["factor"]["components"], dtype=float),
             eigenvalues=np.asarray(doc["factor"]["eigenvalues"], dtype=float),
         )
     raise ValueError(f"{path}: unknown model kind {kind!r}")

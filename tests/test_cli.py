@@ -69,6 +69,34 @@ class TestConfig:
         cfg = make_config(tmp_path, tmp_path / "out")
         assert config_hash(cfg) == config_hash(make_config(tmp_path, tmp_path / "out"))
 
+    # (field, bad value as given to --set, message); each is rejected when the
+    # config is built, before any stage reads an input or makes a directory
+    BAD_FIELDS = [
+        ("grouping", "participants", "grouping must be 'none' or 'participant'"),
+        ("grouping", '""', "grouping must be 'none' or 'participant'"),
+        ("sigma", "-1", "sigma must be a finite number > 0"),
+        ("sigma", "0", "sigma must be a finite number > 0"),
+        ("sigma", "NaN", "sigma must be a finite number > 0"),
+        ("sigma", "Infinity", "sigma must be a finite number > 0"),
+        ("sigma", "wide", "sigma must be a finite number > 0"),
+        ("sigma", "true", "sigma must be a finite number > 0"),
+    ]
+
+    @pytest.mark.parametrize("command", ["extract", "evaluate"])
+    @pytest.mark.parametrize("field,value,message", BAD_FIELDS)
+    def test_bad_field_rejected_at_config_time(
+            self, dataset_dir, tmp_path, capsys, command, field, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(dataset_dir, None).to_dict()))
+        out = tmp_path / "out"
+        rc = main([command, "-c", str(cfg_path), "--output-dir", str(out),
+                   "--set", f"{field}={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "tsv" not in err
+        assert not out.exists()
+
 
 class TestExtract:
     def test_rows_and_width(self, dataset_dir, tmp_path):
