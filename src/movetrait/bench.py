@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import platform
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .features import pairwise_correntropy
+from .mocap import load_take
 from .regression import fit_bayes_ridge, fit_pca
+from .synth import default_strong_spec, write_dataset
 
 DEFAULT_TIMEOUT_S = 120.0
 
@@ -45,6 +48,17 @@ def _median_time(fn, repetitions: int) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return float(np.median(times))
+
+
+def bench_load_take(frames: int = 4200, repetitions: int = 3) -> list[BenchRecord]:
+    """Text parse of one synthetic take (frames x 63) written to a temp dir."""
+    spec = default_strong_spec(participants=1, stimuli=1, frames=frames, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(spec, tmp)
+        path = next(Path(tmp).glob("*.tsv"))
+        seconds = _median_time(lambda: load_take(path), repetitions)
+    return [BenchRecord("load_take", f"{frames}x63", seconds, repetitions,
+                        machine_descriptor())]
 
 
 def bench_correntropy(frame_counts=(500, 2000, 4200), repetitions: int = 3) -> list[BenchRecord]:
@@ -113,12 +127,13 @@ def bench_suite(
     repetitions: int = 3,
     timeout_s: float = DEFAULT_TIMEOUT_S,
 ) -> list[BenchRecord]:
+    parse = bench_load_take(repetitions=repetitions)
     kernel = bench_correntropy(frame_counts, repetitions)
     assert_monotone(kernel)
     ridge = bench_bayes_ridge(ridge_rows, repetitions=repetitions)
     assert_under_timeout(ridge, timeout_s)
     pca = bench_pca(pca_ks, repetitions=repetitions)
-    return kernel + ridge + pca
+    return parse + kernel + ridge + pca
 
 
 def records_csv(records: list[BenchRecord]) -> str:

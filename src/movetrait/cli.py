@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,12 @@ class PipelineConfig:
         if (isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float))
                 or not math.isfinite(self.sigma) or self.sigma <= 0):
             raise ValueError(f"sigma must be a finite number > 0, got {self.sigma!r}")
+        if isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1:
+            raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
+        for kind in self.extract_kinds:
+            if kind not in ("position", "velocity"):
+                raise ValueError(
+                    f"extract_kinds entries must be 'position' or 'velocity', got {kind!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -161,8 +168,14 @@ def config_hash(cfg: PipelineConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def write_run_info(out_dir: Path, cfg: PipelineConfig, inputs: dict[str, Path]) -> None:
-    """Resolved config copy plus a manifest of input hashes, no timestamps."""
+def write_run_info(out_dir: Path, cfg: PipelineConfig, inputs: dict[str, Path],
+                   digests: dict[str, str] | None = None) -> None:
+    """Resolved config copy plus a manifest of input hashes, no timestamps.
+
+    ``digests`` holds the sha256 of inputs whose bytes the stage already
+    read, by input name; every other input is read and hashed here.
+    """
+    digests = digests or {}
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(
         json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -170,7 +183,7 @@ def write_run_info(out_dir: Path, cfg: PipelineConfig, inputs: dict[str, Path]) 
     manifest = {
         "config_sha256": config_hash(cfg),
         "inputs": {
-            name: {"path": str(path), "sha256": sha256_file(path)}
+            name: {"path": str(path), "sha256": digests.get(name) or sha256_file(path)}
             for name, path in sorted(inputs.items())
         },
     }
@@ -196,41 +209,43 @@ def _resolve_k(cfg: PipelineConfig, base_kind: str, n_rows: int, rows_of: str) -
     return k
 
 
+def _featurize_take(path: Path, cfg: PipelineConfig) -> tuple[dict, str]:
+    """One take's features by kind, and the sha256 of the bytes they came from.
+
+    The file is read once: the same bytes are parsed and hashed.
+    """
+    raw = path.read_bytes()
+    take = load_take(path, raw=raw)  # its TakeFormatErrors already carry file:line
+    digest = hashlib.sha256(raw).hexdigest()
+    out = {}
+    try:
+        joints = derive_joints(take)
+        if "position" in cfg.extract_kinds:
+            out["position"] = extract_features(joints, cfg.sigma)
+        if "velocity" in cfg.extract_kinds:
+            out["velocity"] = extract_features(velocity(joints), cfg.sigma)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return out, digest
+
+
 def cmd_extract(cfg: PipelineConfig) -> dict:
     """Takes directory -> one feature CSV per requested kind."""
-    if not isinstance(cfg.workers, int) or cfg.workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {cfg.workers!r}")
     takes_dir = Path(cfg.takes_dir) if cfg.takes_dir else None
     if takes_dir is None or not takes_dir.is_dir():
         raise ValueError(f"takes_dir {cfg.takes_dir!r} is not a directory")
     take_paths = sorted(takes_dir.glob("*.tsv"))
     if not take_paths:
         raise ValueError(f"no .tsv takes found in {takes_dir}")
-    for kind in cfg.extract_kinds:
-        if kind not in ("position", "velocity"):
-            raise ValueError(f"extract kind must be position or velocity, got {kind!r}")
-
-    def featurize(path: Path) -> dict:
-        take = load_take(path)  # its TakeFormatErrors already carry file:line
-        out = {}
-        try:
-            joints = derive_joints(take)
-            if "position" in cfg.extract_kinds:
-                out["position"] = extract_features(joints, cfg.sigma)
-            if "velocity" in cfg.extract_kinds:
-                out["velocity"] = extract_features(velocity(joints), cfg.sigma)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        return out
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        per_take = list(pool.map(featurize, take_paths))
+        per_take = list(pool.map(_featurize_take, take_paths, repeat(cfg)))
 
     features_dir = cfg.resolved_features_dir()
     features_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     for kind in cfg.extract_kinds:
-        matrix = stack_features([d[kind] for d in per_take])
+        matrix = stack_features([features[kind] for features, _ in per_take])
         path = features_dir / f"features_{kind}.csv"
         save_feature_matrix(matrix, path)
         written[kind] = path
@@ -242,7 +257,8 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
         p.with_suffix(".json").name: p.with_suffix(".json")
         for p in take_paths if p.with_suffix(".json").exists()
     })
-    write_run_info(features_dir, cfg, inputs)
+    digests = {p.name: digest for p, (_, digest) in zip(take_paths, per_take)}
+    write_run_info(features_dir, cfg, inputs, digests)
     return {"features": written, "takes": len(take_paths)}
 
 

@@ -8,6 +8,7 @@ Butterworth low-pass filter.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
@@ -195,42 +196,81 @@ def _read_sidecar(take_path: Path, metadata) -> dict:
         metadata = candidate
     if isinstance(metadata, (str, Path)):
         try:
-            return json.loads(Path(metadata).read_text())
-        except json.JSONDecodeError as exc:
+            side = json.loads(Path(metadata).read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSON syntax or UTF-8 decoding
             raise TakeFormatError(f"{metadata}: invalid sidecar JSON ({exc})") from exc
+        if not isinstance(side, dict):
+            raise TakeFormatError(
+                f"{metadata}: sidecar must be a JSON object, got {type(side).__name__}")
+        return side
     return dict(metadata)
 
 
-def load_take(path: str | Path, metadata=None) -> MarkerTake:
-    """Read a tab-separated take file plus its metadata sidecar.
+def _frame_rate(path: Path, side: dict) -> float:
+    if "frame_rate" not in side:
+        warnings.warn(
+            f"{path}: sidecar omits frame_rate, assuming {DEFAULT_FRAME_RATE} Hz",
+            stacklevel=3,
+        )
+        return DEFAULT_FRAME_RATE
+    value = side["frame_rate"]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise TakeFormatError(f"{path}: frame_rate must be a finite number > 0, got {value!r}")
+    return float(value)
 
-    The file may start with a single header line ``#MARKERS<TAB>label...``;
-    every other line holds 3 * marker-count decimal numbers (mm). ``metadata``
-    is a sidecar path or mapping supplying frame_rate, participant_id and
-    stimulus_id; by default the file's ``.json`` sibling is used. A missing
-    frame rate falls back to 120 Hz with a warning.
 
-    Raises TakeFormatError with file and line context on malformed rows,
-    non-finite cells, a non-positive frame rate, or fewer than 2 frames.
+def _parse_loadtxt(raw: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """Markers and samples from one C-level parse, or None to defer to the scan.
+
+    Only a result the line scan would give bit for bit is returned: at least
+    2 rows, 3 columns per marker, every sample finite. Everything else (bad
+    rows, lone CR line ends, ``1_000``) is left to ``_scan_take``, which
+    accepts or rejects it with file and line context.
     """
-    path = Path(path)
-    side = _read_sidecar(path, metadata)
+    markers, body = MARKER_LABELS, raw
+    try:
+        if raw.startswith(b"#MARKERS"):
+            header, _, body = raw.partition(b"\n")
+            header = header.rstrip(b"\r")
+            if b"\r" in header:
+                return None
+            labels = header.decode("utf-8").split("\t")[1:]
+            if labels:
+                markers = tuple(labels)
+        if not body or body.isspace():  # loadtxt warns on a body with no rows
+            return None
+        data = np.loadtxt(io.BytesIO(body), delimiter="\t", comments=None, ndmin=2,
+                          encoding="utf-8")
+    except ValueError:
+        return None
+    if data.shape[0] < 2 or data.shape[1] != 3 * len(markers) or not np.isfinite(data).all():
+        return None
+    return markers, data
+
+
+def _scan_take(path: Path, raw: bytes) -> tuple[tuple[str, ...], np.ndarray]:
+    """Line-by-line parse that names the file and line of the first bad row."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TakeFormatError(f"{path}: not valid UTF-8 ({exc})") from None
 
     markers = MARKER_LABELS
     rows: list[list[str]] = []
     linenos: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            if lineno == 1 and line.startswith("#MARKERS"):
-                labels = line.split("\t")[1:]
-                if labels:
-                    markers = tuple(labels)
-                continue
-            rows.append(line.split("\t"))
-            linenos.append(lineno)
+    # newline=None splits lines on \n, \r\n and \r, as a text-mode file does
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if lineno == 1 and line.startswith("#MARKERS"):
+            labels = line.split("\t")[1:]
+            if labels:
+                markers = tuple(labels)
+            continue
+        rows.append(line.split("\t"))
+        linenos.append(lineno)
 
     expected = 3 * len(markers)
     for parts, lineno in zip(rows, linenos):
@@ -258,20 +298,35 @@ def load_take(path: str | Path, metadata=None) -> MarkerTake:
         bad = int(np.argwhere(~np.isfinite(data).all(axis=1))[0, 0])
         raise TakeFormatError(f"{path}:{linenos[bad]}: non-finite sample")
 
-    if "frame_rate" in side:
-        frame_rate = float(side["frame_rate"])
-        if frame_rate <= 0:
-            raise TakeFormatError(f"{path}: frame_rate must be positive, got {frame_rate}")
-    else:
-        warnings.warn(
-            f"{path}: sidecar omits frame_rate, assuming {DEFAULT_FRAME_RATE} Hz",
-            stacklevel=2,
-        )
-        frame_rate = DEFAULT_FRAME_RATE
+    return markers, data
 
+
+def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> MarkerTake:
+    """Read a tab-separated take file plus its metadata sidecar.
+
+    The file may start with a single header line ``#MARKERS<TAB>label...``;
+    every other line holds 3 * marker-count decimal numbers (mm). ``metadata``
+    is a sidecar path or mapping supplying frame_rate, participant_id and
+    stimulus_id; by default the file's ``.json`` sibling is used. A missing
+    frame rate falls back to 120 Hz with a warning. ``raw`` is the file's
+    bytes when the caller has already read them; otherwise the file is read
+    once here.
+
+    The bytes are parsed by one ``np.loadtxt`` call. Input it refuses goes
+    through a line scan, which accepts what it can and otherwise raises
+    TakeFormatError with file and line context on malformed rows,
+    non-finite cells or fewer than 2 frames. Invalid UTF-8, a sidecar that
+    is not a JSON object and a frame rate that is not a finite number > 0
+    raise TakeFormatError naming the file.
+    """
+    path = Path(path)
+    side = _read_sidecar(path, metadata)
+    if raw is None:
+        raw = path.read_bytes()
+    markers, data = _parse_loadtxt(raw) or _scan_take(path, raw)
     return MarkerTake(
         data=data,
-        frame_rate=frame_rate,
+        frame_rate=_frame_rate(path, side),
         participant_id=str(side.get("participant_id", "")),
         stimulus_id=str(side.get("stimulus_id", "")),
         markers=markers,

@@ -284,8 +284,9 @@ def write_dataset(spec: SynthSpec, out_dir: str | Path) -> dict:
     n_takes = 0
     for take in iter_takes(spec, traits):
         stem = f"{take.participant_id}_{take.stimulus_id}"
+        row_format = "\t".join(["%.17g"] * take.data.shape[1])
         rows = [header]
-        rows.extend("\t".join(f"{v:.17g}" for v in frame) for frame in take.data)
+        rows.extend(row_format % tuple(frame) for frame in take.data.tolist())
         (out_dir / f"{stem}.tsv").write_text("\n".join(rows) + "\n")
         sidecar = {
             "frame_rate": take.frame_rate,

@@ -5,6 +5,7 @@ from movetrait.bench import (
     assert_monotone,
     assert_under_timeout,
     bench_correntropy,
+    bench_load_take,
     bench_pca,
     bench_bayes_ridge,
     records_csv,
@@ -39,12 +40,14 @@ def test_timeout_ceiling():
 
 
 def test_small_suite_smoke(tmp_path):
+    parse = bench_load_take(frames=50, repetitions=3)
     kernel = bench_correntropy(frame_counts=(50, 400), repetitions=3)
     ridge = bench_bayes_ridge(row_counts=(20,), dim=50, repetitions=3)
     pca = bench_pca(ks=(3,), rows=20, dim=30, repetitions=3)
-    records = kernel + ridge + pca
+    records = parse + kernel + ridge + pca
     csv_text = records_csv(records)
     assert csv_text.startswith("operation,shape,median_seconds")
-    assert len(csv_text.strip().split("\n")) == 1 + 4
+    assert len(csv_text.strip().split("\n")) == 1 + 5
     md = records_markdown(records)
     assert "| correntropy_matrix |" in md
+    assert "| load_take | 50x63 |" in md

@@ -1,4 +1,8 @@
+import builtins
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +84,11 @@ class TestConfig:
         ("sigma", "Infinity", "sigma must be a finite number > 0"),
         ("sigma", "wide", "sigma must be a finite number > 0"),
         ("sigma", "true", "sigma must be a finite number > 0"),
+        ("workers", "0", "workers must be a positive integer"),
+        ("workers", "-2", "workers must be a positive integer"),
+        ("workers", '"2"', "workers must be a positive integer"),
+        ("workers", "true", "workers must be a positive integer"),
+        ("extract_kinds", '["pos"]', "extract_kinds entries must be 'position' or 'velocity'"),
     ]
 
     @pytest.mark.parametrize("command", ["extract", "evaluate"])
@@ -121,6 +130,26 @@ class TestExtract:
         p2 = cmd_extract(cfg2)["features"]["position"]
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_each_take_read_once(self, dataset_dir, tmp_path, monkeypatch):
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).endswith(".tsv"):
+                opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)  # Path.open goes through io.open
+        monkeypatch.setattr(builtins, "open", counting_open)
+        cfg = make_config(dataset_dir, tmp_path)
+        cmd_extract(cfg)
+        takes = sorted(p.name for p in dataset_dir.glob("*.tsv"))
+        assert sorted(opened) == takes
+        manifest = json.loads((cfg.resolved_features_dir() / "manifest.json").read_text())
+        for name in takes:
+            digest = hashlib.sha256((dataset_dir / name).read_bytes()).hexdigest()
+            assert manifest["inputs"][name]["sha256"] == digest
+
     def test_manifest_and_config_written(self, dataset_dir, tmp_path):
         cfg = make_config(dataset_dir, tmp_path)
         cmd_extract(cfg)
@@ -160,10 +189,9 @@ class TestExtract:
         import movetrait.cli as cli
 
         read = []
-        monkeypatch.setattr(cli, "load_take", lambda path: read.append(path))
-        cfg = make_config(dataset_dir, tmp_path, workers=workers)
+        monkeypatch.setattr(cli, "load_take", lambda path, **kw: read.append(path))
         with pytest.raises(ValueError, match="workers"):
-            cmd_extract(cfg)
+            cmd_extract(make_config(dataset_dir, tmp_path, workers=workers))
         assert read == []
         assert not list(tmp_path.rglob("features_*"))
 

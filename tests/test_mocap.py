@@ -20,6 +20,8 @@ from movetrait.mocap import (
     zero_phase_filter,
     JOINT_LABELS,
     MARKER_LABELS,
+    _parse_loadtxt,
+    _scan_take,
 )
 
 
@@ -93,6 +95,123 @@ class TestLoadTake:
         path = write_take(tmp_path, [["0.0"] * 63, row])
         with pytest.raises(TakeFormatError, match=rf"{path.name}:3.*abc"):
             load_take(path)
+
+
+def _tsv(rows, header=True, sep="\n", end="\n"):
+    lines = ["#MARKERS\t" + "\t".join(MARKER_LABELS)] if header else []
+    lines += ["\t".join(str(v) for v in row) for row in rows]
+    return (sep.join(lines) + end).encode()
+
+
+def _random_rows(fmt, seed):
+    # magnitudes from subnormal to huge, signed zeros included
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(5, 63)) * 10.0 ** rng.integers(-310, 300, size=(5, 63))
+    values[0, :4] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+    return [[fmt(v) for v in row] for row in values.tolist()]
+
+
+_ONES = [["1.5"] * 63] * 3
+
+# (id, file bytes, outcome): "fast" when np.loadtxt's result is taken,
+# "scan" when only the line scan accepts the file, "error" when it is refused
+PARSE_CASES = [
+    ("plain", _tsv(_ONES), "fast"),
+    ("crlf", _tsv(_ONES, sep="\r\n", end="\r\n"), "fast"),
+    ("blank-lines", b"\n\n".join(_tsv(_ONES).split(b"\n")) + b"\n\n", "fast"),
+    ("no-header", _tsv(_ONES, header=False), "fast"),
+    ("custom-header", b"#MARKERS\ta\tb\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "fast"),
+    ("bare-header", b"#MARKERS\n" + _tsv(_ONES, header=False), "fast"),
+    ("leading-spaces", _tsv([[" 1.5"] * 63, ["  -2"] * 63]), "fast"),
+    ("random-17g", _tsv(_random_rows(lambda v: "%.17g" % v, 1)), "fast"),
+    ("random-repr", _tsv(_random_rows(repr, 2)), "fast"),
+    ("underscore", _tsv([["1_000"] * 63, ["2"] * 63]), "scan"),
+    ("lone-cr", _tsv(_ONES, sep="\r", end="\r"), "scan"),
+    ("cr-in-header", b"#MARKERS\ta\tb\r1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "scan"),
+    ("cr-splits-header", b"#MARKERS\ta\tb\rc\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "error"),
+    ("trailing-tab", _tsv([["1"] * 63 + [""]] * 2), "error"),
+    ("whitespace-line", _tsv(_ONES[:1] + [[" "]] + _ONES[:1]), "error"),
+    ("hash-line-mid", _tsv(_ONES[:1] + [["# note"]] + _ONES[:1]), "error"),
+    ("header-on-line-2", b"\n" + _tsv(_ONES), "error"),
+    ("nan", _tsv([["nan"] * 63, ["1"] * 63]), "error"),
+    ("inf", _tsv([["1"] * 63, ["1"] * 62 + ["-inf"]]), "error"),
+    ("one-row", _tsv(_ONES[:1]), "error"),
+    ("empty", b"", "error"),
+    ("header-only", _tsv([]), "error"),
+    ("blank-only", b"\n\r\n\n", "error"),
+    ("short-row", _tsv(_ONES[:1] + [["1.5"] * 62]), "error"),
+    ("wrong-width", _tsv([["1.5"] * 62] * 2), "error"),
+    ("unparseable", _tsv(_ONES[:1] + [["1.5"] * 62 + ["1.5.1"]]), "error"),
+    ("bom", b"\xef\xbb\xbf" + _tsv(_ONES), "error"),
+    ("not-utf8", _tsv(_ONES) + b"1\xff\n", "error"),
+]
+
+
+class TestParsePaths:
+    """load_take against the line scan alone, on the same bytes."""
+
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input with no rows
+    @pytest.mark.parametrize("raw,outcome", [c[1:] for c in PARSE_CASES],
+                             ids=[c[0] for c in PARSE_CASES])
+    def test_matches_line_scan(self, tmp_path, raw, outcome):
+        path = tmp_path / "take.tsv"
+        path.write_bytes(raw)
+        assert (_parse_loadtxt(raw) is not None) == (outcome == "fast")
+        try:
+            markers, data = _scan_take(path, raw)
+        except TakeFormatError as exc:
+            assert outcome == "error"
+            with pytest.raises(TakeFormatError) as got:
+                load_take(path, {"frame_rate": 120.0})
+            assert str(got.value) == str(exc)
+            return
+        assert outcome != "error"
+        take = load_take(path, {"frame_rate": 120.0})
+        assert take.markers == markers
+        assert take.data.shape == data.shape
+        assert take.data.tobytes() == data.tobytes()
+
+    def test_raw_bytes_used_instead_of_reading(self, tmp_path):
+        raw = _tsv(_ONES)
+        take = load_take(tmp_path / "never_written.tsv", {"frame_rate": 120.0}, raw=raw)
+        assert take.frames == 3
+
+
+# (id, sidecar bytes, take bytes, message): each message names the file at fault
+BAD_INPUTS = [
+    ("take-not-utf8", b'{"frame_rate": 120}', _tsv(_ONES) + b"\xff\n",
+     r"take\.tsv: not valid UTF-8"),
+    ("frame-rate-string", b'{"frame_rate": "fast"}', _tsv(_ONES),
+     r"take\.tsv: frame_rate must be a finite number > 0, got 'fast'"),
+    ("frame-rate-numeric-string", b'{"frame_rate": "120"}', _tsv(_ONES),
+     r"take\.tsv: frame_rate must be a finite number > 0, got '120'"),
+    ("frame-rate-infinity", b'{"frame_rate": Infinity}', _tsv(_ONES),
+     r"take\.tsv: frame_rate must be a finite number > 0, got inf"),
+    ("frame-rate-nan", b'{"frame_rate": NaN}', _tsv(_ONES),
+     r"take\.tsv: frame_rate must be a finite number > 0, got nan"),
+    ("frame-rate-bool", b'{"frame_rate": true}', _tsv(_ONES),
+     r"take\.tsv: frame_rate must be a finite number > 0, got True"),
+    ("frame-rate-null", b'{"frame_rate": null}', _tsv(_ONES),
+     r"take\.tsv: frame_rate must be a finite number > 0, got None"),
+    ("frame-rate-negative", b'{"frame_rate": -120}', _tsv(_ONES),
+     r"take\.tsv: frame_rate must be a finite number > 0, got -120"),
+    ("sidecar-list", b"[120]", _tsv(_ONES),
+     r"take\.json: sidecar must be a JSON object, got list"),
+    ("sidecar-not-json", b"{frame_rate: 120}", _tsv(_ONES),
+     r"take\.json: invalid sidecar JSON"),
+    ("sidecar-not-utf8", b'{"frame_rate": 120, "stimulus_id": "\xff"}', _tsv(_ONES),
+     r"take\.json: invalid sidecar JSON"),
+]
+
+
+@pytest.mark.parametrize("sidecar,raw,message", [c[1:] for c in BAD_INPUTS],
+                         ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_names_file(tmp_path, sidecar, raw, message):
+    path = tmp_path / "take.tsv"
+    path.write_bytes(raw)
+    path.with_suffix(".json").write_bytes(sidecar)
+    with pytest.raises(TakeFormatError, match=message):
+        load_take(path)
 
 
 class TestDeriveJoints:

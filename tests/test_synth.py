@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from movetrait.mocap import load_take
+from movetrait.mocap import MARKER_LABELS, load_take
 from movetrait.regression import TRAIT_NAMES, load_trait_table
 from movetrait.synth import (
     SynthSpec,
@@ -155,3 +155,16 @@ class TestWriteDataset:
         spec = small_spec(participants=1, stimuli=1, frames=30)
         write_dataset(spec, tmp_path)
         assert SynthSpec.from_json(tmp_path / "synth_spec.json") == spec
+
+    def test_tsv_bytes_match_per_value_formatting(self, tmp_path):
+        # reference: the per-value f-string formatting the writer used before
+        # it formatted whole rows with one %-format
+        spec = small_spec(participants=2, stimuli=2, frames=40)
+        write_dataset(spec, tmp_path)
+        header = "#MARKERS\t" + "\t".join(MARKER_LABELS)
+        for take in iter_takes(spec):
+            rows = [header]
+            rows.extend("\t".join(f"{v:.17g}" for v in frame) for frame in take.data)
+            expected = ("\n".join(rows) + "\n").encode()
+            path = tmp_path / f"{take.participant_id}_{take.stimulus_id}.tsv"
+            assert path.read_bytes() == expected
