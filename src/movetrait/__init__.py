@@ -16,7 +16,6 @@ from .mocap import (
 )
 from .features import (
     FeatureMatrix,
-    FeatureVector,
     correntropy,
     extract_features,
     unvectorize_lower,

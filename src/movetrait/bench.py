@@ -3,7 +3,8 @@
 Times are medians over at least 3 repetitions to resist scheduler noise.
 Nothing here asserts absolute durations beyond a configurable timeout
 ceiling; the only hard check is that kernel time grows with frame count.
-Runs serially to avoid cross-contamination.
+Operations run one after another. Each runs on one thread, except the
+``load_take_2threads`` record, which times two threads parsing at once.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import os
 import platform
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,14 +53,26 @@ def _median_time(fn, repetitions: int) -> float:
 
 
 def bench_load_take(frames: int = 4200, repetitions: int = 3) -> list[BenchRecord]:
-    """Text parse of one synthetic take (frames x 63) written to a temp dir."""
+    """Text parse of one synthetic take (frames x 63) written to a temp dir.
+
+    ``load_take`` parses it on one thread. ``load_take_2threads`` is the
+    wall time per take while two threads parse one copy each at once (the
+    pair's wall time over 2): down to half the one-thread time when the
+    parse releases the GIL, no less than it when the parse holds the GIL.
+    The two are timed in alternation, so a slow stretch of the machine
+    falls on both.
+    """
     spec = default_strong_spec(participants=1, stimuli=1, frames=frames, seed=0)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
         write_dataset(spec, tmp)
         path = next(Path(tmp).glob("*.tsv"))
-        seconds = _median_time(lambda: load_take(path), repetitions)
-    return [BenchRecord("load_take", f"{frames}x63", seconds, repetitions,
-                        machine_descriptor())]
+        runs = [(_median_time(lambda: load_take(path), 1),
+                 _median_time(lambda: list(pool.map(load_take, [path, path])), 1) / 2)
+                for _ in range(repetitions)]
+    alone, paired = (float(np.median(times)) for times in zip(*runs))
+    machine = machine_descriptor()
+    return [BenchRecord("load_take", f"{frames}x63", alone, repetitions, machine),
+            BenchRecord("load_take_2threads", f"{frames}x63", paired, repetitions, machine)]
 
 
 def bench_correntropy(frame_counts=(500, 2000, 4200), repetitions: int = 3) -> list[BenchRecord]:

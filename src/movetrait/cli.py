@@ -24,6 +24,7 @@ import numpy as np
 
 from .evaluation import (
     INPUT_KINDS,
+    MODEL_KINDS,
     ModelSpec,
     ScoreRow,
     ScoreTable,
@@ -36,18 +37,20 @@ from .evaluation import (
     TRAIT_CORRELATION_REFERENCE,
 )
 from .features import (
+    FeatureMatrix,
+    RowMeta,
     apply_gaussian_stats,
     extract_features,
     gaussian_stats,
     load_feature_matrix,
     save_feature_matrix,
-    stack_features,
 )
 from .importance import importance_from_model, importance_report
-from .mocap import derive_joints, load_take, velocity
+from .mocap import Kind, derive_joints, load_take, velocity
 from .regression import (
     PCR_DEFAULT_COMPONENTS,
     TRAIT_NAMES,
+    DatasetMode,
     build_dataset,
     centered_svd,
     load_model,
@@ -86,25 +89,56 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self):
-        """Reject bad field values before any stage reads its inputs."""
-        if self.grouping not in ("none", "participant"):
-            raise ValueError(
-                f"grouping must be 'none' or 'participant', got {self.grouping!r}")
-        if (isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float))
-                or not math.isfinite(self.sigma) or self.sigma <= 0):
-            raise ValueError(f"sigma must be a finite number > 0, got {self.sigma!r}")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
-        for kind in self.extract_kinds:
-            if kind not in ("position", "velocity"):
-                raise ValueError(
-                    f"extract_kinds entries must be 'position' or 'velocity', got {kind!r}")
+        """Reject bad field values, naming the field, before any stage reads its inputs."""
+        def number(v):
+            return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+        def integer(v):
+            return isinstance(v, int) and not isinstance(v, bool)
+
+        def entries(v, allowed):
+            return isinstance(v, (list, tuple)) and all(k in allowed for k in v)
+
+        kinds = ("position", "velocity")
+        modes = tuple(mode.value for mode in DatasetMode)
+        rules = (
+            ("grouping", self.grouping in ("none", "participant"),
+             "must be 'none' or 'participant'"),
+            ("sigma", number(self.sigma) and self.sigma > 0, "must be a finite number > 0"),
+            ("bayes_tol", number(self.bayes_tol) and self.bayes_tol > 0,
+             "must be a finite number > 0"),
+            ("workers", integer(self.workers) and self.workers >= 1,
+             "must be a positive integer"),
+            ("bayes_max_iter", integer(self.bayes_max_iter) and self.bayes_max_iter >= 1,
+             "must be a positive integer"),
+            ("n_folds", integer(self.n_folds) and self.n_folds >= 2, "must be an integer >= 2"),
+            ("fold_seed", integer(self.fold_seed) and self.fold_seed >= 0,
+             "must be an integer >= 0"),
+            ("pooled_metrics", isinstance(self.pooled_metrics, bool), "must be true or false"),
+            ("dataset_mode", self.dataset_mode in modes, f"must be one of {modes}"),
+            ("train_input", self.train_input in INPUT_KINDS, f"must be one of {INPUT_KINDS}"),
+            ("train_model", self.train_model in MODEL_KINDS, f"must be one of {MODEL_KINDS}"),
+            ("extract_kinds", entries(self.extract_kinds, kinds),
+             "entries must be 'position' or 'velocity'"),
+            ("eval_inputs", entries(self.eval_inputs, INPUT_KINDS),
+             f"entries must be in {INPUT_KINDS}"),
+            ("model_kinds", entries(self.model_kinds, MODEL_KINDS),
+             f"entries must be in {MODEL_KINDS}"),
+            ("traits", isinstance(self.traits, (list, tuple))
+             and all(isinstance(t, str) for t in self.traits), "must be a list of names"),
+            ("pcr_components", isinstance(self.pcr_components, dict) and all(
+                k in kinds and integer(v) and v >= 1 for k, v in self.pcr_components.items()),
+             "must map 'position' or 'velocity' to a positive integer"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         kwargs = dict(doc)
         for key in ("extract_kinds", "eval_inputs", "model_kinds", "traits"):
-            if key in kwargs and kwargs[key] is not None:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -193,8 +227,6 @@ def write_run_info(out_dir: Path, cfg: PipelineConfig, inputs: dict[str, Path],
 
 
 def _base_kind(input_kind: str) -> str:
-    if input_kind not in INPUT_KINDS:
-        raise ValueError(f"unknown input kind {input_kind!r}")
     return input_kind.removesuffix("_n")
 
 
@@ -209,8 +241,9 @@ def _resolve_k(cfg: PipelineConfig, base_kind: str, n_rows: int, rows_of: str) -
     return k
 
 
-def _featurize_take(path: Path, cfg: PipelineConfig) -> tuple[dict, str]:
-    """One take's features by kind, and the sha256 of the bytes they came from.
+def _featurize_take(path: Path, cfg: PipelineConfig) -> tuple[dict, tuple[str, str], str]:
+    """One take's feature vectors by kind, its participant and stimulus ids,
+    and the sha256 of the bytes they came from.
 
     The file is read once: the same bytes are parsed and hashed.
     """
@@ -226,7 +259,7 @@ def _featurize_take(path: Path, cfg: PipelineConfig) -> tuple[dict, str]:
             out["velocity"] = extract_features(velocity(joints), cfg.sigma)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return out, digest
+    return out, (take.participant_id, take.stimulus_id), digest
 
 
 def cmd_extract(cfg: PipelineConfig) -> dict:
@@ -245,7 +278,10 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     features_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     for kind in cfg.extract_kinds:
-        matrix = stack_features([features[kind] for features, _ in per_take])
+        matrix = FeatureMatrix(
+            values=np.stack([features[kind] for features, _, _ in per_take]),
+            rows=tuple(RowMeta(*ids, Kind(kind)) for _, ids, _ in per_take),
+        )
         path = features_dir / f"features_{kind}.csv"
         save_feature_matrix(matrix, path)
         written[kind] = path
@@ -257,7 +293,7 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
         p.with_suffix(".json").name: p.with_suffix(".json")
         for p in take_paths if p.with_suffix(".json").exists()
     })
-    digests = {p.name: digest for p, (_, digest) in zip(take_paths, per_take)}
+    digests = {p.name: digest for p, (_, _, digest) in zip(take_paths, per_take)}
     write_run_info(features_dir, cfg, inputs, digests)
     return {"features": written, "takes": len(take_paths)}
 
@@ -270,10 +306,15 @@ def _load_features_for(cfg: PipelineConfig, base_kind: str):
 
 
 def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path]:
+    """The trait table, checked to hold every configured trait before features load."""
     if not cfg.traits_csv or not Path(cfg.traits_csv).exists():
         raise ValueError(f"traits_csv {cfg.traits_csv!r} not found")
     path = Path(cfg.traits_csv)
-    return load_trait_table(path), path
+    table = load_trait_table(path)
+    missing = [t for t in cfg.traits if any(t not in row for row in table.values())]
+    if missing:
+        raise ValueError(f"traits {missing} have no column in {path}")
+    return table, path
 
 
 def cmd_train(cfg: PipelineConfig) -> dict:
@@ -281,9 +322,9 @@ def cmd_train(cfg: PipelineConfig) -> dict:
 
     The design is factored once; every trait's model is fitted from it.
     """
+    table, traits_path = _require_traits(cfg)
     base = _base_kind(cfg.train_input)
     matrix, features_path = _load_features_for(cfg, base)
-    table, traits_path = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
 

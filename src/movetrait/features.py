@@ -124,20 +124,6 @@ class RowMeta:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """One take's 1770-dim feature vector plus its provenance."""
-
-    values: np.ndarray
-    meta: RowMeta
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("feature vector must be 1-D")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Stacked feature vectors, one row per take."""
 
@@ -164,24 +150,9 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def extract_features(take: JointTake, sigma: float = SIGMA_DEFAULT) -> FeatureVector:
+def extract_features(take: JointTake, sigma: float = SIGMA_DEFAULT) -> np.ndarray:
     """Take -> correntropy matrix -> lower-triangle feature vector."""
-    return FeatureVector(
-        values=vectorize_lower(pairwise_correntropy(take.data, sigma)),
-        meta=RowMeta(take.participant_id, take.stimulus_id, take.kind),
-    )
-
-
-def stack_features(vectors: list[FeatureVector]) -> FeatureMatrix:
-    if not vectors:
-        raise ValueError("no feature vectors to stack")
-    width = vectors[0].values.shape[0]
-    if any(v.values.shape[0] != width for v in vectors):
-        raise ValueError("feature vectors differ in length")
-    return FeatureMatrix(
-        values=np.stack([v.values for v in vectors]),
-        rows=tuple(v.meta for v in vectors),
-    )
+    return vectorize_lower(pairwise_correntropy(take.data, sigma))
 
 
 def gaussian_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

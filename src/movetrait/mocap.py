@@ -220,13 +220,194 @@ def _frame_rate(path: Path, side: dict) -> float:
     return float(value)
 
 
-def _parse_loadtxt(raw: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """Markers and samples from one C-level parse, or None to defer to the scan.
+# The exact reader needs a long double whose significand holds any uint64 and
+# whose division and multiplication round correctly: x87 extended or IEEE
+# quad. IBM double-double (nexp 11) has a wide significand but does not round
+# correctly, so it takes np.loadtxt like a plain 64-bit long double.
+_EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63 and np.finfo(np.longdouble).nexp > 11
+# 256 lines keep the reader's temporaries at a few MB per thread, which malloc
+# reuses from block to block; at 1024 lines every block faulted in fresh pages
+_BLOCK_LINES = 256
+_PAD = 32            # leading bytes before a block, so every 32-byte window fits
+_TAB, _NL, _DOT, _EXP, _PLUS, _MINUS = 1, 2, 3, 4, 5, 6
+_CLASS = np.zeros(256, np.uint8)   # class of each byte a field may hold besides digits
+_CLASS[[9, 10, 46, 69, 101, 43, 45]] = [_TAB, _NL, _DOT, _EXP, _EXP, _PLUS, _MINUS]
+# _KEEP[i, t]: mask of lane i of a 24-byte row (little-endian, 8 bytes per
+# lane) that keeps the row's bytes t..23
+_KEEP = np.array([[(~0 << 8 * min(max(t - 8 * i, 0), 8)) & (2**64 - 1) for t in range(25)]
+                  for i in range(3)], np.uint64)
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))   # 1 .. 1e27, exact
+_DIVISOR = np.r_[_POW10[::-1], np.ones(27, np.longdouble)]      # by decimal exponent + 27
+_MULTIPLIER = np.r_[np.ones(27, np.longdouble), _POW10]
 
-    Only a result the line scan would give bit for bit is returned: at least
-    2 rows, 3 columns per marker, every sample finite. Everything else (bad
-    rows, lone CR line ends, ``1_000``) is left to ``_scan_take``, which
-    accepts or rejects it with file and line context.
+
+def _swar8(lanes: np.ndarray) -> np.ndarray:
+    """Eight ASCII digits per little-endian uint64 lane to their integer value.
+
+    The first byte is the most significant digit; zero bytes read as 0.
+    """
+    v = lanes & 0x0F0F0F0F0F0F0F0F
+    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
+    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
+    return (v * 10000 + (v >> 32)) & 0xFFFFFFFF
+
+
+def _windows(buf: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` before each offset in ``ends``.
+
+    Returned as ``width // 8`` rows of little-endian uint64 lanes, one
+    column per offset; lane 0 holds the first 8 bytes.
+    """
+    rows = np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))[ends - width]
+    return np.ascontiguousarray(rows.view("<u8").reshape(len(ends), width // 8).T)
+
+
+def _read_block(buf: np.ndarray, nlines: int, width: int, out: np.ndarray) -> bool:
+    """Parse ``nlines`` lines from ``buf[_PAD:]`` into ``out``; False on any grammar breach."""
+    block = buf[_PAD:]
+    n = nlines * width
+    tok = np.flatnonzero((block - 48) >= 10)   # every byte that is not a digit
+    cls = np.take(_CLASS, np.take(block, tok))
+    if not cls.all():
+        return False
+    sep = cls <= _NL
+    fe = np.compress(sep, tok)                 # field ends
+    # the block holds nlines newlines, so this gives every line width fields
+    if len(fe) != n or not (np.take(block, fe[width - 1::width]) == 10).all():
+        return False
+    fs = np.empty(n, np.intp)                  # field starts
+    fs[0] = 0
+    np.add(fe[:-1], 1, out=fs[1:])
+
+    mi = np.flatnonzero(~sep)                  # dots, exponent marks and signs
+    mcls = np.take(cls, mi)
+    de = mcls < _PLUS
+    field = np.compress(de, mi) - np.flatnonzero(de)   # separators before the mark
+    at = np.take(tok, np.compress(de, mi))
+    is_exp = np.compress(de, mcls) == _EXP
+    key = 2 * field + is_exp
+    if (key[1:] <= key[:-1]).any():
+        return False   # two dots or two exponent marks in a field, or a dot after one
+    dot = np.full(n, -1, np.intp)
+    exp = np.full(n, -1, np.intp)
+    dot[field[~is_exp]] = at[~is_exp]
+    exp[field[is_exp]] = at[is_exp]
+    signs = len(mi) - len(field)
+
+    lead = np.take(_CLASS, np.take(block, fs))
+    neg = lead == _MINUS
+    signed = neg | (lead == _PLUS)
+    has_exp = exp >= 0
+    has_dot = dot >= 0
+    me = np.where(has_exp, exp, fe)            # mantissa ends
+    digits = me - fs - signed - has_dot
+    if (digits < 1).any():
+        return False
+    frac = np.where(has_dot, me - dot - 1, 0)
+
+    # the mantissa's last 24 bytes, with the bytes left of the dot moved one
+    # place right over it and the bytes left of the first digit cleared
+    w = _windows(buf, me + _PAD, 32)
+    a = w[1:]
+    b = (a << 8) | (w[:-1] >> 56)
+    from_a = np.take(_KEEP, np.where(has_dot, np.maximum(24 - frac, 0), 0), axis=1)
+    lanes = b ^ ((a ^ b) & from_a)
+    lanes &= np.take(_KEEP, np.maximum(24 - digits, 0), axis=1)
+    m = _swar8(lanes)
+    slow = (digits > 24) | (m[0] >= 1000)      # mantissa may not fit in 64 bits
+    mant = m[0] * 10**16 + m[1] * 10**8 + m[2]
+
+    e10 = -frac
+    ef = np.flatnonzero(has_exp)
+    if len(ef):
+        after = np.take(exp, ef) + 1
+        acls = np.take(_CLASS, np.take(block, after))
+        esigned = acls >= _PLUS
+        signs -= np.count_nonzero(esigned)
+        elen = np.take(fe, ef) - after - esigned
+        if (elen < 1).any():
+            return False
+        ev = _swar8(_windows(buf, np.take(fe, ef) + _PAD, 8)[0]
+                    & np.take(_KEEP[2], np.maximum(24 - elen, 16))).astype(np.intp)
+        e10[ef] += np.where(acls == _MINUS, -ev, ev)
+        slow[ef[elen > 8]] = True
+    if signs != np.count_nonzero(signed):
+        return False   # a sign neither first in its field nor right after the exponent mark
+    slow |= np.abs(e10) > 27
+
+    scale = np.clip(e10 + 27, 0, 54)
+    q = mant.astype(np.longdouble)
+    q /= np.take(_DIVISOR, scale)
+    if (e10 > 0).any():
+        q *= np.take(_MULTIPLIER, scale)
+    vals = q.astype(np.float64)
+    rem = q - vals
+    twice = q + rem
+    slow |= (rem != 0) & (twice.astype(np.float64) == twice)   # q is a float64 midpoint
+    vals *= 1 - 2 * neg.view(np.int8)          # "-0" reads as -0.0
+    for i in np.flatnonzero(slow):
+        vals[i] = float(block[fs[i]:fe[i]].tobytes())
+    out[...] = vals.reshape(nlines, width)
+    return True
+
+
+def _read_decimal(body: bytes, width: int) -> np.ndarray | None:
+    """Exact vectorized parse of a take body, or None for anything outside its grammar.
+
+    Every line holds exactly ``width`` fields ``[+-]digits[.digits][(e|E)[+-]digits]``
+    (at least one mantissa digit) separated by tabs and ends with ``\\n``.
+    Any other byte or shape (CR, blank lines, spaces, ``nan``, ``1_000``,
+    empty fields, short rows, a second dot or exponent) returns None.
+
+    The body is parsed 256 lines at a time with numpy array operations,
+    which release the GIL, so threads parse takes in parallel. Each value
+    equals ``float()`` of its field bit for bit:
+
+    - The mantissa digits M are read 8 at a time with the SWAR step of
+      Lemire, "Number Parsing at a Gigabyte per Second" (SPE 2021).
+    - With M < 2**64 and a decimal exponent E, |E| <= 27, both M and 10**|E|
+      are exact in a 64-bit long double significand (5**27 < 2**63), so one
+      long-double division or multiplication gives q, the true value x
+      correctly rounded to 64 bits (Clinger, "How to Read Floating Point
+      Numbers Accurately", PLDI 1990).
+    - Casting q to float64 rounds a second time. Every float64 midpoint has
+      54 significant bits and so lies on the 64-bit grid; since q is the
+      grid point nearest x, no midpoint lies strictly between x and q, and
+      both round to the same float64 unless q is itself a midpoint.
+    - Fields whose q is a midpoint, |E| > 27, an exponent of more than 8
+      digits or a mantissa that may reach 2**64 (more than 24 digits, or
+      10**19 and up) take ``float()`` on their own bytes. A ``%.17g`` or
+      ``repr`` value lies next to a float64, not on a midpoint, so these
+      are rare.
+    """
+    if not body.endswith(b"\n"):
+        return None
+    raw = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(raw == 10) + 1
+    out = np.empty((len(ends), width))
+    start = 0
+    for first in range(0, len(ends), _BLOCK_LINES):
+        last = min(first + _BLOCK_LINES, len(ends))
+        end = ends[last - 1]
+        buf = np.empty(end - start + _PAD, np.uint8)
+        buf[:_PAD] = 48
+        buf[_PAD:] = raw[start:end]
+        if not _read_block(buf, last - first, width, out[first:last]):
+            return None
+        start = end
+    return out
+
+
+def _parse_fast(raw: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """Markers and samples from the vectorized reader or one ``np.loadtxt``
+    call, or None to defer to the scan.
+
+    ``np.loadtxt`` runs on what ``_read_decimal`` declines, and where the long
+    double is too narrow for the reader. Only a result the line scan would
+    give bit for bit is returned: at least 2 rows, 3 columns per marker,
+    every sample finite. Everything else (bad rows, lone CR line ends,
+    ``1_000``) is left to ``_scan_take``, which accepts or rejects it with
+    file and line context.
     """
     markers, body = MARKER_LABELS, raw
     try:
@@ -240,8 +421,10 @@ def _parse_loadtxt(raw: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
                 markers = tuple(labels)
         if not body or body.isspace():  # loadtxt warns on a body with no rows
             return None
-        data = np.loadtxt(io.BytesIO(body), delimiter="\t", comments=None, ndmin=2,
-                          encoding="utf-8")
+        data = _read_decimal(body, 3 * len(markers)) if _EXACT_LONGDOUBLE else None
+        if data is None:
+            data = np.loadtxt(io.BytesIO(body), delimiter="\t", comments=None, ndmin=2,
+                              encoding="utf-8")
     except ValueError:
         return None
     if data.shape[0] < 2 or data.shape[1] != 3 * len(markers) or not np.isfinite(data).all():
@@ -312,10 +495,11 @@ def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> M
     bytes when the caller has already read them; otherwise the file is read
     once here.
 
-    The bytes are parsed by one ``np.loadtxt`` call. Input it refuses goes
-    through a line scan, which accepts what it can and otherwise raises
-    TakeFormatError with file and line context on malformed rows,
-    non-finite cells or fewer than 2 frames. Invalid UTF-8, a sidecar that
+    The bytes are parsed by an exact vectorized reader that releases the
+    GIL, or, outside its strict grammar, by one ``np.loadtxt`` call. Input
+    both refuse goes through a line scan, which accepts what it can and
+    otherwise raises TakeFormatError with file and line context on
+    malformed rows, non-finite cells or fewer than 2 frames. Invalid UTF-8, a sidecar that
     is not a JSON object and a frame rate that is not a finite number > 0
     raise TakeFormatError naming the file.
     """
@@ -323,7 +507,7 @@ def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> M
     side = _read_sidecar(path, metadata)
     if raw is None:
         raw = path.read_bytes()
-    markers, data = _parse_loadtxt(raw) or _scan_take(path, raw)
+    markers, data = _parse_fast(raw) or _scan_take(path, raw)
     return MarkerTake(
         data=data,
         frame_rate=_frame_rate(path, side),

@@ -26,14 +26,16 @@ from movetrait.evaluation import (
     CvResult,
 )
 from movetrait.features import (
+    FeatureMatrix,
+    RowMeta,
     extract_features,
     pairwise_correntropy,
-    stack_features,
     unvectorize_lower,
     vectorize_lower,
 )
 from movetrait.importance import FEATURE_DIM, joint_importance, minmax_normalize
 from movetrait.mocap import (
+    Kind,
     butter_lowpass,
     derive_joints,
     filter_magnitude_squared,
@@ -107,7 +109,7 @@ def test_c3_feature_shape_and_round_trip():
         joints = derive_joints(take)
         assert joints.data.shape[1] == 60
         vec = extract_features(joints)
-        assert vec.values.shape == (1770,)
+        assert vec.shape == (1770,)
         k = pairwise_correntropy(joints.data)
         rebuilt = unvectorize_lower(vectorize_lower(k), 60)
         assert np.array_equal(rebuilt, k)
@@ -182,8 +184,11 @@ def test_c7_end_to_end_planted_signal():
         start = time.monotonic()
         spec = default_strong_spec()
         traits = sample_traits(spec)
-        vecs = [extract_features(derive_joints(t)) for t in iter_takes(spec, traits)]
-        matrix = stack_features(vecs)
+        vecs, rows = [], []
+        for take in iter_takes(spec, traits):
+            vecs.append(extract_features(derive_joints(take)))
+            rows.append(RowMeta(take.participant_id, take.stimulus_id, Kind.POSITION))
+        matrix = FeatureMatrix(values=np.stack(vecs), rows=tuple(rows))
         assert matrix.values.shape == (240, 1770)
         ds = build_dataset(matrix, traits, TRAIT_NAMES, "per_stimulus")
         plan = make_fold_plan(len(ds.X), 5, seed=0, groups=ds.participants)

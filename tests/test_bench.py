@@ -47,7 +47,8 @@ def test_small_suite_smoke(tmp_path):
     records = parse + kernel + ridge + pca
     csv_text = records_csv(records)
     assert csv_text.startswith("operation,shape,median_seconds")
-    assert len(csv_text.strip().split("\n")) == 1 + 5
+    assert len(csv_text.strip().split("\n")) == 1 + 6
     md = records_markdown(records)
     assert "| correntropy_matrix |" in md
     assert "| load_take | 50x63 |" in md
+    assert "| load_take_2threads | 50x63 |" in md

@@ -89,6 +89,36 @@ class TestConfig:
         ("workers", '"2"', "workers must be a positive integer"),
         ("workers", "true", "workers must be a positive integer"),
         ("extract_kinds", '["pos"]', "extract_kinds entries must be 'position' or 'velocity'"),
+        ("bayes_tol", "-1", "bayes_tol must be a finite number > 0"),
+        ("bayes_tol", "0", "bayes_tol must be a finite number > 0"),
+        ("bayes_tol", "NaN", "bayes_tol must be a finite number > 0"),
+        ("bayes_tol", "tight", "bayes_tol must be a finite number > 0"),
+        ("bayes_max_iter", "0", "bayes_max_iter must be a positive integer"),
+        ("bayes_max_iter", "2.5", "bayes_max_iter must be a positive integer"),
+        ("bayes_max_iter", "true", "bayes_max_iter must be a positive integer"),
+        ("n_folds", "1", "n_folds must be an integer >= 2"),
+        ("n_folds", '"5"', "n_folds must be an integer >= 2"),
+        ("fold_seed", "-1", "fold_seed must be an integer >= 0"),
+        ("fold_seed", "0.5", "fold_seed must be an integer >= 0"),
+        ("dataset_mode", "mean", "dataset_mode must be one of ('per_stimulus', 'participant_mean')"),
+        ("train_input", "position_z", "train_input must be one of ('position', 'position_n'"),
+        ("train_model", "ridge", "train_model must be one of ('pcr', 'bayes_ridge')"),
+        ("eval_inputs", '["velocity", "speed"]', "eval_inputs entries must be in ('position'"),
+        ("model_kinds", '["pcr", "svm"]', "model_kinds entries must be in ('pcr', 'bayes_ridge')"),
+        ("pcr_components", '{"position": 0}',
+         "pcr_components must map 'position' or 'velocity' to a positive integer"),
+        ("pcr_components", '{"position": 3.5}',
+         "pcr_components must map 'position' or 'velocity' to a positive integer"),
+        ("pcr_components", '{"position_n": 3}',
+         "pcr_components must map 'position' or 'velocity' to a positive integer"),
+        ("pcr_components", "[3]",
+         "pcr_components must map 'position' or 'velocity' to a positive integer"),
+        ("pooled_metrics", "no", "pooled_metrics must be true or false"),
+        ("pooled_metrics", "1", "pooled_metrics must be true or false"),
+        ("extract_kinds", "3", "extract_kinds entries must be 'position' or 'velocity'"),
+        ("eval_inputs", "position", "eval_inputs entries must be in ('position'"),
+        ("traits", "EQ", "traits must be a list of names"),
+        ("traits", "[1]", "traits must be a list of names"),
     ]
 
     @pytest.mark.parametrize("command", ["extract", "evaluate"])
@@ -105,6 +135,21 @@ class TestConfig:
         assert message in err
         assert "tsv" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_unknown_trait_rejected_before_features_load(
+            self, dataset_dir, tmp_path, capsys, monkeypatch, command):
+        def no_features(*args, **kwargs):
+            raise AssertionError("features loaded before the traits were checked")
+
+        monkeypatch.setattr("movetrait.cli.load_feature_matrix", no_features)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(dataset_dir, None).to_dict()))
+        rc = main([command, "-c", str(cfg_path), "--output-dir", str(tmp_path / "out"),
+                   "--set", 'traits=["EQ", "Q"]'])
+        assert rc == 1
+        assert "traits ['Q'] have no column in" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExtract:

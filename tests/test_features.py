@@ -15,7 +15,6 @@ from movetrait.features import (
     lower_triangle_indices,
     pairwise_correntropy,
     save_feature_matrix,
-    stack_features,
     unvectorize_lower,
     vectorize_lower,
 )
@@ -212,20 +211,19 @@ class TestGaussianNormalize:
 
 
 class TestExtractAndPersistence:
-    def test_extract_carries_metadata(self):
+    def test_extract_is_kernel_lower_triangle(self):
         data = np.random.default_rng(0).normal(0, 30, size=(5, 60))
-        fv = extract_features(joint_take(data, pid="P7", sid="S3"))
-        assert fv.values.shape == (1770,)
-        assert fv.meta.participant_id == "P7"
-        assert fv.meta.kind is Kind.POSITION
+        vec = extract_features(joint_take(data), sigma=7.0)
+        assert vec.shape == (1770,)
+        assert vec.tobytes() == vectorize_lower(pairwise_correntropy(data, 7.0)).tobytes()
 
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        vecs = [
-            extract_features(joint_take(rng.normal(0, 30, size=(5, 60)), pid=f"P{i}"))
-            for i in range(3)
-        ]
-        matrix = stack_features(vecs)
+        matrix = FeatureMatrix(
+            values=np.stack([extract_features(joint_take(rng.normal(0, 30, size=(5, 60))))
+                             for _ in range(3)]),
+            rows=tuple(RowMeta(f"P{i}", "S1", Kind.POSITION) for i in range(3)),
+        )
         path = tmp_path / "features.csv"
         save_feature_matrix(matrix, path)
         loaded = load_feature_matrix(path)

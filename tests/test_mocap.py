@@ -1,9 +1,11 @@
+import decimal
 import json
 import math
 
 import numpy as np
 import pytest
 
+from movetrait import mocap
 from movetrait.mocap import (
     DEFAULT_FRAME_RATE,
     JointTake,
@@ -20,7 +22,7 @@ from movetrait.mocap import (
     zero_phase_filter,
     JOINT_LABELS,
     MARKER_LABELS,
-    _parse_loadtxt,
+    _parse_fast,
     _scan_take,
 )
 
@@ -112,38 +114,71 @@ def _random_rows(fmt, seed):
 
 
 _ONES = [["1.5"] * 63] * 3
+_FORMS = ["-0", "+1", "1.", ".5", "1E5", "-1.5e-3", "2e+2", "007", "-0.0e0"]
+_FORMS_ROW = (_FORMS * 7)[:63]
 
-# (id, file bytes, outcome): "fast" when np.loadtxt's result is taken,
-# "scan" when only the line scan accepts the file, "error" when it is refused
+
+def _rows_with(count, bad=None, seed=3):
+    """``count`` rows of random ``%.17g`` values; ``bad`` replaces the last one."""
+    values = np.random.default_rng(seed).normal(0, 500, size=(count, 63))
+    rows = [["%.17g" % v for v in row] for row in values.tolist()]
+    if bad is not None:
+        rows[-1] = bad
+    return rows
+
+
+# (id, file bytes, outcome): "vector" when the vectorized reader's result is
+# taken, "fast" when np.loadtxt's is, "scan" when only the line scan accepts
+# the file, "error" when it is refused
 PARSE_CASES = [
-    ("plain", _tsv(_ONES), "fast"),
+    ("plain", _tsv(_ONES), "vector"),
     ("crlf", _tsv(_ONES, sep="\r\n", end="\r\n"), "fast"),
     ("blank-lines", b"\n\n".join(_tsv(_ONES).split(b"\n")) + b"\n\n", "fast"),
-    ("no-header", _tsv(_ONES, header=False), "fast"),
-    ("custom-header", b"#MARKERS\ta\tb\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "fast"),
-    ("bare-header", b"#MARKERS\n" + _tsv(_ONES, header=False), "fast"),
+    ("no-final-newline", _tsv(_ONES, end=""), "fast"),
+    ("no-header", _tsv(_ONES, header=False), "vector"),
+    ("custom-header", b"#MARKERS\ta\tb\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "vector"),
+    ("bare-header", b"#MARKERS\n" + _tsv(_ONES, header=False), "vector"),
     ("leading-spaces", _tsv([[" 1.5"] * 63, ["  -2"] * 63]), "fast"),
-    ("random-17g", _tsv(_random_rows(lambda v: "%.17g" % v, 1)), "fast"),
-    ("random-repr", _tsv(_random_rows(repr, 2)), "fast"),
+    ("random-17g", _tsv(_random_rows(lambda v: "%.17g" % v, 1)), "vector"),
+    ("random-repr", _tsv(_random_rows(repr, 2)), "vector"),
+    ("forms", _tsv([_FORMS_ROW, _FORMS_ROW[::-1]]), "vector"),
+    ("long-mantissa", _tsv([["0.000000000000000000000000012345"] * 63,
+                            ["123456789012345678901234567890"] * 63]), "vector"),
+    ("rows-257", _tsv(_rows_with(257)), "vector"),
+    ("rows-513", _tsv(_rows_with(513)), "vector"),
     ("underscore", _tsv([["1_000"] * 63, ["2"] * 63]), "scan"),
     ("lone-cr", _tsv(_ONES, sep="\r", end="\r"), "scan"),
     ("cr-in-header", b"#MARKERS\ta\tb\r1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "scan"),
     ("cr-splits-header", b"#MARKERS\ta\tb\rc\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "error"),
     ("trailing-tab", _tsv([["1"] * 63 + [""]] * 2), "error"),
+    ("empty-field", _tsv([["1"] * 30 + [""] + ["1"] * 32] * 2), "error"),
     ("whitespace-line", _tsv(_ONES[:1] + [[" "]] + _ONES[:1]), "error"),
     ("hash-line-mid", _tsv(_ONES[:1] + [["# note"]] + _ONES[:1]), "error"),
     ("header-on-line-2", b"\n" + _tsv(_ONES), "error"),
     ("nan", _tsv([["nan"] * 63, ["1"] * 63]), "error"),
     ("inf", _tsv([["1"] * 63, ["1"] * 62 + ["-inf"]]), "error"),
+    ("overflow", _tsv([["1"] * 63, ["1"] * 62 + ["1e999"]]), "error"),
     ("one-row", _tsv(_ONES[:1]), "error"),
     ("empty", b"", "error"),
     ("header-only", _tsv([]), "error"),
     ("blank-only", b"\n\r\n\n", "error"),
     ("short-row", _tsv(_ONES[:1] + [["1.5"] * 62]), "error"),
     ("wrong-width", _tsv([["1.5"] * 62] * 2), "error"),
+    ("uneven-rows", _tsv([["1.5"] * 62, ["1.5"] * 64]), "error"),
+    ("space-for-tab", _tsv([["1.5"] * 63, ["1.5"] * 61 + ["1.5 1.5"]]), "error"),
     ("unparseable", _tsv(_ONES[:1] + [["1.5"] * 62 + ["1.5.1"]]), "error"),
     ("bom", b"\xef\xbb\xbf" + _tsv(_ONES), "error"),
     ("not-utf8", _tsv(_ONES) + b"1\xff\n", "error"),
+    ("bad-row-257", _tsv(_rows_with(257, bad=["1.5"] * 62 + ["1.5.1"])), "error"),
+    ("short-row-513", _tsv(_rows_with(513, bad=["1.5"] * 62)), "error"),
+    ("nan-row-513", _tsv(_rows_with(513, bad=["1.5"] * 62 + ["nan"])), "error"),
+] + [
+    (f"field-{name}", _tsv([["1.5"] * 63, ["1.5"] * 62 + [field]]), "error")
+    for name, field in [("two-exponents", "1e5e5"), ("dot-after-exponent", "1e5.5"),
+                        ("inner-sign", "1-2"), ("double-sign", "+-1"), ("lone-sign", "-"),
+                        ("lone-dot", "."), ("sign-dot", "-."), ("bare-exponent", "e5"),
+                        ("dot-exponent", ".e5"), ("no-exponent-digits", "1e"),
+                        ("signed-no-exponent-digits", "1e+"), ("hex", "0x10")]
 ]
 
 
@@ -153,10 +188,17 @@ class TestParsePaths:
     @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input with no rows
     @pytest.mark.parametrize("raw,outcome", [c[1:] for c in PARSE_CASES],
                              ids=[c[0] for c in PARSE_CASES])
-    def test_matches_line_scan(self, tmp_path, raw, outcome):
+    def test_matches_line_scan(self, tmp_path, monkeypatch, raw, outcome):
+        read = []
+        reader = mocap._read_decimal
+        monkeypatch.setattr(mocap, "_read_decimal", lambda *a: read.append(reader(*a)) or read[-1])
+        fast = _parse_fast(raw)
+        if fast is None:
+            assert outcome in ("scan", "error")
+        else:
+            assert outcome == ("vector" if read and fast[1] is read[-1] else "fast")
         path = tmp_path / "take.tsv"
         path.write_bytes(raw)
-        assert (_parse_loadtxt(raw) is not None) == (outcome == "fast")
         try:
             markers, data = _scan_take(path, raw)
         except TakeFormatError as exc:
@@ -175,6 +217,67 @@ class TestParsePaths:
         raw = _tsv(_ONES)
         take = load_take(tmp_path / "never_written.tsv", {"frame_rate": 120.0}, raw=raw)
         assert take.frames == 3
+
+    def test_narrow_long_double_takes_loadtxt(self, monkeypatch):
+        raw = _tsv(_random_rows(repr, 4))
+        markers, expected = _parse_fast(raw)
+        monkeypatch.setattr(mocap, "_EXACT_LONGDOUBLE", False)
+        monkeypatch.setattr(mocap, "_read_decimal", None)   # must not be called
+        got_markers, got = _parse_fast(raw)
+        assert got_markers == markers
+        assert got.tobytes() == expected.tobytes()
+
+
+def _near_midpoints(rng, count):
+    """19-digit decimals next to (and some on) float64 midpoints, |E| <= 27.
+
+    Rounding such a decimal to 64 bits often lands exactly on the midpoint,
+    where a second rounding to float64 would go the wrong way.
+    """
+    lo = np.abs(rng.normal(size=count)) * 10.0 ** rng.integers(-8, 40, size=count)
+    hi = np.nextafter(lo, np.inf)
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 800
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            mid = (decimal.Decimal(a) + decimal.Decimal(b)) / 2
+            out.append("%.18e" % mid)
+    return out
+
+
+def _oracle_fields(seed, per_format=17_000):
+    """Seeded fields in six formats plus crafted edge cases, all in the reader's grammar."""
+    rng = np.random.default_rng(seed)
+    formats = [lambda v: "%.17g" % v, repr, lambda v: "%.6f" % v, lambda v: "%.3f" % v,
+               lambda v: "%.10e" % v, lambda v: "%.15g" % v]
+    fields = []
+    for fmt in formats:
+        values = rng.normal(size=per_format) * 10.0 ** rng.integers(-30, 30, size=per_format)
+        fields += [fmt(v) for v in values.tolist()]
+    fields += _near_midpoints(rng, 2000)
+    fields += [
+        "9007199254740993", "9007199254740995", "-9007199254740993", "9007199254740993e0",
+        "1e27", "1e-27", "-1.5e27", "9999999999999999999e-27", "123456789e+27",
+        "1e28", "1e-28", "1e308", "-1.7976931348623157e308", "4e-320", "5e-324",
+        "18446744073709551615", "18446744073709551616", "18446744073709551617",
+        "99999999999999999999", "1844674407370955161.6", "10000000000000000000",
+        "-0", "+1", "1.", ".5", "1E5", "1e00000001", "0e-999", "-0.000",
+        "0.000000000000000000000000000000000123", "1" + "0" * 30,
+    ]
+    return fields
+
+
+def test_reader_matches_float_bit_for_bit():
+    fields = _oracle_fields(seed=7)
+    fields += ["0"] * (-len(fields) % 63)
+    rows = [fields[i:i + 63] for i in range(0, len(fields), 63)]
+    assert len(fields) >= 100_000
+    body = ("\n".join("\t".join(row) for row in rows) + "\n").encode()
+    got = mocap._read_decimal(body, 63)
+    expected = np.array([[float(f) for f in row] for row in rows])
+    assert got is not None
+    bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+    assert not len(bad), [(fields[i], got.flat[i], expected.flat[i]) for i in bad[:5]]
 
 
 # (id, sidecar bytes, take bytes, message): each message names the file at fault
