@@ -197,8 +197,15 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+# Where the inputs and outputs live and how many workers run change no output
+# byte; the manifests and model provenance hash the inputs' contents instead.
+_UNHASHED_FIELDS = ("takes_dir", "traits_csv", "features_dir", "output_dir", "workers")
+
+
 def config_hash(cfg: PipelineConfig) -> str:
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    """sha256 of the config fields that can change an output."""
+    doc = {k: v for k, v in cfg.to_dict().items() if k not in _UNHASHED_FIELDS}
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -311,9 +318,13 @@ def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path]:
         raise ValueError(f"traits_csv {cfg.traits_csv!r} not found")
     path = Path(cfg.traits_csv)
     table = load_trait_table(path)
-    missing = [t for t in cfg.traits if any(t not in row for row in table.values())]
+    missing = [t for t in cfg.traits if all(t not in row for row in table.values())]
     if missing:
         raise ValueError(f"traits {missing} have no column in {path}")
+    for trait in cfg.traits:
+        lacking = [pid for pid, row in table.items() if trait not in row]
+        if lacking:
+            raise ValueError(f"{path}: participants {lacking} have no '{trait}' value")
     return table, path
 
 
@@ -348,7 +359,6 @@ def cmd_train(cfg: PipelineConfig) -> dict:
         tol=cfg.bayes_tol,
         max_iter=cfg.bayes_max_iter,
     )
-    spec.check()
     factor = centered_svd(X)
     results = {}
     for trait, y in zip(cfg.traits, dataset.y.T):

@@ -243,7 +243,7 @@ class ModelSpec:
     tol: float = 1e-3
     max_iter: int = 300
 
-    def check(self) -> None:
+    def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "pcr" and self.k is None:
@@ -251,7 +251,6 @@ class ModelSpec:
 
     def fit(self, X: np.ndarray | CenteredSvd, y: np.ndarray):
         """Fit on a design matrix or on its ``centered_svd``."""
-        self.check()
         if self.kind == "pcr":
             return fit_pcr(X, y, self.k)
         return fit_bayes_ridge(X, y, tol=self.tol, max_iter=self.max_iter)
@@ -300,8 +299,6 @@ def cross_validate(
         raise ValueError("fold plan does not cover the sample count")
     if Y.shape[0] != X.shape[0]:
         raise ValueError("Y needs one row per sample")
-    for spec in specs:
-        spec.check()
     cells = [(spec, y) for spec in specs for y in Y.T]
     # per cell, one (rmse, r2, converged, iterations) tuple per fold
     folds: list[list[tuple]] = [[] for _ in cells]

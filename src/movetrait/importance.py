@@ -17,7 +17,6 @@ import numpy as np
 
 from .features import lower_triangle_indices
 from .mocap import JOINT_LABELS
-from .regression import BayesRidgeModel, PcrModel
 
 N_COORDS = 60
 N_JOINTS = 20
@@ -105,21 +104,9 @@ class JointImportance:
         )
 
 
-def model_feature_weights(model) -> np.ndarray:
-    """Weights of a trained model expressed on the 1770 raw features.
-
-    Bayesian models carry them directly; PCR weights live in component
-    space and are back-projected through the PCA basis.
-    """
-    if isinstance(model, BayesRidgeModel):
-        return model.weights
-    if isinstance(model, PcrModel):
-        return model.basis.components.T @ model.weights
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
 def importance_from_model(model, trait: str) -> JointImportance:
-    w = model_feature_weights(model)
+    """Joint importance from a trained model's weights on the 1770 features."""
+    w = model.weights
     if w.shape[0] != FEATURE_DIM:
         raise ValueError(
             f"model for '{trait}' has {w.shape[0]} feature weights, expected {FEATURE_DIM}"

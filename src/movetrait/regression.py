@@ -1,20 +1,25 @@
 """Trait regressors: principal component regression and Bayesian ridge.
 
-Both map one feature matrix to one scalar trait. PCR fits ordinary least
-squares on the top-k PCA scores; the Bayesian model places a zero-mean
-isotropic Gaussian prior on the weights and estimates the noise precision
-(alpha) and weight-prior precision (lambda) by iterative evidence
-maximization; predictions are its posterior mean.
+Both map one feature matrix to one scalar trait, and both are the same
+linear predictor ``(x - x_mean) @ w + y_mean``. With the centered design
+factored as ``u @ diag(s) @ vh``, each weight vector is a filter on that
+SVD, ``w = vh.T @ (phi(s) * (u.T @ (y - y_mean)))``:
 
-Both fits need only the SVD of the centered design, which does not depend
-on the target. ``centered_svd`` computes it once; every fit accepts either
-a design matrix or that factor, so one SVD serves every trait and both
-model kinds.
+- PCR keeps the top k singular values, ``phi(s) = 1/s``, which is least
+  squares on the top-k principal scores;
+- Bayesian ridge uses ``phi(s) = s / (s**2 + lambda/alpha)``, where the
+  noise precision alpha and weight-prior precision lambda are estimated by
+  iterative evidence maximization; predictions are its posterior mean.
+
+The SVD does not depend on the target. ``centered_svd`` computes it once;
+every fit accepts either a design matrix or that factor, so one SVD serves
+every trait and both model kinds.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -110,13 +115,15 @@ class PcaBasis:
 
 @dataclass(frozen=True)
 class PcrModel:
-    basis: PcaBasis
-    weights: np.ndarray   # length k
+    """Top-k principal component regression, expressed on the d features."""
+
+    weights: np.ndarray   # length d
+    x_mean: np.ndarray
     intercept: float
 
     @property
     def n_features(self) -> int:
-        return self.basis.components.shape[1]
+        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -169,10 +176,12 @@ def fit_pca(X, k: int) -> PcaBasis:
 
 
 def fit_pcr(X, y: np.ndarray, k: int) -> PcrModel:
-    """Least squares with intercept on the top-k PCA scores.
+    """Least squares with intercept on the top-k principal scores.
 
-    ``X`` is a design matrix or its ``centered_svd``. Solved by orthogonal
-    decomposition (lstsq), so the fit is deterministic for identical inputs.
+    ``X`` is a design matrix or its ``centered_svd``. The scores are
+    ``u[:, :k] * s[:k]``, so the weights on the d features are
+    ``vh[:k].T @ (u[:, :k].T @ (y - y_mean) / s[:k])`` and the intercept
+    is ``y_mean``.
     """
     X = _design(X)
     y = np.asarray(y, dtype=float).ravel()
@@ -180,14 +189,12 @@ def fit_pcr(X, y: np.ndarray, k: int) -> PcrModel:
         raise ValueError("y length must match the number of rows")
     _check_k(*X.shape, k)
     f = _factored(X)
-    basis = fit_pca(f, k)
-    scores = f.centered @ basis.components.T
-    spread = np.max(np.abs(scores), axis=0)
-    if np.any(spread <= np.finfo(float).eps * max(f.shape) * max(spread.max(), 1.0)):
+    s = f.s[:k]
+    if s[-1] <= np.finfo(float).eps * max(f.shape) * s[0]:
         raise ValueError("degenerate principal scores: a selected component has zero variance")
-    design = np.column_stack([np.ones(f.shape[0]), scores])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return PcrModel(basis=basis, weights=coef[1:], intercept=float(coef[0]))
+    y_mean = float(y.mean())
+    weights = f.vh[:k].T @ (f.u[:, :k].T @ (y - y_mean) / s)
+    return PcrModel(weights=weights, x_mean=f.mean, intercept=y_mean)
 
 
 def fit_bayes_ridge(
@@ -282,8 +289,6 @@ def predict_means(model, X) -> np.ndarray:
         raise TypeError(f"unknown model type {type(model).__name__}")
     if X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
-    if isinstance(model, PcrModel):
-        return model.basis.project(X) @ model.weights + model.intercept
     return (X - model.x_mean) @ model.weights + model.intercept
 
 
@@ -344,7 +349,11 @@ def build_dataset(
 
 
 def load_trait_table(path: str | Path) -> dict:
-    """Read a trait CSV (participant_id plus one column per trait)."""
+    """Read a trait CSV (participant_id plus one column per trait).
+
+    An empty cell leaves that trait missing for its participant; any other
+    cell must be a finite number.
+    """
     table: dict[str, dict[str, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -352,39 +361,45 @@ def load_trait_table(path: str | Path) -> dict:
             raise ValueError(f"{path}: trait table needs a participant_id column")
         for row in reader:
             pid = row["participant_id"]
-            table[pid] = {
-                k: float(v) for k, v in row.items() if k != "participant_id"
-            }
+            where = f"{path}:{reader.line_num}: participant {pid!r}"
+            if None in row:
+                raise ValueError(f"{where}: more cells than header columns")
+            values = {}
+            for column, cell in row.items():
+                if column == "participant_id" or not (cell or "").strip():
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}, column {column!r}: {cell!r} is not a finite number")
+                values[column] = value
+            table[pid] = values
     return table
 
 
+_MODEL_KINDS = {PcrModel: "pcr", BayesRidgeModel: "bayes_ridge"}
+
+
 def save_model(model, path: str | Path, provenance: dict | None = None) -> None:
-    """Serialize a model to JSON (the PCR basis stored row-major)."""
-    if isinstance(model, PcrModel):
-        doc = {
-            "kind": "pcr",
-            "intercept": model.intercept,
-            "weights": model.weights.tolist(),
-            "basis": {
-                "mean": model.basis.mean.tolist(),
-                "components": model.basis.components.tolist(),
-                "explained_variance": model.basis.explained_variance.tolist(),
-            },
-        }
-    elif isinstance(model, BayesRidgeModel):
-        doc = {
-            "kind": "bayes_ridge",
+    """Serialize a model to JSON; Bayesian ridge adds its evidence fit to the shared fields."""
+    if type(model) not in _MODEL_KINDS:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    doc = {
+        "kind": _MODEL_KINDS[type(model)],
+        "intercept": model.intercept,
+        "weights": model.weights.tolist(),
+        "x_mean": model.x_mean.tolist(),
+    }
+    if isinstance(model, BayesRidgeModel):
+        doc.update({
             "alpha": model.alpha,
             "lambda": model.lambda_,
-            "intercept": model.intercept,
             "converged": model.converged,
             "iterations": model.iterations,
-            "weights": model.weights.tolist(),
-            "x_mean": model.x_mean.tolist(),
             "factor": {"eigenvalues": model.eigenvalues.tolist()},
-        }
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
+        })
     if provenance is not None:
         doc["provenance"] = provenance
     path = Path(path)
@@ -393,27 +408,26 @@ def save_model(model, path: str | Path, provenance: dict | None = None) -> None:
 
 
 def load_model(path: str | Path):
+    """Read a model file; a missing entry is a ValueError naming the file."""
     doc = json.loads(Path(path).read_text())
     kind = doc.get("kind")
-    if kind == "pcr":
-        return PcrModel(
-            basis=PcaBasis(
-                mean=np.asarray(doc["basis"]["mean"], dtype=float),
-                components=np.asarray(doc["basis"]["components"], dtype=float),
-                explained_variance=np.asarray(doc["basis"]["explained_variance"], dtype=float),
-            ),
-            weights=np.asarray(doc["weights"], dtype=float),
-            intercept=float(doc["intercept"]),
-        )
-    if kind == "bayes_ridge":
+    if kind not in _MODEL_KINDS.values():
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    try:
+        linear = {
+            "weights": np.asarray(doc["weights"], dtype=float),
+            "x_mean": np.asarray(doc["x_mean"], dtype=float),
+            "intercept": float(doc["intercept"]),
+        }
+        if kind == "pcr":
+            return PcrModel(**linear)
         return BayesRidgeModel(
-            weights=np.asarray(doc["weights"], dtype=float),
+            **linear,
             alpha=float(doc["alpha"]),
             lambda_=float(doc["lambda"]),
-            intercept=float(doc["intercept"]),
-            x_mean=np.asarray(doc["x_mean"], dtype=float),
             converged=bool(doc["converged"]),
             iterations=int(doc["iterations"]),
             eigenvalues=np.asarray(doc["factor"]["eigenvalues"], dtype=float),
         )
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"{path}: {kind} model file has no {exc.args[0]!r} entry") from exc

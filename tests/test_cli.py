@@ -151,6 +151,25 @@ class TestConfig:
         assert "traits ['Q'] have no column in" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_participants_without_a_trait_value_named(self, dataset_dir, tmp_path, capsys):
+        lines = (dataset_dir / "traits.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        eq = header.index("EQ")
+        for i in (2, 5):  # blank the EQ cell of the second and fifth participants
+            cells = lines[i].split(",")
+            cells[eq] = ""
+            lines[i] = ",".join(cells)
+        traits = tmp_path / "traits.csv"
+        traits.write_text("\n".join(lines) + "\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(dataset_dir, None).to_dict()))
+        rc = main(["train", "-c", str(cfg_path), "--output-dir", str(tmp_path / "out"),
+                   "--set", f"traits_csv={traits}"])
+        assert rc == 1
+        lacking = [lines[i].split(",")[0] for i in (2, 5)]
+        assert f"{traits}: participants {lacking} have no 'EQ' value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExtract:
     def test_rows_and_width(self, dataset_dir, tmp_path):
@@ -271,6 +290,26 @@ class TestTrain:
         )
         assert doc["provenance"]["config_sha256"] == config_hash(extracted)
         assert doc["kind"] == "bayes_ridge"
+
+    def test_workers_and_output_dir_do_not_change_model_bytes(self, dataset_dir, tmp_path):
+        runs = []
+        for workers in (1, 4):
+            out = tmp_path / f"w{workers}"
+            rc = main(["extract", "-c", str(self._config(dataset_dir, tmp_path)),
+                       "--output-dir", str(out), "--workers", str(workers)])
+            rc += main(["train", "-c", str(self._config(dataset_dir, tmp_path)),
+                        "--output-dir", str(out), "--workers", str(workers)])
+            assert rc == 0
+            runs.append(sorted((out / "train").glob("model_*.json")))
+        assert [p.name for p in runs[0]] == [p.name for p in runs[1]] != []
+        for a, b in zip(*runs):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+    @staticmethod
+    def _config(dataset_dir, tmp_path) -> Path:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(make_config(dataset_dir, None, traits=["EQ", "SQ"]).to_dict()))
+        return path
 
     def test_pcr_k_out_of_range_errors_before_fit(self, extracted):
         cfg = PipelineConfig.from_dict({
@@ -413,6 +452,21 @@ class TestImportanceAndReport:
         assert (out / "radar_EQ_SQ.svg").exists()
         assert (out / "importance_personality_summary.csv").exists()
         assert (out / "manifest.json").exists()
+
+    def test_pcr_train_then_importance_via_main(self, extracted, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            **extracted.to_dict(), "train_model": "pcr", "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        }))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert main(["importance", "-c", str(cfg_path)]) == 0
+        for trait in extracted.traits:
+            doc = json.loads((tmp_path / "train" / f"model_{trait}.json").read_text())
+            assert doc["kind"] == "pcr"
+            assert len(doc["weights"]) == 1770
+            assert "basis" not in doc
+            assert (tmp_path / "importance" / f"importance_{trait}.csv").exists()
 
     def test_report_contains_spearman_and_reference(self, extracted):
         cfg = PipelineConfig.from_dict({**extracted.to_dict(), "traits": ["EQ"]})

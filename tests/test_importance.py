@@ -14,12 +14,13 @@ from movetrait.importance import (
     importance_report,
     joint_importance,
     minmax_normalize,
-    model_feature_weights,
     radar_svg,
     reduce_to_groups,
 )
 from movetrait.mocap import JOINT_LABELS
 from movetrait.regression import fit_bayes_ridge, fit_pcr
+
+from test_regression import reference_pcr
 
 
 def brute_force_importance(weights):
@@ -160,18 +161,19 @@ class TestModelWeights:
         X = rng.normal(size=(12, FEATURE_DIM))
         y = rng.normal(size=12)
         model = fit_bayes_ridge(X, y, max_iter=5, tol=1e-2)
-        np.testing.assert_array_equal(model_feature_weights(model), model.weights)
+        prof = importance_from_model(model, "EQ")
+        np.testing.assert_array_equal(prof.raw, joint_importance(model.weights))
 
     def test_pcr_weights_back_projected(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(12, FEATURE_DIM))
         y = rng.normal(size=12)
         model = fit_pcr(X, y, k=4)
-        w = model_feature_weights(model)
-        assert w.shape == (FEATURE_DIM,)
-        np.testing.assert_allclose(
-            w, model.basis.components.T @ model.weights, atol=1e-15
-        )
+        assert model.weights.shape == (FEATURE_DIM,)
+        basis, coef = reference_pcr(X, y, k=4)
+        expected = brute_force_importance(basis.components.T @ coef[1:])
+        np.testing.assert_allclose(importance_from_model(model, "EQ").raw, expected,
+                                   rtol=1e-12, atol=0)
 
     def test_profile_invariants(self):
         rng = np.random.default_rng(9)

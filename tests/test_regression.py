@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from movetrait.features import FeatureMatrix, RowMeta
+from movetrait.features import FeatureMatrix, RowMeta, apply_gaussian_stats, gaussian_stats
 from movetrait.mocap import Kind
 from movetrait.regression import (
     BayesRidgeModel,
@@ -80,7 +80,35 @@ class TestFitPca:
         np.testing.assert_allclose(b1.components, b2.components, atol=1e-9)
 
 
+def reference_pcr(X, y, k):
+    """PCR the long way: top-k basis, projection, then lstsq on [1, scores].
+
+    Returns the basis and the coefficients, intercept first.
+    """
+    basis = fit_pca(X, k)
+    design = np.column_stack([np.ones(X.shape[0]), basis.project(X)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return basis, coef
+
+
 class TestFitPcr:
+    @pytest.mark.parametrize("standardized", [False, True])
+    @pytest.mark.parametrize("k", [24, 16])
+    def test_matches_reference_on_cv_sized_blocks(self, k, standardized):
+        # 32 training rows of 1770 features, as in one fold of a 40-take grid
+        rng = np.random.default_rng(50 + k)
+        X = 0.5 + 0.1 * rng.normal(size=(32, 1770)) * rng.uniform(0.2, 2.0, size=1770)
+        y = X[:, :40] @ rng.normal(size=40) + rng.normal(scale=0.3, size=32)
+        if standardized:
+            X = apply_gaussian_stats(X, *gaussian_stats(X))
+        model = fit_pcr(X, y, k)
+        basis, coef = reference_pcr(X, y, k)
+        rows = np.vstack([X, X[:8] + 0.05 * rng.normal(size=(8, 1770))])
+        np.testing.assert_allclose(predict_means(model, rows),
+                                   coef[0] + basis.project(rows) @ coef[1:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.weights, basis.components.T @ coef[1:],
+                                   rtol=0, atol=1e-12)
+
     def test_target_linear_in_first_score(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(40, 6)) * np.array([10, 1, 1, 1, 1, 1])
@@ -309,9 +337,9 @@ class TestCenteredSvd:
     def test_pcr_from_factor_identical(self):
         X, y = self._data()
         a, b = fit_pcr(X, y, k=5), fit_pcr(centered_svd(X), y, k=5)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.basis.components, b.basis.components)
-        assert a.intercept == b.intercept
+        assert vars(a).keys() == vars(b).keys() == {"weights", "x_mean", "intercept"}
+        for name, value in vars(a).items():
+            np.testing.assert_array_equal(getattr(b, name), value, err_msg=name)
 
     def test_bayes_from_factor_identical(self):
         X, y = self._data()
@@ -383,6 +411,30 @@ class TestTraitTable:
         with pytest.raises(ValueError, match="participant_id"):
             load_trait_table(path)
 
+    # (body after the header "participant_id,O,EQ", expected table or the
+    # message that names line, participant and column)
+    CELLS = [
+        ("P0,1.5,40\nP1,2,5e1\n", {"P0": {"O": 1.5, "EQ": 40.0}, "P1": {"O": 2.0, "EQ": 50.0}}),
+        ("P0,1.5,\nP1,,3\n", {"P0": {"O": 1.5}, "P1": {"EQ": 3.0}}),
+        ("P0,1.5, \n", {"P0": {"O": 1.5}}),
+        ("P0,1.5\n", {"P0": {"O": 1.5}}),
+        ("P0,1,2\nP1,abc,3\n", ":3: participant 'P1', column 'O': 'abc' is not a finite number"),
+        ("P0,1,nan\n", ":2: participant 'P0', column 'EQ': 'nan' is not a finite number"),
+        ("P0,-inf,2\n", ":2: participant 'P0', column 'O': '-inf' is not a finite number"),
+        ("P0,1,2,3\n", ":2: participant 'P0': more cells than header columns"),
+    ]
+
+    @pytest.mark.parametrize("body,expected", CELLS)
+    def test_cells(self, tmp_path, body, expected):
+        path = tmp_path / "traits.csv"
+        path.write_text("participant_id,O,EQ\n" + body)
+        if isinstance(expected, dict):
+            assert load_trait_table(path) == expected
+        else:
+            with pytest.raises(ValueError) as info:
+                load_trait_table(path)
+            assert str(info.value) == f"{path}{expected}"
+
 
 class TestModelPersistence:
     def test_bayes_round_trip(self, tmp_path):
@@ -423,13 +475,7 @@ class TestModelPersistence:
         loaded = load_model(path)
         assert type(loaded) is type(model)
 
-        def fields(m):
-            if isinstance(m, PcrModel):
-                return {"intercept": m.intercept, "weights": m.weights,
-                        **{f"basis.{k}": v for k, v in vars(m.basis).items()}}
-            return vars(m)
-
-        expected, got = fields(model), fields(loaded)
+        expected, got = vars(model), vars(loaded)
         assert expected.keys() == got.keys()
         for name, value in expected.items():
             if isinstance(value, np.ndarray):
@@ -438,6 +484,17 @@ class TestModelPersistence:
                 assert got[name] == value, name
         rows = rng.normal(size=(10, 7)) + 3.0
         np.testing.assert_array_equal(predict_means(loaded, rows), predict_means(model, rows))
+        doc = json.loads(path.read_text())
         if kind == "bayes_ridge":
             assert loaded.gamma == model.gamma
-            assert set(json.loads(path.read_text())["factor"]) == {"eigenvalues"}
+            assert set(doc["factor"]) == {"eigenvalues"}
+        else:
+            assert set(doc) == {"kind", "weights", "x_mean", "intercept"}
+
+    def test_former_pcr_file_rejected_naming_the_file(self, tmp_path):
+        # a PCR file in the former layout: a k-vector of weights in basis space
+        path = tmp_path / "model_O.json"
+        path.write_text(json.dumps({"kind": "pcr", "intercept": 1.0, "weights": [0.5],
+                                    "basis": {"mean": [0.0], "components": [[1.0]]}}))
+        with pytest.raises(ValueError, match=r"model_O\.json: pcr model file has no 'x_mean'"):
+            load_model(path)
