@@ -22,12 +22,12 @@ from .features import (
     vectorize_lower,
 )
 from .regression import (
-    BayesRidgeModel,
     CenteredSvd,
     Dataset,
     DatasetMode,
+    Evidence,
+    LinearModel,
     PcaBasis,
-    PcrModel,
     build_dataset,
     centered_svd,
     fit_bayes_ridge,

@@ -46,7 +46,7 @@ from .features import (
     save_feature_matrix,
 )
 from .importance import importance_from_model, importance_report
-from .mocap import Kind, derive_joints, load_take, velocity
+from .mocap import Kind, derive_joints, load_take, read_sidecar, velocity
 from .regression import (
     PCR_DEFAULT_COMPONENTS,
     TRAIT_NAMES,
@@ -248,14 +248,37 @@ def _resolve_k(cfg: PipelineConfig, base_kind: str, n_rows: int, rows_of: str) -
     return k
 
 
-def _featurize_take(path: Path, cfg: PipelineConfig) -> tuple[dict, tuple[str, str], str]:
-    """One take's feature vectors by kind, its participant and stimulus ids,
-    and the sha256 of the bytes they came from.
+_TAKE_IDS = ("participant_id", "stimulus_id")
+
+
+def _read_take_ids(take_paths: list[Path]) -> tuple[list[dict], list[tuple[str, str]]]:
+    """Every take's sidecar and (participant_id, stimulus_id), read before any take is parsed.
+
+    A missing or empty id, or a pair another take already has, is a
+    ValueError naming the take files involved.
+    """
+    sidecars, first = [], {}
+    for path in take_paths:
+        side = read_sidecar(path)
+        for key in _TAKE_IDS:
+            if side.get(key) in (None, ""):
+                raise ValueError(f"{path}: its sidecar gives no {key}")
+        ids = tuple(str(side[key]) for key in _TAKE_IDS)
+        if ids in first:
+            raise ValueError(f"{first[ids]} and {path} are both participant {ids[0]!r}, "
+                             f"stimulus {ids[1]!r}")
+        first[ids] = path
+        sidecars.append(side)
+    return sidecars, list(first)
+
+
+def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, str]:
+    """One take's feature vectors by kind and the sha256 of the bytes they came from.
 
     The file is read once: the same bytes are parsed and hashed.
     """
     raw = path.read_bytes()
-    take = load_take(path, raw=raw)  # its TakeFormatErrors already carry file:line
+    take = load_take(path, metadata=side, raw=raw)  # its TakeFormatErrors carry file:line
     digest = hashlib.sha256(raw).hexdigest()
     out = {}
     try:
@@ -266,7 +289,7 @@ def _featurize_take(path: Path, cfg: PipelineConfig) -> tuple[dict, tuple[str, s
             out["velocity"] = extract_features(velocity(joints), cfg.sigma)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return out, (take.participant_id, take.stimulus_id), digest
+    return out, digest
 
 
 def cmd_extract(cfg: PipelineConfig) -> dict:
@@ -277,17 +300,18 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     take_paths = sorted(takes_dir.glob("*.tsv"))
     if not take_paths:
         raise ValueError(f"no .tsv takes found in {takes_dir}")
+    sidecars, ids = _read_take_ids(take_paths)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        per_take = list(pool.map(_featurize_take, take_paths, repeat(cfg)))
+        per_take = list(pool.map(_featurize_take, take_paths, sidecars, repeat(cfg)))
 
     features_dir = cfg.resolved_features_dir()
     features_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     for kind in cfg.extract_kinds:
         matrix = FeatureMatrix(
-            values=np.stack([features[kind] for features, _, _ in per_take]),
-            rows=tuple(RowMeta(*ids, Kind(kind)) for _, ids, _ in per_take),
+            values=np.stack([features[kind] for features, _ in per_take]),
+            rows=tuple(RowMeta(*pair, Kind(kind)) for pair in ids),
         )
         path = features_dir / f"features_{kind}.csv"
         save_feature_matrix(matrix, path)
@@ -300,7 +324,7 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
         p.with_suffix(".json").name: p.with_suffix(".json")
         for p in take_paths if p.with_suffix(".json").exists()
     })
-    digests = {p.name: digest for p, (_, _, digest) in zip(take_paths, per_take)}
+    digests = {p.name: digest for p, (_, digest) in zip(take_paths, per_take)}
     write_run_info(features_dir, cfg, inputs, digests)
     return {"features": written, "takes": len(take_paths)}
 
@@ -339,10 +363,11 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     out_dir = cfg.resolved_output_dir() / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    digests = {"features": sha256_file(features_path), "traits": sha256_file(traits_path)}
     provenance = {
         "config_sha256": config_hash(cfg),
-        "features_sha256": sha256_file(features_path),
-        "traits_sha256": sha256_file(traits_path),
+        "features_sha256": digests["features"],
+        "traits_sha256": digests["traits"],
         "input_kind": cfg.train_input,
         "dataset_mode": cfg.dataset_mode,
         "model_kind": cfg.train_model,
@@ -362,13 +387,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     factor = centered_svd(X)
     results = {}
     for trait, y in zip(cfg.traits, dataset.y.T):
-        model = spec.fit(factor, y)
-        diagnostics = {}
-        if spec.kind == "bayes_ridge":
-            diagnostics = {
-                "converged": model.converged, "iterations": model.iterations,
-                "alpha": model.alpha, "lambda": model.lambda_, "gamma": model.gamma,
-            }
+        model, diagnostics = spec.fit(factor, y)
         train_r2 = r2(y, predict_means(model, X))
         path = out_dir / f"model_{trait}.json"
         save_model(model, path, provenance=provenance)
@@ -376,7 +395,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
             train_r2=train_r2, **diagnostics, out=path)
         results[trait] = {"path": path, "train_r2": train_r2}
 
-    write_run_info(out_dir, cfg, {"features": features_path, "traits": traits_path})
+    write_run_info(out_dir, cfg, {"features": features_path, "traits": traits_path}, digests)
     return results
 
 
@@ -425,7 +444,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
         for spec, per_trait in zip(specs, results):
             for trait, result in zip(cfg.traits, per_trait):
                 diagnostics = {}
-                if spec.kind == "bayes_ridge":
+                if result.converged_folds is not None:
                     diagnostics = {"converged_folds": result.converged_folds,
                                    "max_iterations": result.max_iterations}
                 log("evaluate", input=input_kind, model=spec.kind, trait=trait,

@@ -17,7 +17,9 @@ import numpy as np
 
 from .features import apply_gaussian_stats, gaussian_stats
 from .regression import (
+    MODEL_KINDS,
     CenteredSvd,
+    LinearModel,
     centered_svd,
     fit_bayes_ridge,
     fit_pcr,
@@ -31,7 +33,6 @@ INPUT_KIND_LABELS = {
     "velocity": "Velocity",
     "velocity_n": "Velocity(N)",
 }
-MODEL_KINDS = ("pcr", "bayes_ridge")
 MODEL_LABELS = {"pcr": "PCR", "bayes_ridge": "Bayesian Ridge"}
 
 # Scores reported for the original study's dataset (private; not
@@ -249,11 +250,19 @@ class ModelSpec:
         if self.kind == "pcr" and self.k is None:
             raise ValueError("PCR needs a component count k")
 
-    def fit(self, X: np.ndarray | CenteredSvd, y: np.ndarray):
-        """Fit on a design matrix or on its ``centered_svd``."""
+    def fit(self, X: np.ndarray | CenteredSvd, y: np.ndarray) -> tuple[LinearModel, dict]:
+        """Fit on a design matrix or on its ``centered_svd``.
+
+        Returns the model and its fit diagnostics: none for PCR; converged,
+        iterations, alpha, lambda and gamma for Bayesian ridge.
+        """
         if self.kind == "pcr":
-            return fit_pcr(X, y, self.k)
-        return fit_bayes_ridge(X, y, tol=self.tol, max_iter=self.max_iter)
+            return fit_pcr(X, y, self.k), {}
+        fit = fit_bayes_ridge(X, y, tol=self.tol, max_iter=self.max_iter)
+        return fit.model, {
+            "converged": fit.converged, "iterations": fit.iterations,
+            "alpha": fit.alpha, "lambda": fit.lambda_, "gamma": fit.gamma,
+        }
 
 
 @dataclass(frozen=True)
@@ -315,24 +324,23 @@ def cross_validate(
             xva = apply_gaussian_stats(xva, mu, sd)
         factor = centered_svd(xtr)
         for c, (spec, y) in enumerate(cells):
-            model = spec.fit(factor, y[train])
+            model, diagnostics = spec.fit(factor, y[train])
             pred = predict_means(model, xva)
             all_pred[c][val] = pred
             folds[c].append((rmse(y[val], pred), r2(y[val], pred),
-                             getattr(model, "converged", None),
-                             getattr(model, "iterations", None)))
+                             diagnostics.get("converged"), diagnostics.get("iterations")))
     results = [
-        _cv_result(spec, folds[c], y, all_pred[c], pooled)
-        for c, (spec, y) in enumerate(cells)
+        _cv_result(folds[c], y, all_pred[c], pooled)
+        for c, (_, y) in enumerate(cells)
     ]
     n_traits = Y.shape[1]
     return [results[i:i + n_traits] for i in range(0, len(results), n_traits)]
 
 
-def _cv_result(spec: ModelSpec, folds: list[tuple], y: np.ndarray,
+def _cv_result(folds: list[tuple], y: np.ndarray,
                all_pred: np.ndarray, pooled: bool) -> CvResult:
     fold_rmse, fold_r2, converged, iterations = zip(*folds)
-    bayes = spec.kind == "bayes_ridge"
+    diagnosed = None not in converged
     return CvResult(
         fold_rmse=fold_rmse,
         fold_r2=fold_r2,
@@ -340,8 +348,8 @@ def _cv_result(spec: ModelSpec, folds: list[tuple], y: np.ndarray,
         mean_r2=float(np.mean(fold_r2)),
         pooled_rmse=rmse(y, all_pred) if pooled else None,
         pooled_r2=r2(y, all_pred) if pooled else None,
-        converged_folds=sum(converged) if bayes else None,
-        max_iterations=max(iterations) if bayes else None,
+        converged_folds=sum(converged) if diagnosed else None,
+        max_iterations=max(iterations) if diagnosed else None,
     )
 
 

@@ -126,8 +126,8 @@ class JointTake:
 
 
 # Joint recipes as (label, source marker indices); single-source joints copy
-# the marker column, multi-source joints average them. Overridable via a
-# skeleton map JSON file.
+# the marker column, multi-source joints average them. Overridable by passing
+# a SkeletonMap to derive_joints.
 DEFAULT_JOINT_RECIPES: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("A", (7, 8)),            # root: mid back hips
     ("B", (7,)),              # L hip
@@ -171,24 +171,11 @@ class SkeletonMap:
     def joint_labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.recipes)
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "SkeletonMap":
-        entries = json.loads(Path(path).read_text())
-        recipes = tuple(
-            (str(e["joint_label"]), tuple(int(i) for i in e["source_markers"]))
-            for e in entries
-        )
-        return cls(recipes)
 
-    def to_json(self, path: str | Path) -> None:
-        entries = [
-            {"joint_label": label, "source_markers": list(sources)}
-            for label, sources in self.recipes
-        ]
-        Path(path).write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
-
-
-def _read_sidecar(take_path: Path, metadata) -> dict:
+def read_sidecar(take_path: Path, metadata=None) -> dict:
+    """A take's sidecar as a dict: ``metadata`` if it is a mapping, else the
+    JSON file it names, else the take's ``.json`` sibling; ``{}`` if that
+    does not exist."""
     if metadata is None:
         candidate = take_path.with_suffix(".json")
         if not candidate.exists():
@@ -504,7 +491,7 @@ def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> M
     raise TakeFormatError naming the file.
     """
     path = Path(path)
-    side = _read_sidecar(path, metadata)
+    side = read_sidecar(path, metadata)
     if raw is None:
         raw = path.read_bytes()
     markers, data = _parse_fast(raw) or _scan_take(path, raw)

@@ -11,6 +11,12 @@ SVD, ``w = vh.T @ (phi(s) * (u.T @ (y - y_mean)))``:
   noise precision alpha and weight-prior precision lambda are estimated by
   iterative evidence maximization; predictions are its posterior mean.
 
+Both fits return a ``LinearModel``, the one model type that prediction,
+model files and importance read; its ``kind`` only records which fit made
+it. ``fit_bayes_ridge`` wraps its model in an ``Evidence`` that also
+carries the evidence fit's alpha, lambda, effective degrees of freedom
+gamma, convergence flag and iteration count.
+
 The SVD does not depend on the target. ``centered_svd`` computes it once;
 every fit accepts either a design matrix or that factor, so one SVD serves
 every trait and both model kinds.
@@ -30,6 +36,8 @@ import numpy as np
 from .features import FeatureMatrix
 
 TRAIT_NAMES = ("O", "C", "E", "A", "N", "EQ", "SQ")
+
+MODEL_KINDS = ("pcr", "bayes_ridge")
 
 # PCR component counts that worked best for each input kind; overridable.
 PCR_DEFAULT_COMPONENTS = {"position": 243, "velocity": 137}
@@ -114,10 +122,11 @@ class PcaBasis:
 
 
 @dataclass(frozen=True)
-class PcrModel:
-    """Top-k principal component regression, expressed on the d features."""
+class LinearModel:
+    """``(x - x_mean) @ weights + intercept`` on the d features; ``kind`` names its fit."""
 
-    weights: np.ndarray   # length d
+    kind: str            # one of MODEL_KINDS
+    weights: np.ndarray  # length d
     x_mean: np.ndarray
     intercept: float
 
@@ -127,31 +136,17 @@ class PcrModel:
 
 
 @dataclass(frozen=True)
-class BayesRidgeModel:
-    """Posterior mean and noise/weight-prior precisions of the Bayesian linear model.
+class Evidence:
+    """A Bayesian-ridge model with its evidence fit: the noise precision
+    alpha, the weight-prior precision lambda, the effective degrees of
+    freedom gamma, and whether the loop converged within its iterations."""
 
-    ``eigenvalues`` (of the centered design's Gram matrix) give the
-    effective degrees of freedom ``gamma``.
-    """
-
-    weights: np.ndarray          # posterior mean, length d
-    alpha: float                 # noise precision
-    lambda_: float               # weight-prior precision
-    intercept: float
-    x_mean: np.ndarray
+    model: LinearModel
+    alpha: float
+    lambda_: float
+    gamma: float
     converged: bool
     iterations: int
-    eigenvalues: np.ndarray      # length r, eigenvalues of Xc^T Xc
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def gamma(self) -> float:
-        """Effective degrees of freedom, sum_i e_i / (e_i + lambda/alpha)."""
-        eig = self.eigenvalues
-        return float(np.sum(eig / (eig + self.lambda_ / self.alpha)))
 
 
 def fit_pca(X, k: int) -> PcaBasis:
@@ -175,7 +170,7 @@ def fit_pca(X, k: int) -> PcaBasis:
     )
 
 
-def fit_pcr(X, y: np.ndarray, k: int) -> PcrModel:
+def fit_pcr(X, y: np.ndarray, k: int) -> LinearModel:
     """Least squares with intercept on the top-k principal scores.
 
     ``X`` is a design matrix or its ``centered_svd``. The scores are
@@ -194,7 +189,7 @@ def fit_pcr(X, y: np.ndarray, k: int) -> PcrModel:
         raise ValueError("degenerate principal scores: a selected component has zero variance")
     y_mean = float(y.mean())
     weights = f.vh[:k].T @ (f.u[:, :k].T @ (y - y_mean) / s)
-    return PcrModel(weights=weights, x_mean=f.mean, intercept=y_mean)
+    return LinearModel(kind="pcr", weights=weights, x_mean=f.mean, intercept=y_mean)
 
 
 def fit_bayes_ridge(
@@ -205,7 +200,7 @@ def fit_bayes_ridge(
     alpha_init: float | None = None,
     lambda_init: float | None = None,
     optimize: bool = True,
-) -> BayesRidgeModel:
+) -> Evidence:
     """Evidence-maximization fit of the Bayesian linear model.
 
     Alternates the posterior given (alpha, lambda),
@@ -218,8 +213,9 @@ def fit_bayes_ridge(
     Stops when max |delta beta| < tol, or reports converged=False after
     max_iter. ``X`` is a design matrix or its ``centered_svd``; columns and
     targets are centered internally and the intercept is restored on the
-    model. ``optimize=False`` performs a single posterior evaluation at the
-    given fixed hyperparameters.
+    model; gamma is reported at the final (alpha, lambda). ``optimize=False``
+    performs a single posterior evaluation at the given fixed
+    hyperparameters.
     """
     X = _design(X)
     y = np.asarray(y, dtype=float).ravel()
@@ -270,22 +266,20 @@ def fit_bayes_ridge(
             break
         beta = new_beta
 
-    return BayesRidgeModel(
-        weights=beta,
+    return Evidence(
+        model=LinearModel(kind="bayes_ridge", weights=beta, x_mean=f.mean, intercept=y_mean),
         alpha=alpha,
         lambda_=lam,
-        intercept=y_mean,
-        x_mean=f.mean,
+        gamma=float(np.sum(eig / (eig + lam / alpha))),
         converged=converged,
         iterations=iterations,
-        eigenvalues=eig,
     )
 
 
-def predict_means(model, X) -> np.ndarray:
+def predict_means(model: LinearModel, X) -> np.ndarray:
     """Vectorized prediction means for a batch of rows."""
     X = _as_matrix(X)
-    if not isinstance(model, (PcrModel, BayesRidgeModel)):
+    if not isinstance(model, LinearModel):
         raise TypeError(f"unknown model type {type(model).__name__}")
     if X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
@@ -379,27 +373,16 @@ def load_trait_table(path: str | Path) -> dict:
     return table
 
 
-_MODEL_KINDS = {PcrModel: "pcr", BayesRidgeModel: "bayes_ridge"}
-
-
-def save_model(model, path: str | Path, provenance: dict | None = None) -> None:
-    """Serialize a model to JSON; Bayesian ridge adds its evidence fit to the shared fields."""
-    if type(model) not in _MODEL_KINDS:
+def save_model(model: LinearModel, path: str | Path, provenance: dict | None = None) -> None:
+    """Serialize a model to JSON: its kind, weights, x_mean, intercept and provenance."""
+    if not isinstance(model, LinearModel):
         raise TypeError(f"unknown model type {type(model).__name__}")
     doc = {
-        "kind": _MODEL_KINDS[type(model)],
+        "kind": model.kind,
         "intercept": model.intercept,
         "weights": model.weights.tolist(),
         "x_mean": model.x_mean.tolist(),
     }
-    if isinstance(model, BayesRidgeModel):
-        doc.update({
-            "alpha": model.alpha,
-            "lambda": model.lambda_,
-            "converged": model.converged,
-            "iterations": model.iterations,
-            "factor": {"eigenvalues": model.eigenvalues.tolist()},
-        })
     if provenance is not None:
         doc["provenance"] = provenance
     path = Path(path)
@@ -407,27 +390,19 @@ def save_model(model, path: str | Path, provenance: dict | None = None) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_model(path: str | Path):
-    """Read a model file; a missing entry is a ValueError naming the file."""
+def load_model(path: str | Path) -> LinearModel:
+    """Read a model file; other entries are ignored, a missing one is a
+    ValueError naming the file."""
     doc = json.loads(Path(path).read_text())
     kind = doc.get("kind")
-    if kind not in _MODEL_KINDS.values():
+    if kind not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     try:
-        linear = {
-            "weights": np.asarray(doc["weights"], dtype=float),
-            "x_mean": np.asarray(doc["x_mean"], dtype=float),
-            "intercept": float(doc["intercept"]),
-        }
-        if kind == "pcr":
-            return PcrModel(**linear)
-        return BayesRidgeModel(
-            **linear,
-            alpha=float(doc["alpha"]),
-            lambda_=float(doc["lambda"]),
-            converged=bool(doc["converged"]),
-            iterations=int(doc["iterations"]),
-            eigenvalues=np.asarray(doc["factor"]["eigenvalues"], dtype=float),
+        return LinearModel(
+            kind=kind,
+            weights=np.asarray(doc["weights"], dtype=float),
+            x_mean=np.asarray(doc["x_mean"], dtype=float),
+            intercept=float(doc["intercept"]),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: {kind} model file has no {exc.args[0]!r} entry") from exc

@@ -264,6 +264,47 @@ class TestExtract:
         with pytest.raises(ValueError, match="not a directory"):
             cmd_extract(cfg)
 
+    # (sidecar edits by take, None deleting the entry; the message and the takes it names)
+    BAD_IDS = [
+        ({"P001_S00": {"participant_id": "P000"}},
+         "are both participant 'P000', stimulus 'S00'", ["P000_S00", "P001_S00"]),
+        ({"P001_S01": {"stimulus_id": None}}, "its sidecar gives no stimulus_id", ["P001_S01"]),
+        ({"P000_S01": {"participant_id": ""}}, "its sidecar gives no participant_id",
+         ["P000_S01"]),
+    ]
+
+    @pytest.mark.parametrize("edits,message,named", BAD_IDS,
+                             ids=["repeated pair", "missing id", "empty id"])
+    def test_bad_take_ids_rejected_before_any_parse(
+            self, dataset_dir, tmp_path, capsys, monkeypatch, edits, message, named):
+        import movetrait.mocap as mocap
+
+        takes = tmp_path / "takes"
+        takes.mkdir()
+        for src in sorted(dataset_dir.glob("P00[01]_*")):
+            (takes / src.name).write_bytes(src.read_bytes())
+        for take, changes in edits.items():
+            sidecar = takes / f"{take}.json"
+            doc = json.loads(sidecar.read_text())
+            for key, value in changes.items():
+                if value is None:
+                    del doc[key]
+                else:
+                    doc[key] = value
+            sidecar.write_text(json.dumps(doc))
+        parsed = []
+        monkeypatch.setattr(mocap, "_read_decimal", lambda *a: parsed.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(takes, None).to_dict()))
+        out = tmp_path / "out"
+        assert main(["extract", "-c", str(cfg_path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        for take in named:
+            assert str(takes / f"{take}.tsv") in err
+        assert parsed == []
+        assert not list(tmp_path.rglob("features_*.csv"))
+
 
 @pytest.fixture(scope="module")
 def extracted(dataset_dir, tmp_path_factory):
@@ -282,6 +323,20 @@ class TestTrain:
             assert info["train_r2"] >= 0.99  # planted coupling, n << d
         logged = capsys.readouterr().out
         assert "event=train" in logged and "train_r2=" in logged
+
+    def test_each_input_hashed_once(self, extracted, tmp_path, monkeypatch):
+        import movetrait.cli as cli
+
+        hashed = []
+        real = cli.sha256_file
+        monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(path) or real(path))
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        cmd_train(cfg)
+        features = cfg.resolved_features_dir() / "features_position.csv"
+        assert sorted(map(str, hashed)) == sorted([str(features), cfg.traits_csv])
 
     def test_provenance_embedded(self, extracted):
         cmd_train(extracted)
@@ -343,7 +398,7 @@ class TestTrain:
         dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
         X = apply_gaussian_stats(dataset.X, *gaussian_stats(dataset.X))
         for trait, y in zip(cfg.traits, dataset.y.T):
-            expected = fit_bayes_ridge(X, y, tol=cfg.bayes_tol, max_iter=cfg.bayes_max_iter)
+            expected = fit_bayes_ridge(X, y, tol=cfg.bayes_tol, max_iter=cfg.bayes_max_iter).model
             model = load_model(tmp_path / "train" / f"model_{trait}.json")
             np.testing.assert_array_equal(model.weights, expected.weights)
         assert sorted(p.name for p in (tmp_path / "train").iterdir()) == sorted(

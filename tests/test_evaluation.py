@@ -203,7 +203,7 @@ class TestCrossValidate:
         f = 0
         val = plan.assignments == f
         mu, sd = gaussian_stats(X[~val])
-        model = fit_bayes_ridge(apply_gaussian_stats(X[~val], mu, sd), y[~val])
+        model = fit_bayes_ridge(apply_gaussian_stats(X[~val], mu, sd), y[~val]).model
         pred = predict_means(model, apply_gaussian_stats(X[val], mu, sd))
         expected = rmse(y[val], pred)
         assert res.fold_rmse[f] == pytest.approx(expected, rel=1e-12)
@@ -270,9 +270,10 @@ def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
         if spec.kind == "pcr":
             model = fit_pcr(xtr, y[~val], spec.k)
         else:
-            model = fit_bayes_ridge(xtr, y[~val], tol=spec.tol, max_iter=spec.max_iter)
-            converged.append(model.converged)
-            iterations.append(model.iterations)
+            fit = fit_bayes_ridge(xtr, y[~val], tol=spec.tol, max_iter=spec.max_iter)
+            model = fit.model
+            converged.append(fit.converged)
+            iterations.append(fit.iterations)
         pred = predict_means(model, xva)
         all_pred[val] = pred
         fold_rmse.append(rmse(y[val], pred))

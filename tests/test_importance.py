@@ -160,7 +160,7 @@ class TestModelWeights:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(12, FEATURE_DIM))
         y = rng.normal(size=12)
-        model = fit_bayes_ridge(X, y, max_iter=5, tol=1e-2)
+        model = fit_bayes_ridge(X, y, max_iter=5, tol=1e-2).model
         prof = importance_from_model(model, "EQ")
         np.testing.assert_array_equal(prof.raw, joint_importance(model.weights))
 
@@ -179,7 +179,7 @@ class TestModelWeights:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(10, FEATURE_DIM))
         y = rng.normal(size=10)
-        prof = importance_from_model(fit_bayes_ridge(X, y, max_iter=5, tol=1e-2), "EQ")
+        prof = importance_from_model(fit_bayes_ridge(X, y, max_iter=5, tol=1e-2).model, "EQ")
         assert (prof.raw >= 0).all()
         assert prof.normalized.min() == 0.0 and prof.normalized.max() == 1.0
         assert prof.reduced.shape == (12,)

@@ -394,12 +394,6 @@ class TestSkeletonMap:
         assert sizes.count(1) == 16
         assert sorted(s for s in sizes if s > 1) == [2, 2, 3, 4]
 
-    def test_json_round_trip(self, tmp_path):
-        m = SkeletonMap()
-        path = tmp_path / "skeleton.json"
-        m.to_json(path)
-        assert SkeletonMap.from_json(path) == m
-
     def test_rejects_out_of_range_source(self):
         recipes = list(SkeletonMap().recipes)
         recipes[0] = ("A", (7, 21))

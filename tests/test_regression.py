@@ -6,9 +6,8 @@ import pytest
 from movetrait.features import FeatureMatrix, RowMeta, apply_gaussian_stats, gaussian_stats
 from movetrait.mocap import Kind
 from movetrait.regression import (
-    BayesRidgeModel,
     DatasetMode,
-    PcrModel,
+    LinearModel,
     build_dataset,
     centered_svd,
     fit_bayes_ridge,
@@ -175,17 +174,17 @@ class TestFitBayesRidge:
         X = rng.normal(size=(200, 5))
         w0 = np.array([1.5, -2.0, 0.7, 3.0, -1.0])
         y = X @ w0
-        model = fit_bayes_ridge(X, y)
-        np.testing.assert_allclose(model.weights, w0, atol=1e-3)
-        pred = predict_means(model, X)
+        fit = fit_bayes_ridge(X, y)
+        np.testing.assert_allclose(fit.model.weights, w0, atol=1e-3)
+        pred = predict_means(fit.model, X)
         r2 = 1.0 - np.sum((y - pred) ** 2) / np.sum((y - y.mean()) ** 2)
         assert r2 >= 0.999
-        assert model.converged
+        assert fit.converged
 
     def test_constant_target(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(50, 6))
-        model = fit_bayes_ridge(X, np.full(50, 4.2))
+        model = fit_bayes_ridge(X, np.full(50, 4.2)).model
         np.testing.assert_allclose(model.weights, 0.0, atol=1e-12)
         assert model.intercept == pytest.approx(4.2, abs=1e-12)
 
@@ -193,8 +192,8 @@ class TestFitBayesRidge:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(200, 5))
         y = X @ np.array([1.0, -0.5, 2.0, 0.3, -1.2]) + rng.normal(scale=1e-3, size=200)
-        m1 = fit_bayes_ridge(X, y)
-        m2 = fit_bayes_ridge(np.vstack([X, X]), np.concatenate([y, y]))
+        m1 = fit_bayes_ridge(X, y).model
+        m2 = fit_bayes_ridge(np.vstack([X, X]), np.concatenate([y, y])).model
         np.testing.assert_allclose(m1.weights, m2.weights, atol=1e-6)
 
     def test_ridge_limit_reaches_least_squares(self):
@@ -202,7 +201,7 @@ class TestFitBayesRidge:
         rng = np.random.default_rng(23)
         X = rng.normal(size=(60, 4))
         y = X @ np.array([2.0, -1.0, 0.5, 3.0]) + rng.normal(scale=0.2, size=60)
-        model = fit_bayes_ridge(X, y, alpha_init=1.0, lambda_init=1e-10, optimize=False)
+        model = fit_bayes_ridge(X, y, alpha_init=1.0, lambda_init=1e-10, optimize=False).model
         wls, *_ = np.linalg.lstsq(X - X.mean(0), y - y.mean(), rcond=None)
         np.testing.assert_allclose(model.weights, wls, atol=1e-6)
 
@@ -210,9 +209,9 @@ class TestFitBayesRidge:
         rng = np.random.default_rng(24)
         X = rng.normal(size=(40, 10))
         y = rng.normal(size=40)
-        model = fit_bayes_ridge(X, y, tol=0.0, max_iter=3)
-        assert not model.converged
-        assert model.iterations == 3
+        fit = fit_bayes_ridge(X, y, tol=0.0, max_iter=3)
+        assert not fit.converged
+        assert fit.iterations == 3
 
     def test_rejects_nonfinite(self):
         X = np.ones((5, 2))
@@ -226,7 +225,7 @@ class TestFitBayesRidge:
         y = rng.normal(size=40)
         m1 = fit_bayes_ridge(X.copy(), y.copy())
         m2 = fit_bayes_ridge(X.copy(), y.copy())
-        np.testing.assert_array_equal(m1.weights, m2.weights)
+        np.testing.assert_array_equal(m1.model.weights, m2.model.weights)
         assert m1.alpha == m2.alpha and m1.lambda_ == m2.lambda_
 
 
@@ -235,7 +234,7 @@ class TestPredict:
         rng = np.random.default_rng(30)
         X = rng.normal(size=(50, 5))
         y = X @ np.ones(5) + rng.normal(scale=0.1, size=50)
-        model = fit_bayes_ridge(X, y)
+        model = fit_bayes_ridge(X, y).model
         mean = predict_means(model, X.mean(axis=0)[None, :])[0]
         assert mean == pytest.approx(model.intercept, abs=1e-9)
 
@@ -249,7 +248,7 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(33)
-        model = fit_bayes_ridge(rng.normal(size=(20, 4)), rng.normal(size=20))
+        model = fit_bayes_ridge(rng.normal(size=(20, 4)), rng.normal(size=20)).model
         with pytest.raises(ValueError, match="expected 4 features"):
             predict_means(model, np.zeros((1, 5)))
 
@@ -337,24 +336,25 @@ class TestCenteredSvd:
     def test_pcr_from_factor_identical(self):
         X, y = self._data()
         a, b = fit_pcr(X, y, k=5), fit_pcr(centered_svd(X), y, k=5)
-        assert vars(a).keys() == vars(b).keys() == {"weights", "x_mean", "intercept"}
+        assert vars(a).keys() == vars(b).keys() == {"kind", "weights", "x_mean", "intercept"}
         for name, value in vars(a).items():
             np.testing.assert_array_equal(getattr(b, name), value, err_msg=name)
 
     def test_bayes_from_factor_identical(self):
         X, y = self._data()
         a, b = fit_bayes_ridge(X, y), fit_bayes_ridge(centered_svd(X), y)
-        for field in ("weights", "x_mean", "eigenvalues"):
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-        assert (a.alpha, a.lambda_, a.intercept, a.converged, a.iterations) == (
-            b.alpha, b.lambda_, b.intercept, b.converged, b.iterations)
+        for field in ("weights", "x_mean"):
+            np.testing.assert_array_equal(getattr(a.model, field), getattr(b.model, field))
+        assert (a.alpha, a.lambda_, a.gamma, a.model.intercept, a.converged, a.iterations) == (
+            b.alpha, b.lambda_, b.gamma, b.model.intercept, b.converged, b.iterations)
 
     def test_one_factor_serves_several_targets(self):
         X, y = self._data()
         f = centered_svd(X)
         for target in (y, -2.0 * y + 1.0, np.sin(y)):
             np.testing.assert_array_equal(
-                fit_bayes_ridge(f, target).weights, fit_bayes_ridge(X, target).weights)
+                fit_bayes_ridge(f, target).model.weights,
+                fit_bayes_ridge(X, target).model.weights)
 
     def test_factor_rejects_bad_blocks(self):
         X, _ = self._data()
@@ -386,11 +386,11 @@ class TestCenteredSvd:
 
     def test_gamma_is_effective_dof(self):
         X, y = self._data()
-        model = fit_bayes_ridge(X, y)
-        e = model.eigenvalues
-        expected = float(np.sum(e / (e + model.lambda_ / model.alpha)))
-        assert model.gamma == expected
-        assert 0.0 < model.gamma <= min(X.shape)
+        fit = fit_bayes_ridge(X, y)
+        e = centered_svd(X).s ** 2
+        expected = float(np.sum(e / (e + fit.lambda_ / fit.alpha)))
+        assert fit.gamma == expected
+        assert 0.0 < fit.gamma <= min(X.shape)
 
 
 class TestTraitTable:
@@ -437,43 +437,18 @@ class TestTraitTable:
 
 
 class TestModelPersistence:
-    def test_bayes_round_trip(self, tmp_path):
-        rng = np.random.default_rng(40)
-        X = rng.normal(size=(30, 5))
-        y = X[:, 0] + rng.normal(scale=0.1, size=30)
-        model = fit_bayes_ridge(X, y)
-        path = tmp_path / "model.json"
-        save_model(model, path, provenance={"config_sha256": "abc"})
-        loaded = load_model(path)
-        assert isinstance(loaded, BayesRidgeModel)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        assert loaded.alpha == model.alpha and loaded.lambda_ == model.lambda_
-        x = rng.normal(size=(1, 5))
-        assert predict_means(loaded, x)[0] == predict_means(model, x)[0]
-
-    def test_pcr_round_trip(self, tmp_path):
-        rng = np.random.default_rng(41)
-        X = rng.normal(size=(30, 5))
-        y = rng.normal(size=30)
-        model = fit_pcr(X, y, k=3)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert isinstance(loaded, PcrModel)
-        x = rng.normal(size=(1, 5))
-        assert predict_means(loaded, x)[0] == predict_means(model, x)[0]
-
     @pytest.mark.parametrize("kind", ["bayes_ridge", "pcr"])
     def test_round_trip_oracle(self, tmp_path, kind):
-        """A saved and reloaded model equals the in-memory one, field by field."""
+        """A saved and reloaded model equals the in-memory one, field by field,
+        and both kinds write the same entries."""
         rng = np.random.default_rng(42)
         X = rng.normal(size=(30, 7)) + 3.0
         y = X[:, 0] - 0.5 * X[:, 2] + rng.normal(scale=0.1, size=30)
-        model = fit_bayes_ridge(X, y) if kind == "bayes_ridge" else fit_pcr(X, y, k=4)
+        model = fit_bayes_ridge(X, y).model if kind == "bayes_ridge" else fit_pcr(X, y, k=4)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        save_model(model, path, provenance={"config_sha256": "abc"})
         loaded = load_model(path)
-        assert type(loaded) is type(model)
+        assert type(loaded) is LinearModel and loaded.kind == kind
 
         expected, got = vars(model), vars(loaded)
         assert expected.keys() == got.keys()
@@ -485,11 +460,24 @@ class TestModelPersistence:
         rows = rng.normal(size=(10, 7)) + 3.0
         np.testing.assert_array_equal(predict_means(loaded, rows), predict_means(model, rows))
         doc = json.loads(path.read_text())
-        if kind == "bayes_ridge":
-            assert loaded.gamma == model.gamma
-            assert set(doc["factor"]) == {"eigenvalues"}
-        else:
-            assert set(doc) == {"kind", "weights", "x_mean", "intercept"}
+        assert set(doc) == {"kind", "weights", "x_mean", "intercept", "provenance"}
+
+    def test_former_bayes_file_loads(self, tmp_path):
+        # a Bayesian-ridge file in the former layout, with its evidence fit and factor
+        rng = np.random.default_rng(43)
+        X = rng.normal(size=(30, 5))
+        fit = fit_bayes_ridge(X, X[:, 1] + rng.normal(scale=0.1, size=30))
+        current, former = tmp_path / "model.json", tmp_path / "model_former.json"
+        save_model(fit.model, current)
+        doc = json.loads(current.read_text())
+        doc.update({"alpha": fit.alpha, "lambda": fit.lambda_, "converged": fit.converged,
+                    "iterations": fit.iterations,
+                    "factor": {"eigenvalues": (centered_svd(X).s ** 2).tolist()}})
+        former.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        a, b = load_model(current), load_model(former)
+        assert vars(a).keys() == vars(b).keys()
+        for name, value in vars(a).items():
+            np.testing.assert_array_equal(getattr(b, name), value, err_msg=name)
 
     def test_former_pcr_file_rejected_naming_the_file(self, tmp_path):
         # a PCR file in the former layout: a k-vector of weights in basis space
