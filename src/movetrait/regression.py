@@ -233,34 +233,38 @@ def fit_bayes_ridge(
     yc = y - y_mean
     eig = s**2
     uty = f.u.T @ yc
+    suty = s * uty
+    # rss = ||uty - s * coords||^2 plus the part of yc outside the span of u
+    rss_outside = float(yc @ yc - uty @ uty)
 
     var_y = float(yc @ yc) / n
     alpha = float(alpha_init) if alpha_init is not None else 1.0 / max(var_y, _HYPER_MIN)
-    alpha = float(np.clip(alpha, _HYPER_MIN, _HYPER_MAX))
+    alpha = min(max(alpha, _HYPER_MIN), _HYPER_MAX)
     lam = float(lambda_init) if lambda_init is not None else 1.0
-    lam = float(np.clip(lam, _HYPER_MIN, _HYPER_MAX))
+    lam = min(max(lam, _HYPER_MIN), _HYPER_MAX)
 
-    def posterior_mean_coords(ratio: float) -> np.ndarray:
-        return s * uty / (eig + ratio)
-
-    beta = vh.T @ posterior_mean_coords(lam / alpha)
+    # posterior mean in the coordinates of vh, at the current lambda/alpha
+    denom = eig + lam / alpha
+    coords = suty / denom
+    beta = vh.T @ coords
     converged = not optimize
     iterations = 1
     remaining = range(2, max_iter + 1) if optimize else range(0)
     for it in remaining:
-        coords = posterior_mean_coords(lam / alpha)
-        gamma = float(np.sum(eig / (eig + lam / alpha)))
-        rss = float(np.sum((uty - s * coords) ** 2)) + float(yc @ yc - uty @ uty)
-        bnorm = float(coords @ coords)
+        gamma = (eig / denom).sum()
+        rss = ((uty - s * coords) ** 2).sum() + rss_outside
+        bnorm = coords @ coords
         if bnorm > 0:
-            lam = float(np.clip(gamma / bnorm, _HYPER_MIN, _HYPER_MAX))
+            lam = float(min(max(gamma / bnorm, _HYPER_MIN), _HYPER_MAX))
         if rss > 0:
-            alpha = float(np.clip((n - gamma) / rss, _HYPER_MIN, _HYPER_MAX))
-        new_beta = vh.T @ posterior_mean_coords(lam / alpha)
+            alpha = float(min(max((n - gamma) / rss, _HYPER_MIN), _HYPER_MAX))
+        denom = eig + lam / alpha
+        coords = suty / denom
+        new_beta = vh.T @ coords
         if not np.isfinite(new_beta).all():
             raise FloatingPointError("non-finite intermediate in evidence maximization")
         iterations = it
-        if float(np.max(np.abs(new_beta - beta))) < tol:
+        if np.abs(new_beta - beta).max() < tol:
             beta = new_beta
             converged = True
             break
@@ -270,7 +274,7 @@ def fit_bayes_ridge(
         model=LinearModel(kind="bayes_ridge", weights=beta, x_mean=f.mean, intercept=y_mean),
         alpha=alpha,
         lambda_=lam,
-        gamma=float(np.sum(eig / (eig + lam / alpha))),
+        gamma=float((eig / denom).sum()),
         converged=converged,
         iterations=iterations,
     )

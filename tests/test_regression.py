@@ -3,9 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from movetrait.features import FeatureMatrix, RowMeta, apply_gaussian_stats, gaussian_stats
-from movetrait.mocap import Kind
+from movetrait.evaluation import make_fold_plan
+from movetrait.features import (
+    FeatureMatrix,
+    RowMeta,
+    apply_gaussian_stats,
+    extract_features,
+    gaussian_stats,
+)
+from movetrait.mocap import Kind, derive_joints, velocity
 from movetrait.regression import (
+    _HYPER_MAX,
+    _HYPER_MIN,
+    TRAIT_NAMES,
     DatasetMode,
     LinearModel,
     build_dataset,
@@ -18,6 +28,7 @@ from movetrait.regression import (
     predict_means,
     save_model,
 )
+from movetrait.synth import default_strong_spec, generate
 
 
 class TestFitPca:
@@ -227,6 +238,127 @@ class TestFitBayesRidge:
         m2 = fit_bayes_ridge(X.copy(), y.copy())
         np.testing.assert_array_equal(m1.model.weights, m2.model.weights)
         assert m1.alpha == m2.alpha and m1.lambda_ == m2.lambda_
+
+
+def reference_bayes_ridge(factor, y, tol=1e-3, max_iter=300,
+                          alpha_init=None, lambda_init=None, optimize=True):
+    """The evidence loop as first written: every quantity recomputed in every
+    iteration, clamps through ``np.clip``. Oracle for ``fit_bayes_ridge``,
+    which must match it bit for bit. Returns (weights, alpha, lambda, gamma,
+    converged, iterations)."""
+    s, vh = factor.s, factor.vh
+    n = factor.shape[0]
+    yc = y - float(y.mean())
+    eig = s**2
+    uty = factor.u.T @ yc
+
+    var_y = float(yc @ yc) / n
+    alpha = float(alpha_init) if alpha_init is not None else 1.0 / max(var_y, _HYPER_MIN)
+    alpha = float(np.clip(alpha, _HYPER_MIN, _HYPER_MAX))
+    lam = float(lambda_init) if lambda_init is not None else 1.0
+    lam = float(np.clip(lam, _HYPER_MIN, _HYPER_MAX))
+
+    def posterior_mean_coords(ratio):
+        return s * uty / (eig + ratio)
+
+    beta = vh.T @ posterior_mean_coords(lam / alpha)
+    converged = not optimize
+    iterations = 1
+    remaining = range(2, max_iter + 1) if optimize else range(0)
+    for it in remaining:
+        coords = posterior_mean_coords(lam / alpha)
+        gamma = float(np.sum(eig / (eig + lam / alpha)))
+        rss = float(np.sum((uty - s * coords) ** 2)) + float(yc @ yc - uty @ uty)
+        bnorm = float(coords @ coords)
+        if bnorm > 0:
+            lam = float(np.clip(gamma / bnorm, _HYPER_MIN, _HYPER_MAX))
+        if rss > 0:
+            alpha = float(np.clip((n - gamma) / rss, _HYPER_MIN, _HYPER_MAX))
+        new_beta = vh.T @ posterior_mean_coords(lam / alpha)
+        if not np.isfinite(new_beta).all():
+            raise FloatingPointError("non-finite intermediate in evidence maximization")
+        iterations = it
+        if float(np.max(np.abs(new_beta - beta))) < tol:
+            beta = new_beta
+            converged = True
+            break
+        beta = new_beta
+    gamma = float(np.sum(eig / (eig + lam / alpha)))
+    return beta, alpha, lam, gamma, converged, iterations
+
+
+def _fold_block(rng, n, standardized):
+    """n training rows of 1770 features, shaped like one cross-validation fold."""
+    X = 0.5 + 0.1 * rng.normal(size=(n, 1770)) * rng.uniform(0.2, 2.0, size=1770)
+    if standardized:
+        X = apply_gaussian_stats(X, *gaussian_stats(X))
+    return X
+
+
+class TestEvidenceLoopOracle:
+    """``fit_bayes_ridge`` is bit-identical to ``reference_bayes_ridge`` on one factor."""
+
+    @staticmethod
+    def assert_same(factor, y, **kw):
+        fit = fit_bayes_ridge(factor, y, **kw)
+        weights, alpha, lam, gamma, converged, iterations = reference_bayes_ridge(factor, y, **kw)
+        np.testing.assert_array_equal(fit.model.weights, weights)
+        assert (fit.alpha, fit.lambda_, fit.gamma, fit.converged, fit.iterations) == (
+            alpha, lam, gamma, converged, iterations)
+        return fit
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    @pytest.mark.parametrize("n", [24, 32, 40])
+    def test_fold_sized_blocks(self, n, standardized):
+        rng = np.random.default_rng(400 + n)
+        X = _fold_block(rng, n, standardized)
+        factor = centered_svd(X)
+        planted = X[:, :40] @ rng.normal(size=40)
+        for y in (planted + rng.normal(scale=0.3, size=n), planted, rng.normal(size=n)):
+            self.assert_same(factor, y)
+
+    @pytest.mark.parametrize("kind", ["position", "velocity"])
+    def test_folds_of_a_synth_dataset(self, kind):
+        takes, traits = generate(default_strong_spec(participants=10, stimuli=1,
+                                                     frames=240, seed=3))
+        joints = [derive_joints(take) for take in takes]
+        X = np.stack([extract_features(j if kind == "position" else velocity(j))
+                      for j in joints])
+        Y = np.array([[traits[take.participant_id][t] for t in TRAIT_NAMES] for take in takes])
+        plan = make_fold_plan(len(X), 5, seed=0)
+        for f in range(plan.n_folds):
+            train = plan.assignments != f
+            factor = centered_svd(X[train])
+            for y in Y[train].T:
+                self.assert_same(factor, y)
+
+    def test_constant_target(self):
+        factor = centered_svd(_fold_block(np.random.default_rng(410), 32, False))
+        fit = self.assert_same(factor, np.full(32, 4.2))
+        assert fit.converged
+
+    def test_fixed_hyperparameters(self):
+        rng = np.random.default_rng(411)
+        factor = centered_svd(_fold_block(rng, 32, True))
+        y = rng.normal(size=32)
+        for alpha, lam in ((1.0, 1e-10), (3.5, 250.0), (1e20, 1e-20)):
+            fit = self.assert_same(factor, y, alpha_init=alpha, lambda_init=lam, optimize=False)
+            assert fit.iterations == 1
+
+    def test_clamped_at_hyper_max(self):
+        # a target of scale 1e-6 drives both precisions past the clamp in the loop
+        rng = np.random.default_rng(412)
+        X = rng.normal(size=(40, 30))
+        y = 1e-6 * (X[:, :3] @ np.array([1.5, -2.0, 0.7]) + 0.1 * rng.normal(size=40))
+        assert 1.0 / y.var() < _HYPER_MAX
+        fit = self.assert_same(centered_svd(X), y)
+        assert fit.alpha == fit.lambda_ == _HYPER_MAX
+
+    def test_iteration_cap(self):
+        rng = np.random.default_rng(413)
+        factor = centered_svd(_fold_block(rng, 24, False))
+        fit = self.assert_same(factor, rng.normal(size=24), tol=0.0, max_iter=5)
+        assert not fit.converged and fit.iterations == 5
 
 
 class TestPredict:
