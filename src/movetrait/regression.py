@@ -86,8 +86,11 @@ def centered_svd(X) -> CenteredSvd:
         raise ValueError("non-finite values in training data")
     mean = X.mean(axis=0)
     centered = X - mean
-    u, s, vh = np.linalg.svd(centered, full_matrices=False)
-    return CenteredSvd(mean=mean, centered=centered, u=u, s=s, vh=vh)
+    # A fold has far fewer rows than its 1770 features, and LAPACK factors
+    # the tall transpose faster: centered.T = ut @ diag(s) @ vt, so
+    # centered = vt.T @ diag(s) @ ut.T.
+    ut, s, vt = np.linalg.svd(centered.T, full_matrices=False)
+    return CenteredSvd(mean=mean, centered=centered, u=vt.T, s=s, vh=ut.T)
 
 
 def _design(X) -> np.ndarray | CenteredSvd:

@@ -1,4 +1,5 @@
 import json
+from functools import cache
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from movetrait.regression import (
     _HYPER_MAX,
     _HYPER_MIN,
     TRAIT_NAMES,
+    CenteredSvd,
     DatasetMode,
     LinearModel,
     build_dataset,
@@ -295,6 +297,24 @@ def _fold_block(rng, n, standardized):
     return X
 
 
+@cache
+def _synth_design(kind):
+    """Features and trait targets of 40 synthetic single-take participants at
+    600 frames, the shape of the benchmark's cross-validation grid."""
+    takes, traits = generate(default_strong_spec(participants=40, stimuli=1,
+                                                 frames=600, seed=1))
+    joints = [derive_joints(take) for take in takes]
+    X = np.stack([extract_features(j if kind == "position" else velocity(j)) for j in joints])
+    Y = np.array([[traits[take.participant_id][t] for t in TRAIT_NAMES] for take in takes])
+    return X, Y
+
+
+def _synth_folds(n):
+    """(train, validation) row masks of a 5-fold plan."""
+    plan = make_fold_plan(n, 5, seed=0)
+    return [(plan.assignments != f, plan.assignments == f) for f in range(plan.n_folds)]
+
+
 class TestEvidenceLoopOracle:
     """``fit_bayes_ridge`` is bit-identical to ``reference_bayes_ridge`` on one factor."""
 
@@ -319,15 +339,8 @@ class TestEvidenceLoopOracle:
 
     @pytest.mark.parametrize("kind", ["position", "velocity"])
     def test_folds_of_a_synth_dataset(self, kind):
-        takes, traits = generate(default_strong_spec(participants=10, stimuli=1,
-                                                     frames=240, seed=3))
-        joints = [derive_joints(take) for take in takes]
-        X = np.stack([extract_features(j if kind == "position" else velocity(j))
-                      for j in joints])
-        Y = np.array([[traits[take.participant_id][t] for t in TRAIT_NAMES] for take in takes])
-        plan = make_fold_plan(len(X), 5, seed=0)
-        for f in range(plan.n_folds):
-            train = plan.assignments != f
+        X, Y = _synth_design(kind)
+        for train, _ in _synth_folds(len(X)):
             factor = centered_svd(X[train])
             for y in Y[train].T:
                 self.assert_same(factor, y)
@@ -359,6 +372,90 @@ class TestEvidenceLoopOracle:
         factor = centered_svd(_fold_block(rng, 24, False))
         fit = self.assert_same(factor, rng.normal(size=24), tol=0.0, max_iter=5)
         assert not fit.converged and fit.iterations == 5
+
+
+def wide_side_svd(X):
+    """The factor as first computed, ``np.linalg.svd`` of the wide n x d block."""
+    mean = X.mean(axis=0)
+    centered = X - mean
+    u, s, vh = np.linalg.svd(centered, full_matrices=False)
+    return CenteredSvd(mean=mean, centered=centered, u=u, s=s, vh=vh)
+
+
+def _rel(a, b):
+    """Largest difference relative to the largest magnitude of ``b``."""
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _ulp_perturbed(X, seed):
+    """X with every entry moved one ulp up or down at random."""
+    up = np.random.default_rng(seed).random(X.shape) < 0.5
+    return np.nextafter(X, np.where(up, np.inf, -np.inf))
+
+
+@cache
+def _tall_side_blocks():
+    """By name, n training rows of 1770 features, a target and 8 validation rows."""
+    rng = np.random.default_rng(500)
+    blocks = {}
+    for n in (24, 32, 40, 464):
+        X = 0.5 + 0.1 * rng.normal(size=(n + 8, 1770)) * rng.uniform(0.2, 2.0, size=1770)
+        y = X[:n, :40] @ rng.normal(size=40) + rng.normal(scale=0.3, size=n)
+        blocks[f"{n}x1770"] = X[:n], y, X[n:]
+        Z = apply_gaussian_stats(X, *gaussian_stats(X[:n]))
+        y = Z[:n, :40] @ rng.normal(size=40) + rng.normal(size=n)
+        blocks[f"{n}x1770 standardized"] = Z[:n], y, Z[n:]
+    return blocks
+
+
+class TestTallSideFactor:
+    """``centered_svd`` factors the tall transpose. It agrees with the wide-side
+    SVD to rounding, and Bayesian ridge to within what one ulp of input moves.
+
+    Where a fold interpolates (train R2 of 1, alpha near the clamp), rss sits
+    at rounding level and the evidence loop amplifies any rounding change:
+    one ulp of input moves the wide-side weights by up to 3e-7 relative on
+    these folds, or by 1e-13 on the same block with another draw of ulps.
+    So the bound is 4 x the largest change over 4 seeded one-ulp
+    perturbations, and never tighter than 1e-12.
+    """
+
+    @staticmethod
+    def check(X, y_columns, X_val, k):
+        new, old = centered_svd(X), wide_side_svd(X)
+        np.testing.assert_array_equal(new.mean, old.mean)
+        np.testing.assert_array_equal(new.centered, old.centered)
+        assert np.max(np.abs(new.s - old.s)) <= 1e-14 * old.s[0]
+        perturbed = [wide_side_svd(_ulp_perturbed(X, seed)) for seed in range(4)]
+        rows = np.vstack([X, X_val])
+        for y in y_columns:
+            pcr_new, pcr_old = fit_pcr(new, y, k), fit_pcr(old, y, k)
+            assert _rel(pcr_new.weights, pcr_old.weights) <= 1e-12
+            assert _rel(predict_means(pcr_new, rows), predict_means(pcr_old, rows)) <= 1e-12
+
+            fit_new, fit_old = fit_bayes_ridge(new, y), fit_bayes_ridge(old, y)
+            assert (fit_new.iterations, fit_new.converged) == (
+                fit_old.iterations, fit_old.converged)
+            delta_ulp = max(_rel(fit_bayes_ridge(f, y).model.weights, fit_old.model.weights)
+                            for f in perturbed)
+            assert _rel(fit_new.model.weights, fit_old.model.weights) <= max(
+                1e-12, 4 * delta_ulp)
+
+    @pytest.mark.parametrize("name", list(_tall_side_blocks()))
+    def test_seeded_blocks(self, name):
+        X, y, X_val = _tall_side_blocks()[name]
+        self.check(X, [y], X_val, k=16)
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    @pytest.mark.parametrize("kind, k", [("position", 24), ("velocity", 16)])
+    def test_folds_of_a_synth_dataset(self, kind, k, standardized):
+        X, Y = _synth_design(kind)
+        for train, val in _synth_folds(len(X)):
+            xtr, xva = X[train], X[val]
+            if standardized:
+                mu, sd = gaussian_stats(xtr)
+                xtr, xva = apply_gaussian_stats(xtr, mu, sd), apply_gaussian_stats(xva, mu, sd)
+            self.check(xtr, Y[train].T, xva, k)
 
 
 class TestPredict:
