@@ -43,10 +43,11 @@ from .features import (
     extract_features,
     gaussian_stats,
     load_feature_matrix,
+    load_feature_rows,
     save_feature_matrix,
 )
 from .importance import importance_from_model, importance_report
-from .mocap import Kind, derive_joints, load_take, read_sidecar, velocity
+from .mocap import Kind, derive_joints, load_take, parse_sidecar, velocity
 from .regression import (
     PCR_DEFAULT_COMPONENTS,
     TRAIT_NAMES,
@@ -251,15 +252,24 @@ def _resolve_k(cfg: PipelineConfig, base_kind: str, n_rows: int, rows_of: str) -
 _TAKE_IDS = ("participant_id", "stimulus_id")
 
 
-def _read_take_ids(take_paths: list[Path]) -> tuple[list[dict], list[tuple[str, str]]]:
+def _read_take_ids(
+    take_paths: list[Path],
+) -> tuple[list[dict], list[tuple[str, str]], dict[Path, str]]:
     """Every take's sidecar and (participant_id, stimulus_id), read before any take is parsed.
 
-    A missing or empty id, or a pair another take already has, is a
-    ValueError naming the take files involved.
+    Also returns the sha256 of each sidecar file read, by path, so the
+    manifest hashes the bytes that were parsed. A missing or empty id, or a
+    pair another take already has, is a ValueError naming the take files
+    involved.
     """
-    sidecars, first = [], {}
+    sidecars, first, digests = [], {}, {}
     for path in take_paths:
-        side = read_sidecar(path)
+        side_path = path.with_suffix(".json")
+        side = {}
+        if side_path.exists():
+            raw = side_path.read_bytes()
+            side = parse_sidecar(raw, side_path)
+            digests[side_path] = hashlib.sha256(raw).hexdigest()
         for key in _TAKE_IDS:
             if side.get(key) in (None, ""):
                 raise ValueError(f"{path}: its sidecar gives no {key}")
@@ -269,7 +279,7 @@ def _read_take_ids(take_paths: list[Path]) -> tuple[list[dict], list[tuple[str, 
                              f"stimulus {ids[1]!r}")
         first[ids] = path
         sidecars.append(side)
-    return sidecars, list(first)
+    return sidecars, list(first), digests
 
 
 def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, str]:
@@ -300,7 +310,7 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     take_paths = sorted(takes_dir.glob("*.tsv"))
     if not take_paths:
         raise ValueError(f"no .tsv takes found in {takes_dir}")
-    sidecars, ids = _read_take_ids(take_paths)
+    sidecars, ids, sidecar_digests = _read_take_ids(take_paths)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         per_take = list(pool.map(_featurize_take, take_paths, sidecars, repeat(cfg)))
@@ -319,21 +329,29 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
         log("extract", kind=kind, takes=len(take_paths),
             rows=matrix.n_samples, cols=matrix.n_features, out=path)
 
-    inputs = {p.name: p for p in take_paths}
-    inputs.update({
-        p.with_suffix(".json").name: p.with_suffix(".json")
-        for p in take_paths if p.with_suffix(".json").exists()
-    })
+    inputs = {p.name: p for p in [*take_paths, *sidecar_digests]}
     digests = {p.name: digest for p, (_, digest) in zip(take_paths, per_take)}
+    digests.update({p.name: digest for p, digest in sidecar_digests.items()})
     write_run_info(features_dir, cfg, inputs, digests)
     return {"features": written, "takes": len(take_paths)}
 
 
-def _load_features_for(cfg: PipelineConfig, base_kind: str):
+def _load_features_for(cfg: PipelineConfig, base_kind: str, table: dict, traits_path: Path):
+    """One base kind's feature matrix and path.
+
+    Every row's participant is checked against the trait table, from the
+    feature file's row sidecar, before the CSV is parsed.
+    """
     path = cfg.resolved_features_dir() / f"features_{base_kind}.csv"
     if not path.exists():
         raise ValueError(f"feature file {path} not found; run extract first")
-    return load_feature_matrix(path), path
+    rows = load_feature_rows(path)
+    for meta in rows:
+        for trait in cfg.traits:
+            if trait not in table.get(meta.participant_id, {}):
+                raise ValueError(f"{path}: participant {meta.participant_id!r} has no "
+                                 f"{trait!r} value in {traits_path}")
+    return load_feature_matrix(path, rows), path
 
 
 def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path]:
@@ -359,7 +377,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     """
     table, traits_path = _require_traits(cfg)
     base = _base_kind(cfg.train_input)
-    matrix, features_path = _load_features_for(cfg, base)
+    matrix, features_path = _load_features_for(cfg, base, table, traits_path)
     out_dir = cfg.resolved_output_dir() / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -413,7 +431,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
     for input_kind in cfg.eval_inputs:
         base = _base_kind(input_kind)
         if base not in designs:
-            matrix, features_path = _load_features_for(cfg, base)
+            matrix, features_path = _load_features_for(cfg, base, table, traits_path)
             inputs[f"features_{base}"] = features_path
             dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
             groups = dataset.participants if cfg.grouping == "participant" else None
@@ -431,8 +449,12 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
             ]
             designs[base] = (dataset, plan, specs)
         dataset, plan, _ = designs[base]
+        shared = leaked_groups(plan, dataset.participants)
         log("leakage_audit", input=input_kind, grouping=cfg.grouping,
-            shared_participants=leaked_groups(plan, dataset.participants))
+            shared_participants=shared)
+        if shared and cfg.grouping == "participant":
+            raise ValueError(f"{inputs[f'features_{base}']}: {shared} participants are split "
+                             f"across folds despite grouping=participant")
 
     rows: list[ScoreRow] = []
     for input_kind in cfg.eval_inputs:

@@ -183,12 +183,16 @@ def save_feature_matrix(matrix: FeatureMatrix, csv_path: str | Path) -> None:
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_feature_matrix(csv_path: str | Path) -> FeatureMatrix:
+def load_feature_rows(csv_path: str | Path) -> tuple[RowMeta, ...]:
+    """Row provenance from a feature CSV's ``.meta.json`` sidecar; the CSV is not read."""
     csv_path = Path(csv_path)
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     sidecar = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    meta = json.loads(sidecar.read_text())
-    return FeatureMatrix(
-        values=values,
-        rows=tuple(RowMeta.from_dict(r) for r in meta["rows"]),
-    )
+    return tuple(RowMeta.from_dict(r) for r in json.loads(sidecar.read_text())["rows"])
+
+
+def load_feature_matrix(csv_path: str | Path,
+                        rows: tuple[RowMeta, ...] | None = None) -> FeatureMatrix:
+    """Parse a feature CSV; ``rows`` are its ``load_feature_rows``, read here if not given."""
+    if rows is None:
+        rows = load_feature_rows(csv_path)
+    return FeatureMatrix(values=np.loadtxt(csv_path, delimiter=",", ndmin=2), rows=rows)

@@ -182,15 +182,20 @@ def read_sidecar(take_path: Path, metadata=None) -> dict:
             return {}
         metadata = candidate
     if isinstance(metadata, (str, Path)):
-        try:
-            side = json.loads(Path(metadata).read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSON syntax or UTF-8 decoding
-            raise TakeFormatError(f"{metadata}: invalid sidecar JSON ({exc})") from exc
-        if not isinstance(side, dict):
-            raise TakeFormatError(
-                f"{metadata}: sidecar must be a JSON object, got {type(side).__name__}")
-        return side
+        return parse_sidecar(Path(metadata).read_bytes(), metadata)
     return dict(metadata)
+
+
+def parse_sidecar(raw: bytes, path) -> dict:
+    """A sidecar's JSON object from the file's bytes; errors name ``path``."""
+    try:
+        side = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSON syntax or UTF-8 decoding
+        raise TakeFormatError(f"{path}: invalid sidecar JSON ({exc})") from exc
+    if not isinstance(side, dict):
+        raise TakeFormatError(
+            f"{path}: sidecar must be a JSON object, got {type(side).__name__}")
+    return side
 
 
 def _frame_rate(path: Path, side: dict) -> float:

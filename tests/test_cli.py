@@ -199,7 +199,7 @@ class TestExtract:
         real_open = io.open
 
         def counting_open(file, *args, **kwargs):
-            if str(file).endswith(".tsv"):
+            if Path(file).parent == dataset_dir and str(file).endswith((".tsv", ".json")):
                 opened.append(Path(file).name)
             return real_open(file, *args, **kwargs)
 
@@ -207,10 +207,14 @@ class TestExtract:
         monkeypatch.setattr(builtins, "open", counting_open)
         cfg = make_config(dataset_dir, tmp_path)
         cmd_extract(cfg)
-        takes = sorted(p.name for p in dataset_dir.glob("*.tsv"))
-        assert sorted(opened) == takes
+        monkeypatch.undo()
+        takes = sorted(p.name for p in dataset_dir.glob("P*_S*.tsv"))
+        sidecars = sorted(p.name for p in dataset_dir.glob("P*_S*.json"))
+        assert len(sidecars) == len(takes) == 20
+        assert sorted(opened) == sorted(takes + sidecars)
         manifest = json.loads((cfg.resolved_features_dir() / "manifest.json").read_text())
-        for name in takes:
+        assert sorted(manifest["inputs"]) == sorted(takes + sidecars)
+        for name in takes + sidecars:
             digest = hashlib.sha256((dataset_dir / name).read_bytes()).hexdigest()
             assert manifest["inputs"][name]["sha256"] == digest
 
@@ -467,7 +471,7 @@ class TestEvaluate:
         loaded = []
         load = cli.load_feature_matrix
         monkeypatch.setattr(cli, "load_feature_matrix",
-                            lambda path: loaded.append(path.name) or load(path))
+                            lambda path, *rows: loaded.append(path.name) or load(path, *rows))
         cfg = PipelineConfig.from_dict({
             **extracted.to_dict(), "traits": ["EQ"], "output_dir": str(tmp_path),
             "features_dir": str(extracted.resolved_features_dir()),
@@ -489,6 +493,47 @@ class TestEvaluate:
         for part in ("pcr_components", "position", "smallest training fold (16 rows)"):
             assert part in str(err.value)
         assert "event=evaluate " not in capsys.readouterr().out
+        assert not list(tmp_path.glob("evaluate/scores.*"))
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_participant_missing_from_traits_fails_before_csv_parse(
+            self, extracted, tmp_path, capsys, monkeypatch, command):
+        lines = Path(extracted.traits_csv).read_text().splitlines()
+        dropped = lines.pop(4).split(",")[0]
+        traits = tmp_path / "traits.csv"
+        traits.write_text("\n".join(lines) + "\n")
+        parsed = []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            **extracted.to_dict(), "traits_csv": str(traits),
+            "features_dir": str(extracted.resolved_features_dir()),
+        }))
+        out = tmp_path / "out"
+        assert main([command, "-c", str(cfg_path), "--output-dir", str(out)]) == 1
+        features = extracted.resolved_features_dir() / "features_position.csv"
+        assert (f"{features}: participant {dropped!r} has no 'O' value in {traits}"
+                in capsys.readouterr().err)
+        assert parsed == []
+        assert not out.exists()
+
+    def test_participants_split_across_grouped_folds_fail(
+            self, extracted, tmp_path, capsys, monkeypatch):
+        import movetrait.cli as cli
+
+        plan = cli.make_fold_plan
+        monkeypatch.setattr(cli, "make_fold_plan",
+                            lambda n, folds, seed, groups: plan(n, folds, seed, None))
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "traits": ["EQ"], "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        assert cfg.grouping == "participant"
+        with pytest.raises(ValueError, match="split across folds despite grouping=participant"):
+            cmd_evaluate(cfg)
+        out = capsys.readouterr().out
+        assert "event=leakage_audit" in out and "shared_participants=0" not in out
+        assert "event=evaluate " not in out
         assert not list(tmp_path.glob("evaluate/scores.*"))
 
     def test_reference_rendered_in_text(self, extracted):
