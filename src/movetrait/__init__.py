@@ -18,7 +18,6 @@ from .features import (
     FeatureMatrix,
     correntropy,
     extract_features,
-    unvectorize_lower,
     vectorize_lower,
 )
 from .regression import (

@@ -90,19 +90,6 @@ def vectorize_lower(matrix: np.ndarray) -> np.ndarray:
     return matrix[rows, cols]
 
 
-def unvectorize_lower(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Rebuild the symmetric matrix (unit diagonal) from its triangle vector."""
-    vec = np.asarray(vec, dtype=float)
-    expected = dim * (dim - 1) // 2
-    if vec.shape != (expected,):
-        raise ValueError(f"expected {expected} entries for dim {dim}, got {vec.shape}")
-    out = np.eye(dim, dtype=float)
-    rows, cols = lower_triangle_indices(dim)
-    out[rows, cols] = vec
-    out[cols, rows] = vec
-    return out
-
-
 @dataclass(frozen=True)
 class RowMeta:
     """Provenance of one feature row."""

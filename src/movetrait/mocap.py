@@ -559,15 +559,6 @@ def butter_lowpass(cutoff_hz: float, frame_rate: float) -> tuple[np.ndarray, np.
     return b, a
 
 
-def filter_magnitude_squared(
-    b: np.ndarray, a: np.ndarray, freq_hz: float, frame_rate: float
-) -> float:
-    """Squared magnitude |H(e^{jw})|^2 of the filter at one frequency."""
-    z = np.exp(-2j * math.pi * freq_hz / frame_rate)
-    h = np.polyval(b[::-1], z) / np.polyval(a[::-1], z)
-    return float(abs(h) ** 2)
-
-
 def zero_phase_filter(data: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Apply the filter forward and backward along axis 0 (zero net phase).
 

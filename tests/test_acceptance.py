@@ -30,7 +30,6 @@ from movetrait.features import (
     RowMeta,
     extract_features,
     pairwise_correntropy,
-    unvectorize_lower,
     vectorize_lower,
 )
 from movetrait.importance import FEATURE_DIM, joint_importance, minmax_normalize
@@ -38,7 +37,6 @@ from movetrait.mocap import (
     Kind,
     butter_lowpass,
     derive_joints,
-    filter_magnitude_squared,
     zero_phase_filter,
 )
 from movetrait.regression import (
@@ -49,6 +47,7 @@ from movetrait.regression import (
     predict_means,
 )
 from movetrait.synth import default_strong_spec, iter_takes, sample_traits, write_dataset
+from oracles import filter_magnitude_squared, unvectorize_lower
 
 
 @contextmanager

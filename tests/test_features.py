@@ -15,11 +15,11 @@ from movetrait.features import (
     lower_triangle_indices,
     pairwise_correntropy,
     save_feature_matrix,
-    unvectorize_lower,
     vectorize_lower,
 )
 from movetrait.mocap import JointTake, Kind, derive_joints, velocity
 from movetrait.synth import default_strong_spec, generate_take, sample_traits
+from oracles import unvectorize_lower
 
 
 def joint_take(data, frame_rate=120.0, kind=Kind.POSITION, pid="P1", sid="S1"):

@@ -16,7 +16,6 @@ from movetrait.mocap import (
     butter_lowpass,
     derive_joints,
     differentiate,
-    filter_magnitude_squared,
     load_take,
     velocity,
     zero_phase_filter,
@@ -25,6 +24,7 @@ from movetrait.mocap import (
     _parse_fast,
     _scan_take,
 )
+from oracles import filter_magnitude_squared
 
 
 def write_take(tmp_path, rows, frame_rate=120.0, name="take", header=True,
