@@ -16,7 +16,6 @@ from .mocap import (
 )
 from .features import (
     FeatureMatrix,
-    correntropy,
     extract_features,
     vectorize_lower,
 )
@@ -26,11 +25,9 @@ from .regression import (
     DatasetMode,
     Evidence,
     LinearModel,
-    PcaBasis,
     build_dataset,
     centered_svd,
     fit_bayes_ridge,
-    fit_pca,
     fit_pcr,
 )
 from .evaluation import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from .features import pairwise_correntropy
 from .mocap import load_take
-from .regression import fit_bayes_ridge, fit_pca
+from .regression import centered_svd, fit_bayes_ridge, fit_pca
 from .synth import default_strong_spec, write_dataset
 
 DEFAULT_TIMEOUT_S = 120.0
@@ -96,7 +96,7 @@ def bench_bayes_ridge(row_counts=(58, 464, 928), dim: int = 1770,
     for rows in row_counts:
         X = rng.normal(size=(rows, dim))
         y = X[:, 0] + rng.normal(scale=0.1, size=rows)
-        seconds = _median_time(lambda: fit_bayes_ridge(X, y), repetitions)
+        seconds = _median_time(lambda: fit_bayes_ridge(centered_svd(X), y), repetitions)
         records.append(BenchRecord(
             "fit_bayes_ridge", f"{rows}x{dim}", seconds, repetitions, machine
         ))
@@ -110,7 +110,7 @@ def bench_pca(ks=(137, 243), rows: int = 464, dim: int = 1770,
     X = rng.normal(size=(rows, dim))
     records = []
     for k in ks:
-        seconds = _median_time(lambda: fit_pca(X, k), repetitions)
+        seconds = _median_time(lambda: fit_pca(centered_svd(X), k), repetitions)
         records.append(BenchRecord("fit_pca", f"{rows}x{dim} k={k}", seconds,
                                    repetitions, machine))
     return records

@@ -250,15 +250,15 @@ class ModelSpec:
         if self.kind == "pcr" and self.k is None:
             raise ValueError("PCR needs a component count k")
 
-    def fit(self, X: np.ndarray | CenteredSvd, y: np.ndarray) -> tuple[LinearModel, dict]:
-        """Fit on a design matrix or on its ``centered_svd``.
+    def fit(self, factor: CenteredSvd, y: np.ndarray) -> tuple[LinearModel, dict]:
+        """Fit on the ``centered_svd`` of the design.
 
         Returns the model and its fit diagnostics: none for PCR; converged,
         iterations, alpha, lambda and gamma for Bayesian ridge.
         """
         if self.kind == "pcr":
-            return fit_pcr(X, y, self.k), {}
-        fit = fit_bayes_ridge(X, y, tol=self.tol, max_iter=self.max_iter)
+            return fit_pcr(factor, y, self.k), {}
+        fit = fit_bayes_ridge(factor, y, tol=self.tol, max_iter=self.max_iter)
         return fit.model, {
             "converged": fit.converged, "iterations": fit.iterations,
             "alpha": fit.alpha, "lambda": fit.lambda_, "gamma": fit.gamma,

@@ -21,25 +21,6 @@ from .mocap import JointTake, Kind
 SIGMA_DEFAULT = 12.0
 
 
-def correntropy(x: np.ndarray, y: np.ndarray, sigma: float = SIGMA_DEFAULT) -> float:
-    """Gaussian-kernel similarity of two equal-length series, in (0, 1].
-
-    The squared distance is normalized by the squared series length T so
-    that takes of different durations remain comparable.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"series length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if x.size < 1:
-        raise ValueError("series must have at least one sample")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    t = x.size
-    d = x - y
-    return float(np.exp(-(d @ d) / (2.0 * sigma * sigma * t * t)))
-
-
 def pairwise_correntropy(data: np.ndarray, sigma: float = SIGMA_DEFAULT) -> np.ndarray:
     """Correntropy between all column pairs of a frames x d matrix.
 

@@ -107,13 +107,10 @@ class JointTake:
     data: np.ndarray
     frame_rate: float
     kind: Kind
-    participant_id: str = ""
-    stimulus_id: str = ""
-    joints: tuple[str, ...] = JOINT_LABELS
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
-        if len(self.joints) != 20 or data.ndim != 2 or data.shape[1] != 60:
+        if data.ndim != 2 or data.shape[1] != 60:
             raise ValueError("a joint take has 20 joints and 60 columns")
         if not self.frame_rate > 0:
             raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
@@ -166,10 +163,6 @@ class SkeletonMap:
                 raise ValueError(f"joint {label} has no source markers")
             if any(s < 0 or s >= 21 for s in sources):
                 raise ValueError(f"joint {label} references a marker index outside 0..20")
-
-    @property
-    def joint_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.recipes)
 
 
 def read_sidecar(take_path: Path, metadata=None) -> dict:
@@ -529,14 +522,7 @@ def derive_joints(take: MarkerTake, skeleton: SkeletonMap | None = None) -> Join
         else:
             stack = np.stack([take.data[:, 3 * m:3 * m + 3] for m in sources])
             cols[:] = stack.mean(axis=0)
-    return JointTake(
-        data=out,
-        frame_rate=take.frame_rate,
-        kind=Kind.POSITION,
-        participant_id=take.participant_id,
-        stimulus_id=take.stimulus_id,
-        joints=skeleton.joint_labels,
-    )
+    return JointTake(data=out, frame_rate=take.frame_rate, kind=Kind.POSITION)
 
 
 def butter_lowpass(cutoff_hz: float, frame_rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -600,11 +586,4 @@ def velocity(take: JointTake, cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> JointTake
         )
     b, a = butter_lowpass(cutoff_hz, take.frame_rate)
     vel = zero_phase_filter(differentiate(take.data, take.frame_rate), b, a)
-    return JointTake(
-        data=vel,
-        frame_rate=take.frame_rate,
-        kind=Kind.VELOCITY,
-        participant_id=take.participant_id,
-        stimulus_id=take.stimulus_id,
-        joints=take.joints,
-    )
+    return JointTake(data=vel, frame_rate=take.frame_rate, kind=Kind.VELOCITY)

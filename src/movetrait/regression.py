@@ -17,9 +17,9 @@ it. ``fit_bayes_ridge`` wraps its model in an ``Evidence`` that also
 carries the evidence fit's alpha, lambda, effective degrees of freedom
 gamma, convergence flag and iteration count.
 
-The SVD does not depend on the target. ``centered_svd`` computes it once;
-every fit accepts either a design matrix or that factor, so one SVD serves
-every trait and both model kinds.
+The SVD does not depend on the target. ``centered_svd`` checks a design
+matrix and factors it; every fit takes that factor, so one SVD serves every
+trait and both model kinds.
 """
 from __future__ import annotations
 
@@ -50,8 +50,6 @@ _HYPER_MAX = 1e12
 
 
 def _as_matrix(X) -> np.ndarray:
-    if isinstance(X, FeatureMatrix):
-        X = X.values
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D (samples x features)")
@@ -60,25 +58,24 @@ def _as_matrix(X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CenteredSvd:
-    """Thin SVD of a centered design: ``centered = X - mean = u @ diag(s) @ vh``.
+    """Thin SVD of a centered design: ``X - mean = u @ diag(s) @ vh``.
 
     Built by ``centered_svd``, which rejects fewer than 2 rows and
     non-finite values before factoring.
     """
 
     mean: np.ndarray
-    centered: np.ndarray
     u: np.ndarray
     s: np.ndarray
     vh: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.centered.shape
+        return self.u.shape[0], self.vh.shape[1]
 
 
 def centered_svd(X) -> CenteredSvd:
-    """Column means, the centered block and its thin SVD, checked first."""
+    """Column means and the thin SVD of the centered block, checked first."""
     X = _as_matrix(X)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
@@ -90,20 +87,10 @@ def centered_svd(X) -> CenteredSvd:
     # the tall transpose faster: centered.T = ut @ diag(s) @ vt, so
     # centered = vt.T @ diag(s) @ ut.T.
     ut, s, vt = np.linalg.svd(centered.T, full_matrices=False)
-    return CenteredSvd(mean=mean, centered=centered, u=vt.T, s=s, vh=ut.T)
-
-
-def _design(X) -> np.ndarray | CenteredSvd:
-    return X if isinstance(X, CenteredSvd) else _as_matrix(X)
-
-
-def _factored(X: np.ndarray | CenteredSvd) -> CenteredSvd:
-    return X if isinstance(X, CenteredSvd) else centered_svd(X)
+    return CenteredSvd(mean=mean, u=vt.T, s=s, vh=ut.T)
 
 
 def _check_k(n: int, d: int, k: int) -> None:
-    if n < 2:
-        raise ValueError("PCA needs at least 2 samples")
     if not 1 <= k <= min(n - 1, d):
         raise ValueError(f"k out of range: {k} not in [1, {min(n - 1, d)}]")
 
@@ -115,10 +102,6 @@ class PcaBasis:
     mean: np.ndarray
     components: np.ndarray          # k x d, rows orthonormal
     explained_variance: np.ndarray  # length k
-
-    @property
-    def k(self) -> int:
-        return self.components.shape[0]
 
     def project(self, X: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(X) - self.mean) @ self.components.T
@@ -152,58 +135,45 @@ class Evidence:
     iterations: int
 
 
-def fit_pca(X, k: int) -> PcaBasis:
-    """Centered SVD basis of the top-k principal directions.
+def fit_pca(factor: CenteredSvd, k: int) -> PcaBasis:
+    """Centered SVD basis of the top-k principal directions of a factor.
 
-    ``X`` is a design matrix or its ``centered_svd``. Components are ordered
-    by non-increasing singular value; each row is sign-fixed so its
-    largest-magnitude entry is positive.
+    Components are ordered by non-increasing singular value; each row is
+    sign-fixed so its largest-magnitude entry is positive.
     """
-    X = _design(X)
-    _check_k(*X.shape, k)
-    f = _factored(X)
-    components = f.vh[:k].copy()
+    _check_k(*factor.shape, k)
+    components = factor.vh[:k].copy()
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     return PcaBasis(
-        mean=f.mean,
+        mean=factor.mean,
         components=components,
-        explained_variance=f.s[:k] ** 2 / f.shape[0],
+        explained_variance=factor.s[:k] ** 2 / factor.shape[0],
     )
 
 
-def fit_pcr(X, y: np.ndarray, k: int) -> LinearModel:
-    """Least squares with intercept on the top-k principal scores.
+def fit_pcr(factor: CenteredSvd, y: np.ndarray, k: int) -> LinearModel:
+    """Least squares with intercept on the top-k principal scores of a factor.
 
-    ``X`` is a design matrix or its ``centered_svd``. The scores are
-    ``u[:, :k] * s[:k]``, so the weights on the d features are
-    ``vh[:k].T @ (u[:, :k].T @ (y - y_mean) / s[:k])`` and the intercept
-    is ``y_mean``.
+    The scores are ``u[:, :k] * s[:k]``, so the weights on the d features
+    are ``vh[:k].T @ (u[:, :k].T @ (y - y_mean) / s[:k])`` and the
+    intercept is ``y_mean``.
     """
-    X = _design(X)
     y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != X.shape[0]:
+    if y.shape[0] != factor.shape[0]:
         raise ValueError("y length must match the number of rows")
-    _check_k(*X.shape, k)
-    f = _factored(X)
-    s = f.s[:k]
-    if s[-1] <= np.finfo(float).eps * max(f.shape) * s[0]:
+    _check_k(*factor.shape, k)
+    s = factor.s[:k]
+    if s[-1] <= np.finfo(float).eps * max(factor.shape) * s[0]:
         raise ValueError("degenerate principal scores: a selected component has zero variance")
     y_mean = float(y.mean())
-    weights = f.vh[:k].T @ (f.u[:, :k].T @ (y - y_mean) / s)
-    return LinearModel(kind="pcr", weights=weights, x_mean=f.mean, intercept=y_mean)
+    weights = factor.vh[:k].T @ (factor.u[:, :k].T @ (y - y_mean) / s)
+    return LinearModel(kind="pcr", weights=weights, x_mean=factor.mean, intercept=y_mean)
 
 
-def fit_bayes_ridge(
-    X,
-    y: np.ndarray,
-    tol: float = 1e-3,
-    max_iter: int = 300,
-    alpha_init: float | None = None,
-    lambda_init: float | None = None,
-    optimize: bool = True,
-) -> Evidence:
+def fit_bayes_ridge(factor: CenteredSvd, y: np.ndarray, tol: float = 1e-3,
+                    max_iter: int = 300) -> Evidence:
     """Evidence-maximization fit of the Bayesian linear model.
 
     Alternates the posterior given (alpha, lambda),
@@ -213,47 +183,39 @@ def fit_bayes_ridge(
     with hyperparameter updates through the effective degrees of freedom
     gamma = sum_i e_i / (e_i + lambda/alpha) over the eigenvalues e_i of
     X^T X: lambda <- gamma / ||beta||^2 and alpha <- (n - gamma) / rss.
-    Stops when max |delta beta| < tol, or reports converged=False after
-    max_iter. ``X`` is a design matrix or its ``centered_svd``; columns and
-    targets are centered internally and the intercept is restored on the
-    model; gamma is reported at the final (alpha, lambda). ``optimize=False``
-    performs a single posterior evaluation at the given fixed
-    hyperparameters.
+    The loop starts from alpha = 1/var(y), clamped, and lambda = 1, and stops
+    when max |delta beta| < tol, or reports converged=False after
+    max_iter. ``factor`` is the ``centered_svd`` of the design; the target is
+    centered here and the intercept is restored on the model; gamma is
+    reported at the final (alpha, lambda).
     """
-    X = _design(X)
     y = np.asarray(y, dtype=float).ravel()
-    n, d = X.shape
+    n = factor.shape[0]
     if y.shape[0] != n:
         raise ValueError("y length must match the number of rows")
-    if n < 2:
-        raise ValueError("need at least 2 samples")
     if not np.isfinite(y).all():
         raise ValueError("non-finite values in training data")
-    f = _factored(X)
-    s, vh = f.s, f.vh
+    s, vh = factor.s, factor.vh
 
     y_mean = float(y.mean())
     yc = y - y_mean
     eig = s**2
-    uty = f.u.T @ yc
+    uty = factor.u.T @ yc
     suty = s * uty
     # rss = ||uty - s * coords||^2 plus the part of yc outside the span of u
     rss_outside = float(yc @ yc - uty @ uty)
 
     var_y = float(yc @ yc) / n
-    alpha = float(alpha_init) if alpha_init is not None else 1.0 / max(var_y, _HYPER_MIN)
-    alpha = min(max(alpha, _HYPER_MIN), _HYPER_MAX)
-    lam = float(lambda_init) if lambda_init is not None else 1.0
-    lam = min(max(lam, _HYPER_MIN), _HYPER_MAX)
+    alpha = min(max(1.0 / max(var_y, _HYPER_MIN), _HYPER_MIN), _HYPER_MAX)
+    lam = 1.0
 
     # posterior mean in the coordinates of vh, at the current lambda/alpha
     denom = eig + lam / alpha
     coords = suty / denom
     beta = vh.T @ coords
-    converged = not optimize
+    converged = False
     iterations = 1
-    remaining = range(2, max_iter + 1) if optimize else range(0)
-    for it in remaining:
+    for it in range(2, max_iter + 1):
         gamma = (eig / denom).sum()
         rss = ((uty - s * coords) ** 2).sum() + rss_outside
         bnorm = coords @ coords
@@ -274,7 +236,7 @@ def fit_bayes_ridge(
         beta = new_beta
 
     return Evidence(
-        model=LinearModel(kind="bayes_ridge", weights=beta, x_mean=f.mean, intercept=y_mean),
+        model=LinearModel(kind="bayes_ridge", weights=beta, x_mean=factor.mean, intercept=y_mean),
         alpha=alpha,
         lambda_=lam,
         gamma=float((eig / denom).sum()),

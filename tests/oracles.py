@@ -4,7 +4,26 @@ import math
 
 import numpy as np
 
-from movetrait.features import lower_triangle_indices
+from movetrait.features import SIGMA_DEFAULT, lower_triangle_indices
+
+
+def correntropy(x: np.ndarray, y: np.ndarray, sigma: float = SIGMA_DEFAULT) -> float:
+    """Gaussian-kernel similarity of two equal-length series, in (0, 1].
+
+    The squared distance is normalized by the squared series length T so
+    that takes of different durations remain comparable.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"series length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    if x.size < 1:
+        raise ValueError("series must have at least one sample")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    t = x.size
+    d = x - y
+    return float(np.exp(-(d @ d) / (2.0 * sigma * sigma * t * t)))
 
 
 def unvectorize_lower(vec: np.ndarray, dim: int) -> np.ndarray:

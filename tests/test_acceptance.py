@@ -42,6 +42,7 @@ from movetrait.mocap import (
 from movetrait.regression import (
     TRAIT_NAMES,
     build_dataset,
+    centered_svd,
     fit_bayes_ridge,
     fit_pcr,
     predict_means,
@@ -122,7 +123,7 @@ def test_c4_regression_oracle_equivalence():
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(30, 8))
             y = rng.normal(size=30)
-            model = fit_pcr(X, y, k=8)
+            model = fit_pcr(centered_svd(X), y, k=8)
             design = np.column_stack([np.ones(30), X])
             coef, *_ = np.linalg.lstsq(design, y, rcond=None)
             assert np.max(np.abs(predict_means(model, X) - design @ coef)) <= 1e-6
@@ -131,7 +132,7 @@ def test_c4_regression_oracle_equivalence():
         X = rng.normal(size=(200, 5))
         w0 = rng.normal(size=5)
         y = X @ w0
-        model = fit_bayes_ridge(X, y).model
+        model = fit_bayes_ridge(centered_svd(X), y).model
         assert np.max(np.abs(model.weights - w0)) <= 1e-3
         assert r2(y, predict_means(model, X)) >= 0.999
         elapsed = time.monotonic() - start

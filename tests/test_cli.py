@@ -19,7 +19,13 @@ from movetrait.cli import (
     main,
 )
 from movetrait.features import apply_gaussian_stats, gaussian_stats, load_feature_matrix
-from movetrait.regression import build_dataset, fit_bayes_ridge, load_model, load_trait_table
+from movetrait.regression import (
+    build_dataset,
+    centered_svd,
+    fit_bayes_ridge,
+    load_model,
+    load_trait_table,
+)
 from movetrait.synth import default_strong_spec, write_dataset
 
 
@@ -402,7 +408,8 @@ class TestTrain:
         dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
         X = apply_gaussian_stats(dataset.X, *gaussian_stats(dataset.X))
         for trait, y in zip(cfg.traits, dataset.y.T):
-            expected = fit_bayes_ridge(X, y, tol=cfg.bayes_tol, max_iter=cfg.bayes_max_iter).model
+            expected = fit_bayes_ridge(centered_svd(X), y, tol=cfg.bayes_tol,
+                                       max_iter=cfg.bayes_max_iter).model
             model = load_model(tmp_path / "train" / f"model_{trait}.json")
             np.testing.assert_array_equal(model.weights, expected.weights)
         assert sorted(p.name for p in (tmp_path / "train").iterdir()) == sorted(

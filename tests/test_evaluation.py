@@ -193,7 +193,7 @@ class TestCrossValidate:
         # a validation-only outlier column must not affect training stats;
         # compare against a manual per-fold refit
         from movetrait.features import apply_gaussian_stats, gaussian_stats
-        from movetrait.regression import fit_bayes_ridge, predict_means
+        from movetrait.regression import centered_svd, fit_bayes_ridge, predict_means
 
         rng = np.random.default_rng(102)
         X = rng.normal(size=(40, 4))
@@ -203,7 +203,8 @@ class TestCrossValidate:
         f = 0
         val = plan.assignments == f
         mu, sd = gaussian_stats(X[~val])
-        model = fit_bayes_ridge(apply_gaussian_stats(X[~val], mu, sd), y[~val]).model
+        factor = centered_svd(apply_gaussian_stats(X[~val], mu, sd))
+        model = fit_bayes_ridge(factor, y[~val]).model
         pred = predict_means(model, apply_gaussian_stats(X[val], mu, sd))
         expected = rmse(y[val], pred)
         assert res.fold_rmse[f] == pytest.approx(expected, rel=1e-12)
@@ -253,9 +254,10 @@ class TestCrossValidate:
 
 
 def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
-    """One (spec, trait) cell fitted fold by fold on raw arrays, as before sharing."""
+    """One (spec, trait) cell fitted fold by fold, each fit on its own factor,
+    as before sharing."""
     from movetrait.features import apply_gaussian_stats, gaussian_stats
-    from movetrait.regression import fit_bayes_ridge, fit_pcr, predict_means
+    from movetrait.regression import centered_svd, fit_bayes_ridge, fit_pcr, predict_means
 
     y = Y[:, trait].copy()
     fold_rmse, fold_r2, converged, iterations = [], [], [], []
@@ -268,9 +270,9 @@ def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
             xtr = apply_gaussian_stats(xtr, mu, sd)
             xva = apply_gaussian_stats(xva, mu, sd)
         if spec.kind == "pcr":
-            model = fit_pcr(xtr, y[~val], spec.k)
+            model = fit_pcr(centered_svd(xtr), y[~val], spec.k)
         else:
-            fit = fit_bayes_ridge(xtr, y[~val], tol=spec.tol, max_iter=spec.max_iter)
+            fit = fit_bayes_ridge(centered_svd(xtr), y[~val], tol=spec.tol, max_iter=spec.max_iter)
             model = fit.model
             converged.append(fit.converged)
             iterations.append(fit.iterations)

@@ -8,7 +8,6 @@ from movetrait.features import (
     FeatureMatrix,
     RowMeta,
     apply_gaussian_stats,
-    correntropy,
     extract_features,
     gaussian_stats,
     load_feature_matrix,
@@ -19,14 +18,11 @@ from movetrait.features import (
 )
 from movetrait.mocap import JointTake, Kind, derive_joints, velocity
 from movetrait.synth import default_strong_spec, generate_take, sample_traits
-from oracles import unvectorize_lower
+from oracles import correntropy, unvectorize_lower
 
 
-def joint_take(data, frame_rate=120.0, kind=Kind.POSITION, pid="P1", sid="S1"):
-    return JointTake(
-        data=np.asarray(data, dtype=float), frame_rate=frame_rate, kind=kind,
-        participant_id=pid, stimulus_id=sid,
-    )
+def joint_take(data, frame_rate=120.0, kind=Kind.POSITION):
+    return JointTake(data=np.asarray(data, dtype=float), frame_rate=frame_rate, kind=kind)
 
 
 class TestCorrentropy:

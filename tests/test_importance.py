@@ -18,7 +18,7 @@ from movetrait.importance import (
     reduce_to_groups,
 )
 from movetrait.mocap import JOINT_LABELS
-from movetrait.regression import fit_bayes_ridge, fit_pcr
+from movetrait.regression import centered_svd, fit_bayes_ridge, fit_pcr
 
 from test_regression import reference_pcr
 
@@ -160,7 +160,7 @@ class TestModelWeights:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(12, FEATURE_DIM))
         y = rng.normal(size=12)
-        model = fit_bayes_ridge(X, y, max_iter=5, tol=1e-2).model
+        model = fit_bayes_ridge(centered_svd(X), y, max_iter=5, tol=1e-2).model
         prof = importance_from_model(model, "EQ")
         np.testing.assert_array_equal(prof.raw, joint_importance(model.weights))
 
@@ -168,7 +168,7 @@ class TestModelWeights:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(12, FEATURE_DIM))
         y = rng.normal(size=12)
-        model = fit_pcr(X, y, k=4)
+        model = fit_pcr(centered_svd(X), y, k=4)
         assert model.weights.shape == (FEATURE_DIM,)
         basis, coef = reference_pcr(X, y, k=4)
         expected = brute_force_importance(basis.components.T @ coef[1:])
@@ -179,7 +179,8 @@ class TestModelWeights:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(10, FEATURE_DIM))
         y = rng.normal(size=10)
-        prof = importance_from_model(fit_bayes_ridge(X, y, max_iter=5, tol=1e-2).model, "EQ")
+        model = fit_bayes_ridge(centered_svd(X), y, max_iter=5, tol=1e-2).model
+        prof = importance_from_model(model, "EQ")
         assert (prof.raw >= 0).all()
         assert prof.normalized.min() == 0.0 and prof.normalized.max() == 1.0
         assert prof.reduced.shape == (12,)
