@@ -359,6 +359,25 @@ class TestEvidenceLoopOracle:
         fit = self.assert_same(factor, np.full(32, 4.2))
         assert fit.converged
 
+    def test_fixed_hyperparameters(self):
+        # max_iter=1 stops at the starting point: alpha = clamp(1/var(y)),
+        # lambda = 1, and the ridge posterior mean at that ratio
+        rng = np.random.default_rng(411)
+        X = _fold_block(rng, 32, True)
+        factor = centered_svd(X)
+        Xc = X - X.mean(axis=0)
+        base = rng.normal(size=32)
+        for scale in (1.0, 250.0, 1e-8):
+            y = scale * base
+            fit = self.assert_same(factor, y, max_iter=1)
+            assert fit.iterations == 1 and not fit.converged
+            yc = y - y.mean()
+            assert fit.alpha == min(max(1.0 / (yc @ yc / 32), _HYPER_MIN), _HYPER_MAX)
+            assert fit.lambda_ == 1.0
+            ratio = fit.lambda_ / fit.alpha
+            w = Xc.T @ np.linalg.solve(Xc @ Xc.T + ratio * np.eye(32), yc)
+            assert _rel(fit.model.weights, w) <= 1e-12
+
     def test_clamped_at_hyper_max(self):
         # a target of scale 1e-6 drives both precisions past the clamp in the loop
         rng = np.random.default_rng(412)
@@ -556,6 +575,39 @@ class TestCenteredSvd:
         np.testing.assert_array_equal(f.mean, X.mean(axis=0))
         assert f.shape == X.shape
         np.testing.assert_allclose((f.u * f.s) @ f.vh, X - X.mean(axis=0), atol=1e-12)
+
+    @staticmethod
+    def _worn(X, y):
+        """A factor of ``X`` that every fit has already read, checked unchanged."""
+        f = centered_svd(X)
+        before = {name: getattr(f, name).copy() for name in ("mean", "u", "s", "vh")}
+        fit_pca(f, k=4)
+        fit_pcr(f, y, k=5)
+        fit_bayes_ridge(f, y)
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(f, name), value, err_msg=name)
+        return f
+
+    def test_pca_from_factor_identical(self):
+        X, y = self._data()
+        a, b = fit_pca(centered_svd(X), k=4), fit_pca(self._worn(X, y), k=4)
+        for field in ("mean", "components", "explained_variance"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    def test_pcr_from_factor_identical(self):
+        X, y = self._data()
+        a, b = fit_pcr(centered_svd(X), y, k=5), fit_pcr(self._worn(X, y), y, k=5)
+        assert vars(a).keys() == vars(b).keys() == {"kind", "weights", "x_mean", "intercept"}
+        for name, value in vars(a).items():
+            np.testing.assert_array_equal(getattr(b, name), value, err_msg=name)
+
+    def test_bayes_from_factor_identical(self):
+        X, y = self._data()
+        a, b = fit_bayes_ridge(centered_svd(X), y), fit_bayes_ridge(self._worn(X, y), y)
+        for field in ("weights", "x_mean"):
+            np.testing.assert_array_equal(getattr(a.model, field), getattr(b.model, field))
+        assert (a.alpha, a.lambda_, a.gamma, a.model.intercept, a.converged, a.iterations) == (
+            b.alpha, b.lambda_, b.gamma, b.model.intercept, b.converged, b.iterations)
 
     def test_one_factor_serves_several_targets(self):
         X, y = self._data()
