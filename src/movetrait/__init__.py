@@ -8,7 +8,6 @@ from .mocap import (
     JointTake,
     Kind,
     MarkerTake,
-    SkeletonMap,
     TakeFormatError,
     derive_joints,
     load_take,

@@ -1,35 +1,41 @@
-"""Desk-scale timing harness for the expensive pipeline stages.
+"""Stage timings of the whole CLI pipeline on a frozen synthetic spec.
+
+``python -m movetrait.bench``, run from the repository root, generates the
+dataset of ``docs/example_synth_spec.json`` and runs extract, train,
+evaluate, importance and report on it through ``cli.main``, as the command
+line would, several times over. It writes each stage's median wall time,
+with the machine line, to ``docs/benchmarks.{csv,md}``.
 
 Times are medians over at least 3 repetitions to resist scheduler noise.
-Nothing here asserts absolute durations beyond a configurable timeout
-ceiling; the only hard check is that kernel time grows with frame count.
-Operations run one after another. Each runs on one thread, except the
-``load_take_2threads`` record, which times two threads parsing at once.
+Nothing here asserts an absolute duration beyond a configurable timeout
+ceiling. Per-layer timings (parse, kernel, fits, ...) come from
+``perfbench/run.py --trace 1``.
 """
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import platform
+import statistics
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+from . import cli
 
-from .features import pairwise_correntropy
-from .mocap import load_take
-from .regression import centered_svd, fit_bayes_ridge, fit_pca
-from .synth import default_strong_spec, write_dataset
-
+DEFAULT_SPEC = Path("docs") / "example_synth_spec.json"
 DEFAULT_TIMEOUT_S = 120.0
+STAGES = ("synth", "extract", "train", "evaluate", "importance", "report")
+# The frozen spec's 64-row training folds cannot take the default k of 243 or 137
+PCR_COMPONENTS = {"position": 24, "velocity": 16}
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    operation: str
-    shape: str
+    stage: str
     seconds: float       # median wall time
     repetitions: int
     machine: str
@@ -43,117 +49,58 @@ def machine_descriptor() -> str:
     return f"{platform.platform()} cpus={os.cpu_count()}"
 
 
-def _median_time(fn, repetitions: int) -> float:
-    times = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
+def _time_stage(argv: list[str]) -> float:
+    """Wall time of one ``cli.main`` call with its output captured.
 
-
-def bench_load_take(frames: int = 4200, repetitions: int = 3) -> list[BenchRecord]:
-    """Text parse of one synthetic take (frames x 63) written to a temp dir.
-
-    ``load_take`` parses it on one thread. ``load_take_2threads`` is the
-    wall time per take while two threads parse one copy each at once (the
-    pair's wall time over 2): down to half the one-thread time when the
-    parse releases the GIL, no less than it when the parse holds the GIL.
-    The two are timed in alternation, so a slow stretch of the machine
-    falls on both.
+    A non-zero exit is a RuntimeError naming the stage and its error line.
     """
-    spec = default_strong_spec(participants=1, stimuli=1, frames=frames, seed=0)
-    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
-        write_dataset(spec, tmp)
-        path = next(Path(tmp).glob("*.tsv"))
-        runs = [(_median_time(lambda: load_take(path), 1),
-                 _median_time(lambda: list(pool.map(load_take, [path, path])), 1) / 2)
-                for _ in range(repetitions)]
-    alone, paired = (float(np.median(times)) for times in zip(*runs))
-    machine = machine_descriptor()
-    return [BenchRecord("load_take", f"{frames}x63", alone, repetitions, machine),
-            BenchRecord("load_take_2threads", f"{frames}x63", paired, repetitions, machine)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    seconds = time.perf_counter() - start
+    if code != 0:
+        raise RuntimeError(f"stage {argv[0]} exited {code}: {err.getvalue().strip()}")
+    return seconds
 
 
-def bench_correntropy(frame_counts=(500, 2000, 4200), repetitions: int = 3) -> list[BenchRecord]:
+def bench_pipeline(spec_path: str | Path = DEFAULT_SPEC, repetitions: int = 3,
+                   timeout_s: float = DEFAULT_TIMEOUT_S) -> list[BenchRecord]:
+    """Median wall time of each pipeline stage over ``repetitions`` full runs.
+
+    The config is the ``PipelineConfig`` defaults (the full 4 x 2 x 7 grid)
+    with only the paths and the PCR component counts set. Every repetition
+    regenerates the dataset and overwrites the previous run's outputs.
+    """
+    times: dict[str, list[float]] = {stage: [] for stage in STAGES}
+    with tempfile.TemporaryDirectory() as tmp:
+        takes, config = Path(tmp) / "takes", Path(tmp) / "config.json"
+        config.write_text(json.dumps(cli.PipelineConfig(
+            takes_dir=str(takes), traits_csv=str(takes / "traits.csv"),
+            output_dir=str(Path(tmp) / "out"), pcr_components=PCR_COMPONENTS,
+        ).to_dict()))
+        for _ in range(repetitions):
+            times["synth"].append(
+                _time_stage(["synth", "--spec", str(spec_path), "--out", str(takes)]))
+            for stage in STAGES[1:]:
+                times[stage].append(_time_stage([stage, "-c", str(config)]))
     machine = machine_descriptor()
-    rng = np.random.default_rng(0)
-    records = []
-    for frames in frame_counts:
-        data = rng.normal(0.0, 100.0, size=(frames, 60))
-        seconds = _median_time(lambda: pairwise_correntropy(data), repetitions)
-        records.append(BenchRecord(
-            "correntropy_matrix", f"{frames}x60", seconds, repetitions, machine
-        ))
+    records = [BenchRecord(stage, statistics.median(runs), repetitions, machine)
+               for stage, runs in times.items()]
+    assert_under_timeout(records, timeout_s)
     return records
-
-
-def bench_bayes_ridge(row_counts=(58, 464, 928), dim: int = 1770,
-                      repetitions: int = 3) -> list[BenchRecord]:
-    machine = machine_descriptor()
-    rng = np.random.default_rng(1)
-    records = []
-    for rows in row_counts:
-        X = rng.normal(size=(rows, dim))
-        y = X[:, 0] + rng.normal(scale=0.1, size=rows)
-        seconds = _median_time(lambda: fit_bayes_ridge(centered_svd(X), y), repetitions)
-        records.append(BenchRecord(
-            "fit_bayes_ridge", f"{rows}x{dim}", seconds, repetitions, machine
-        ))
-    return records
-
-
-def bench_pca(ks=(137, 243), rows: int = 464, dim: int = 1770,
-              repetitions: int = 3) -> list[BenchRecord]:
-    machine = machine_descriptor()
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(rows, dim))
-    records = []
-    for k in ks:
-        seconds = _median_time(lambda: fit_pca(centered_svd(X), k), repetitions)
-        records.append(BenchRecord("fit_pca", f"{rows}x{dim} k={k}", seconds,
-                                   repetitions, machine))
-    return records
-
-
-def assert_monotone(records: list[BenchRecord]) -> None:
-    """Medians must not shrink as the input grows (records given in order)."""
-    times = [r.seconds for r in records]
-    for a, b in zip(times, times[1:]):
-        if b < a:
-            raise RuntimeError(
-                f"benchmark time not monotone: {times} for {records[0].operation}"
-            )
 
 
 def assert_under_timeout(records: list[BenchRecord], timeout_s: float) -> None:
     for r in records:
         if r.seconds > timeout_s:
-            raise RuntimeError(
-                f"{r.operation} {r.shape} took {r.seconds:.1f}s > {timeout_s}s ceiling"
-            )
-
-
-def bench_suite(
-    frame_counts=(500, 2000, 4200),
-    ridge_rows=(58, 464, 928),
-    pca_ks=(137, 243),
-    repetitions: int = 3,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-) -> list[BenchRecord]:
-    parse = bench_load_take(repetitions=repetitions)
-    kernel = bench_correntropy(frame_counts, repetitions)
-    assert_monotone(kernel)
-    ridge = bench_bayes_ridge(ridge_rows, repetitions=repetitions)
-    assert_under_timeout(ridge, timeout_s)
-    pca = bench_pca(pca_ks, repetitions=repetitions)
-    return parse + kernel + ridge + pca
+            raise RuntimeError(f"{r.stage} took {r.seconds:.1f}s > {timeout_s}s ceiling")
 
 
 def records_csv(records: list[BenchRecord]) -> str:
-    lines = ["operation,shape,median_seconds,repetitions,machine"]
+    lines = ["stage,median_seconds,repetitions,machine"]
     for r in records:
-        lines.append(f"{r.operation},{r.shape},{r.seconds:.6f},{r.repetitions},\"{r.machine}\"")
+        lines.append(f"{r.stage},{r.seconds:.6f},{r.repetitions},\"{r.machine}\"")
     return "\n".join(lines) + "\n"
 
 
@@ -163,22 +110,22 @@ def records_markdown(records: list[BenchRecord]) -> str:
         "",
         f"Machine: {records[0].machine if records else 'n/a'}",
         "",
-        "| operation | shape | median (s) | reps |",
-        "|---|---|---|---|",
+        "| stage | median (s) | reps |",
+        "|---|---|---|",
     ]
     for r in records:
-        lines.append(f"| {r.operation} | {r.shape} | {r.seconds:.4f} | {r.repetitions} |")
+        lines.append(f"| {r.stage} | {r.seconds:.4f} | {r.repetitions} |")
     return "\n".join(lines) + "\n"
 
 
 def main(out_dir: str | Path = "docs") -> int:
-    records = bench_suite()
+    records = bench_pipeline()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "benchmarks.csv").write_text(records_csv(records))
     (out / "benchmarks.md").write_text(records_markdown(records))
     for r in records:
-        print(f"event=bench op={r.operation} shape={r.shape} median_s={r.seconds:.4f}")
+        print(f"event=bench stage={r.stage} median_s={r.seconds:.4f}")
     return 0
 
 

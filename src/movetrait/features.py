@@ -152,15 +152,30 @@ def save_feature_matrix(matrix: FeatureMatrix, csv_path: str | Path) -> None:
 
 
 def load_feature_rows(csv_path: str | Path) -> tuple[RowMeta, ...]:
-    """Row provenance from a feature CSV's ``.meta.json`` sidecar; the CSV is not read."""
+    """Row provenance from a feature CSV's ``.meta.json`` sidecar; the CSV is not read.
+
+    A sidecar that does not parse or lacks an entry is a ValueError naming it.
+    """
     csv_path = Path(csv_path)
     sidecar = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    return tuple(RowMeta.from_dict(r) for r in json.loads(sidecar.read_text())["rows"])
+    try:
+        return tuple(RowMeta.from_dict(r) for r in json.loads(sidecar.read_text())["rows"])
+    except KeyError as exc:
+        raise ValueError(f"{sidecar}: no {exc.args[0]!r} entry") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{sidecar}: {exc}") from exc
 
 
 def load_feature_matrix(csv_path: str | Path,
                         rows: tuple[RowMeta, ...] | None = None) -> FeatureMatrix:
-    """Parse a feature CSV; ``rows`` are its ``load_feature_rows``, read here if not given."""
+    """Parse a feature CSV; ``rows`` are its ``load_feature_rows``, read here if not given.
+
+    A cell that is not a number, or a row count that disagrees with ``rows``,
+    is a ValueError naming the CSV.
+    """
     if rows is None:
         rows = load_feature_rows(csv_path)
-    return FeatureMatrix(values=np.loadtxt(csv_path, delimiter=",", ndmin=2), rows=rows)
+    try:
+        return FeatureMatrix(values=np.loadtxt(csv_path, delimiter=",", ndmin=2), rows=rows)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from exc

@@ -233,6 +233,11 @@ def importance_report(
             writer.writerow([f"{v:.17g}" for v in prof.reduced])
         written[f"csv_{trait}"] = path
 
+    def radar(name: str, series: dict[str, np.ndarray], title: str, overlay=None) -> None:
+        path = out_dir / f"radar_{name}.svg"
+        path.write_text(radar_svg(series, title, overlay=overlay, overlay_label="trait mean"))
+        written[f"svg_{name}"] = path
+
     personality = {t: profiles[t] for t in personality_traits if t in profiles}
     if len(personality) >= 2:
         stack = np.stack([p.reduced for p in personality.values()])
@@ -248,35 +253,16 @@ def importance_report(
                 writer.writerow(row)
         written["csv_personality_summary"] = path
         for trait, prof in personality.items():
-            svg_path = out_dir / f"radar_{trait}.svg"
-            svg_path.write_text(radar_svg(
-                {trait: prof.reduced},
-                title=f"Joint importance: {trait}",
-                overlay=mean,
-                overlay_label="trait mean",
-            ))
-            written[f"svg_{trait}"] = svg_path
+            radar(trait, {trait: prof.reduced}, f"Joint importance: {trait}", overlay=mean)
     else:
-        for trait in personality:
-            svg_path = out_dir / f"radar_{trait}.svg"
-            svg_path.write_text(radar_svg(
-                {trait: profiles[trait].reduced}, title=f"Joint importance: {trait}"
-            ))
-            written[f"svg_{trait}"] = svg_path
+        for trait, prof in personality.items():
+            radar(trait, {trait: prof.reduced}, f"Joint importance: {trait}")
 
     if "EQ" in profiles and "SQ" in profiles:
-        svg_path = out_dir / "radar_EQ_SQ.svg"
-        svg_path.write_text(radar_svg(
-            {"EQ": profiles["EQ"].reduced, "SQ": profiles["SQ"].reduced},
-            title="Joint importance: EQ and SQ",
-        ))
-        written["svg_EQ_SQ"] = svg_path
+        radar("EQ_SQ", {"EQ": profiles["EQ"].reduced, "SQ": profiles["SQ"].reduced},
+              "Joint importance: EQ and SQ")
     else:
         for trait in ("EQ", "SQ"):
             if trait in profiles:
-                svg_path = out_dir / f"radar_{trait}.svg"
-                svg_path.write_text(radar_svg(
-                    {trait: profiles[trait].reduced}, title=f"Joint importance: {trait}"
-                ))
-                written[f"svg_{trait}"] = svg_path
+                radar(trait, {trait: profiles[trait].reduced}, f"Joint importance: {trait}")
     return written

@@ -123,8 +123,7 @@ class JointTake:
 
 
 # Joint recipes as (label, source marker indices); single-source joints copy
-# the marker column, multi-source joints average them. Overridable by passing
-# a SkeletonMap to derive_joints.
+# the marker column, multi-source joints average them.
 DEFAULT_JOINT_RECIPES: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("A", (7, 8)),            # root: mid back hips
     ("B", (7,)),              # L hip
@@ -147,22 +146,6 @@ DEFAULT_JOINT_RECIPES: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("S", (12,)),             # R wrist
     ("T", (14,)),             # R finger
 )
-
-
-@dataclass(frozen=True)
-class SkeletonMap:
-    """Marker-to-joint derivation table: each joint averages its sources."""
-
-    recipes: tuple[tuple[str, tuple[int, ...]], ...] = DEFAULT_JOINT_RECIPES
-
-    def __post_init__(self):
-        if len(self.recipes) != 20:
-            raise ValueError("a skeleton map defines exactly 20 joints")
-        for label, sources in self.recipes:
-            if not sources:
-                raise ValueError(f"joint {label} has no source markers")
-            if any(s < 0 or s >= 21 for s in sources):
-                raise ValueError(f"joint {label} references a marker index outside 0..20")
 
 
 def read_sidecar(take_path: Path, metadata=None) -> dict:
@@ -502,7 +485,7 @@ def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> M
     )
 
 
-def derive_joints(take: MarkerTake, skeleton: SkeletonMap | None = None) -> JointTake:
+def derive_joints(take: MarkerTake) -> JointTake:
     """Derive the 20-joint position trajectories from a 21-marker take.
 
     Single-source joints copy the marker columns bit for bit; multi-source
@@ -512,9 +495,8 @@ def derive_joints(take: MarkerTake, skeleton: SkeletonMap | None = None) -> Join
         raise ValueError(
             f"take has {len(take.markers)} markers, joint derivation needs 21"
         )
-    skeleton = skeleton or SkeletonMap()
     out = np.empty((take.frames, 60), dtype=float)
-    for jidx, (_, sources) in enumerate(skeleton.recipes):
+    for jidx, (_, sources) in enumerate(DEFAULT_JOINT_RECIPES):
         cols = out[:, 3 * jidx:3 * jidx + 3]
         if len(sources) == 1:
             m = sources[0]

@@ -360,9 +360,14 @@ def save_model(model: LinearModel, path: str | Path, provenance: dict | None = N
 
 
 def load_model(path: str | Path) -> LinearModel:
-    """Read a model file; other entries are ignored, a missing one is a
-    ValueError naming the file."""
-    doc = json.loads(Path(path).read_text())
+    """Read a model file; other entries are ignored. A file that is not a
+    JSON object, or lacks an entry, is a ValueError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: model file holds a {type(doc).__name__}, not a JSON object")
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
@@ -375,3 +380,5 @@ def load_model(path: str | Path) -> LinearModel:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: {kind} model file has no {exc.args[0]!r} entry") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

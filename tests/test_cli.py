@@ -550,6 +550,57 @@ class TestEvaluate:
         assert "(ref 2.722)" in text and "(ref 0.771)" in text
 
 
+def _replace_cell(path):
+    lines = path.read_text().splitlines()
+    lines[1] = "abc" + lines[1][lines[1].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_last_row(path):
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+
+
+class TestBadReadBackFiles:
+    # (stage, file it reads back, how the file is spoiled, message after the path)
+    BAD_FILES = [
+        ("evaluate", "features_position.csv", _replace_cell,
+         "could not convert string 'abc' to float64 at row 1, column 1"),
+        ("train", "features_position.csv", _drop_last_row,
+         "row metadata length 20 != row count 19"),
+        ("evaluate", "features_position.csv.meta.json",
+         lambda p: p.write_text('{\n  "rows": [\n'), "Expecting value: line 3 column 1"),
+        ("train", "features_position.csv.meta.json", lambda p: p.write_text("{}\n"),
+         "no 'rows' entry"),
+        ("importance", "model_O.json", lambda p: p.write_text("not json\n"),
+         "Expecting value: line 1 column 1 (char 0)"),
+        ("importance", "model_O.json", lambda p: p.write_text("[1]\n"),
+         "model file holds a list, not a JSON object"),
+    ]
+
+    @pytest.mark.parametrize("stage,name,spoil,message", BAD_FILES, ids=[
+        "non-numeric cell", "row short of sidecar", "truncated sidecar",
+        "sidecar without rows", "non-JSON model", "model not an object"])
+    def test_bad_file_is_named_and_stage_writes_nothing(
+            self, extracted, tmp_path, capsys, stage, name, spoil, message):
+        features = tmp_path / "features"
+        features.mkdir()
+        for src in extracted.resolved_features_dir().glob("features_*"):
+            (features / src.name).write_bytes(src.read_bytes())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**extracted.to_dict(), "features_dir": str(features)}))
+        out = tmp_path / "out"
+        if stage == "importance":
+            assert main(["train", "-c", str(cfg_path), "--output-dir", str(out)]) == 0
+            bad = out / "train" / name
+        else:
+            bad = features / name
+        spoil(bad)
+        capsys.readouterr()
+        assert main([stage, "-c", str(cfg_path), "--output-dir", str(out)]) == 1
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not (out / stage).exists()
+
+
 class TestImportanceAndReport:
     def test_importance_outputs(self, extracted):
         cmd_train(extracted)

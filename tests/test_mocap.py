@@ -8,10 +8,10 @@ import pytest
 from movetrait import mocap
 from movetrait.mocap import (
     DEFAULT_FRAME_RATE,
+    DEFAULT_JOINT_RECIPES,
     JointTake,
     Kind,
     MarkerTake,
-    SkeletonMap,
     TakeFormatError,
     butter_lowpass,
     derive_joints,
@@ -389,16 +389,13 @@ class TestDeriveJoints:
 
 class TestSkeletonMap:
     def test_default_structure(self):
-        m = SkeletonMap()
-        sizes = [len(s) for _, s in m.recipes]
+        assert len(DEFAULT_JOINT_RECIPES) == 20
+        for _, sources in DEFAULT_JOINT_RECIPES:
+            assert sources
+            assert all(0 <= s <= 20 for s in sources)
+        sizes = [len(s) for _, s in DEFAULT_JOINT_RECIPES]
         assert sizes.count(1) == 16
         assert sorted(s for s in sizes if s > 1) == [2, 2, 3, 4]
-
-    def test_rejects_out_of_range_source(self):
-        recipes = list(SkeletonMap().recipes)
-        recipes[0] = ("A", (7, 21))
-        with pytest.raises(ValueError, match="outside"):
-            SkeletonMap(tuple(recipes))
 
 
 def joint_take(data, frame_rate=120.0, kind=Kind.POSITION):
