@@ -20,7 +20,6 @@ from .features import (
 )
 from .regression import (
     CenteredSvd,
-    Dataset,
     DatasetMode,
     Evidence,
     LinearModel,
@@ -41,7 +40,6 @@ from .evaluation import (
     spearman,
 )
 from .importance import (
-    JointImportance,
     importance_from_model,
     importance_report,
     joint_importance,

@@ -26,7 +26,6 @@ from .evaluation import (
     INPUT_KINDS,
     MODEL_KINDS,
     ModelSpec,
-    ScoreRow,
     ScoreTable,
     cross_validate,
     leaked_groups,
@@ -390,8 +389,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
         "dataset_mode": cfg.dataset_mode,
         "model_kind": cfg.train_model,
     }
-    dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
-    X = dataset.X
+    X, Y, _ = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
     if cfg.train_input.endswith("_n"):
         X = apply_gaussian_stats(X, *gaussian_stats(X))  # as cross_validate does per fold
     rows = X.shape[0]
@@ -404,7 +402,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     )
     factor = centered_svd(X)
     results = {}
-    for trait, y in zip(cfg.traits, dataset.y.T):
+    for trait, y in zip(cfg.traits, Y.T):
         model, diagnostics = spec.fit(factor, y)
         train_r2 = r2(y, predict_means(model, X))
         path = out_dir / f"model_{trait}.json"
@@ -427,15 +425,15 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
     table, traits_path = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "evaluate"
     inputs: dict[str, Path] = {"traits": traits_path}
-    designs = {}   # base kind -> (dataset, plan, specs)
+    designs = {}   # base kind -> (X, Y, participants, plan, specs)
     for input_kind in cfg.eval_inputs:
         base = _base_kind(input_kind)
         if base not in designs:
             matrix, features_path = _load_features_for(cfg, base, table, traits_path)
             inputs[f"features_{base}"] = features_path
-            dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
-            groups = dataset.participants if cfg.grouping == "participant" else None
-            plan = make_fold_plan(len(dataset.X), cfg.n_folds, cfg.fold_seed, groups)
+            X, Y, participants = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
+            groups = participants if cfg.grouping == "participant" else None
+            plan = make_fold_plan(len(X), cfg.n_folds, cfg.fold_seed, groups)
             specs = [
                 ModelSpec(
                     kind=model_kind,
@@ -447,20 +445,20 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
                 )
                 for model_kind in cfg.model_kinds
             ]
-            designs[base] = (dataset, plan, specs)
-        dataset, plan, _ = designs[base]
-        shared = leaked_groups(plan, dataset.participants)
+            designs[base] = (X, Y, participants, plan, specs)
+        _, _, participants, plan, _ = designs[base]
+        shared = leaked_groups(plan, participants)
         log("leakage_audit", input=input_kind, grouping=cfg.grouping,
             shared_participants=shared)
         if shared and cfg.grouping == "participant":
             raise ValueError(f"{inputs[f'features_{base}']}: {shared} participants are split "
                              f"across folds despite grouping=participant")
 
-    rows: list[ScoreRow] = []
+    cells = {}
     for input_kind in cfg.eval_inputs:
-        dataset, plan, specs = designs[_base_kind(input_kind)]
+        X, Y, _, plan, specs = designs[_base_kind(input_kind)]
         results = cross_validate(
-            dataset.X, dataset.y, specs, plan,
+            X, Y, specs, plan,
             normalize=input_kind.endswith("_n"), pooled=cfg.pooled_metrics,
         )
         for spec, per_trait in zip(specs, results):
@@ -471,13 +469,13 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
                                    "max_iterations": result.max_iterations}
                 log("evaluate", input=input_kind, model=spec.kind, trait=trait,
                     mean_rmse=result.mean_rmse, mean_r2=result.mean_r2, **diagnostics)
-                rows.append(ScoreRow(input_kind, spec.kind, trait, result))
+                cells[input_kind, spec.kind, trait] = result
     score_table = ScoreTable(
-        rows=tuple(rows), n_folds=cfg.n_folds, seed=cfg.fold_seed, grouping=cfg.grouping
+        cells=cells, n_folds=cfg.n_folds, seed=cfg.fold_seed, grouping=cfg.grouping
     )
     paths = write_score_table(score_table, out_dir)
     write_run_info(out_dir, cfg, inputs)
-    log("evaluate_done", rows=len(rows), csv=paths["csv"])
+    log("evaluate_done", rows=len(cells), csv=paths["csv"])
     return score_table
 
 
@@ -537,13 +535,15 @@ def cmd_report(cfg: PipelineConfig) -> Path:
             )
     (out_dir / "trait_spearman.csv").write_text("\n".join(csv_lines) + "\n")
 
+    inputs = {"traits": traits_path}
     scores_txt = cfg.resolved_output_dir() / "evaluate" / "scores.txt"
     if scores_txt.exists():
         lines.append("")
         lines.append(scores_txt.read_text().rstrip("\n"))
+        inputs["scores_txt"] = scores_txt
     report_path = out_dir / "report.txt"
     report_path.write_text("\n".join(lines) + "\n")
-    write_run_info(out_dir, cfg, {"traits": traits_path})
+    write_run_info(out_dir, cfg, inputs)
     log("report", out=report_path)
     return report_path
 

@@ -174,8 +174,6 @@ class FoldPlan:
 
     n_folds: int
     assignments: np.ndarray
-    seed: int
-    grouping: str  # "none" | "participant"
 
     def __post_init__(self):
         a = np.asarray(self.assignments, dtype=int)
@@ -210,7 +208,7 @@ def make_fold_plan(
             raise ValueError(f"{n_samples} samples cannot fill {n_folds} folds")
         perm = rng.permutation(n_samples)
         assignments[perm] = np.arange(n_samples) % n_folds
-        return FoldPlan(n_folds, assignments, seed, "none")
+        return FoldPlan(n_folds, assignments)
 
     if len(groups) != n_samples:
         raise ValueError("groups length must equal n_samples")
@@ -221,7 +219,7 @@ def make_fold_plan(
     fold_of_group = {uniq[g]: pos % n_folds for pos, g in enumerate(order)}
     for i, g in enumerate(groups):
         assignments[i] = fold_of_group[g]
-    return FoldPlan(n_folds, assignments, seed, "participant")
+    return FoldPlan(n_folds, assignments)
 
 
 def leaked_groups(plan: FoldPlan, groups: tuple[str, ...]) -> int:
@@ -354,31 +352,21 @@ def _cv_result(folds: list[tuple], y: np.ndarray,
 
 
 @dataclass(frozen=True)
-class ScoreRow:
-    input_kind: str
-    model: str
-    trait: str
-    result: CvResult
-
-
-@dataclass(frozen=True)
 class ScoreTable:
-    """Cross-validated scores for every requested (input, model, trait)."""
+    """Cross-validated scores keyed by (input kind, model, trait).
 
-    rows: tuple[ScoreRow, ...]
+    ``cells`` keeps insertion order, which is the row order of the CSV and
+    JSON renderings.
+    """
+
+    cells: dict[tuple[str, str, str], CvResult]
     n_folds: int
     seed: int
     grouping: str
 
-    def lookup(self, input_kind: str, model: str, trait: str) -> CvResult | None:
-        for row in self.rows:
-            if (row.input_kind, row.model, row.trait) == (input_kind, model, trait):
-                return row.result
-        return None
-
     @property
     def traits(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(r.trait for r in self.rows))
+        return tuple(dict.fromkeys(trait for _, _, trait in self.cells))
 
 
 def _fmt(v: float | None) -> str:
@@ -393,11 +381,10 @@ def score_table_csv(table: ScoreTable) -> str:
         + [f"r2_fold{i + 1}" for i in range(n)]
     )
     lines = [",".join(header)]
-    for row in table.rows:
-        cells = [row.input_kind, row.model, row.trait,
-                 _fmt(row.result.mean_rmse), _fmt(row.result.mean_r2)]
-        cells += [_fmt(v) for v in row.result.fold_rmse]
-        cells += [_fmt(v) for v in row.result.fold_r2]
+    for (input_kind, model, trait), res in table.cells.items():
+        cells = [input_kind, model, trait, _fmt(res.mean_rmse), _fmt(res.mean_r2)]
+        cells += [_fmt(v) for v in res.fold_rmse]
+        cells += [_fmt(v) for v in res.fold_r2]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -409,17 +396,17 @@ def score_table_json(table: ScoreTable) -> str:
         "grouping": table.grouping,
         "rows": [
             {
-                "input": row.input_kind,
-                "model": row.model,
-                "trait": row.trait,
-                "mean_rmse": row.result.mean_rmse,
-                "mean_r2": row.result.mean_r2,
-                "fold_rmse": list(row.result.fold_rmse),
-                "fold_r2": list(row.result.fold_r2),
-                "pooled_rmse": row.result.pooled_rmse,
-                "pooled_r2": row.result.pooled_r2,
+                "input": input_kind,
+                "model": model,
+                "trait": trait,
+                "mean_rmse": res.mean_rmse,
+                "mean_r2": res.mean_r2,
+                "fold_rmse": list(res.fold_rmse),
+                "fold_r2": list(res.fold_r2),
+                "pooled_rmse": res.pooled_rmse,
+                "pooled_r2": res.pooled_r2,
             }
-            for row in table.rows
+            for (input_kind, model, trait), res in table.cells.items()
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -439,16 +426,16 @@ def score_table_text(table: ScoreTable, reference: dict = REFERENCE_RESULTS) -> 
         ref_t = reference.get(trait, {})
         header = f"{'Input':<13}"
         models = [m for m in MODEL_KINDS
-                  if any(r.model == m and r.trait == trait for r in table.rows)]
+                  if any((mk, t) == (m, trait) for _, mk, t in table.cells)]
         for m in models:
             header += f"{MODEL_LABELS[m] + ' RMSE':>24}{MODEL_LABELS[m] + ' R2':>24}"
         out.append(header)
         for kind in INPUT_KINDS:
-            if not any(r.input_kind == kind and r.trait == trait for r in table.rows):
+            if not any((ik, t) == (kind, trait) for ik, _, t in table.cells):
                 continue
             line = f"{INPUT_KIND_LABELS[kind]:<13}"
             for m in models:
-                res = table.lookup(kind, m, trait)
+                res = table.cells.get((kind, m, trait))
                 ref = ref_t.get((kind, m))
                 if res is None:
                     line += f"{'-':>24}{'-':>24}"

@@ -170,12 +170,41 @@ def load_feature_matrix(csv_path: str | Path,
                         rows: tuple[RowMeta, ...] | None = None) -> FeatureMatrix:
     """Parse a feature CSV; ``rows`` are its ``load_feature_rows``, read here if not given.
 
-    A cell that is not a number, or a row count that disagrees with ``rows``,
-    is a ValueError naming the CSV.
+    A cell that is not a number or a row of the wrong width is a ValueError
+    naming ``file:line`` and the cell or width; a row count that disagrees
+    with ``rows`` is a ValueError naming the CSV.
     """
     if rows is None:
         rows = load_feature_rows(csv_path)
     try:
-        return FeatureMatrix(values=np.loadtxt(csv_path, delimiter=",", ndmin=2), rows=rows)
+        values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(_first_bad_line(csv_path) or f"{csv_path}: {exc}") from exc
+    try:
+        return FeatureMatrix(values=values, rows=rows)
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from exc
+
+
+def _first_bad_line(csv_path: str | Path) -> str | None:
+    """``file:line: problem`` for the first row ``np.loadtxt`` rejects, or None.
+
+    Lines are counted from 1 and read as ``np.loadtxt`` reads them: text
+    after ``#`` is dropped and empty lines are skipped.
+    """
+    width = None
+    with open(csv_path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").partition("#")[0]
+            if not line:
+                continue
+            cells = line.split(",")
+            width = width or len(cells)
+            if len(cells) != width:
+                return f"{csv_path}:{lineno}: {len(cells)} cells, expected {width}"
+            for column, cell in enumerate(cells, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    return f"{csv_path}:{lineno}: unparseable value {cell!r} in column {column}"
+    return None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,34 +83,15 @@ def reduce_to_groups(values: np.ndarray) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class JointImportance:
-    """Raw, normalized, and group-reduced importance for one trait model."""
-
-    trait: str
-    raw: np.ndarray         # length 20, non-negative
-    normalized: np.ndarray  # length 20, in [0, 1]
-    reduced: np.ndarray     # length 12 over GROUP_NAMES
-
-    @classmethod
-    def from_raw(cls, trait: str, raw: np.ndarray) -> "JointImportance":
-        normalized = minmax_normalize(raw)
-        return cls(
-            trait=trait,
-            raw=np.asarray(raw, dtype=float),
-            normalized=normalized,
-            reduced=reduce_to_groups(normalized),
-        )
-
-
-def importance_from_model(model, trait: str) -> JointImportance:
-    """Joint importance from a trained model's weights on the 1770 features."""
+def importance_from_model(model, trait: str) -> np.ndarray:
+    """The 12 group values, over GROUP_NAMES, of a trained model's weights on
+    the 1770 features: joint importance, min-max normalized, group-reduced."""
     w = model.weights
     if w.shape[0] != FEATURE_DIM:
         raise ValueError(
             f"model for '{trait}' has {w.shape[0]} feature weights, expected {FEATURE_DIM}"
         )
-    return JointImportance.from_raw(trait, joint_importance(w))
+    return reduce_to_groups(minmax_normalize(joint_importance(w)))
 
 
 def radar_svg(
@@ -205,24 +185,25 @@ def radar_svg(
 
 
 def importance_report(
-    profiles: dict[str, JointImportance],
+    profiles: dict[str, np.ndarray],
     out_dir: str | Path,
     personality_traits: tuple[str, ...] = ("O", "C", "E", "A", "N"),
 ) -> dict:
     """Write per-trait CSVs, the cross-trait summary, and radar SVGs.
 
-    Produces one group-value CSV and one radar per trait; when at least
-    two personality-trait profiles are present, a combined CSV with the
-    per-group mean and standard deviation across them plus per-trait
-    radars carrying the mean overlay; when both EQ and SQ are present, a
-    two-series radar.
+    ``profiles`` maps each trait to its 12 group values over GROUP_NAMES, as
+    ``importance_from_model`` gives them. Produces one group-value CSV and
+    one radar per trait; when at least two personality-trait profiles are
+    present, a combined CSV with the per-group mean and standard deviation
+    across them plus per-trait radars carrying the mean overlay; when both
+    EQ and SQ are present, a two-series radar.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
 
-    dims = {p.reduced.shape[0] for p in profiles.values()}
-    if dims and dims != {len(GROUP_NAMES)}:
+    dims = {np.shape(p) for p in profiles.values()}
+    if dims and dims != {(len(GROUP_NAMES),)}:
         raise ValueError("importance profiles disagree on group layout")
 
     for trait, prof in profiles.items():
@@ -230,7 +211,7 @@ def importance_report(
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(GROUP_NAMES)
-            writer.writerow([f"{v:.17g}" for v in prof.reduced])
+            writer.writerow([f"{v:.17g}" for v in prof])
         written[f"csv_{trait}"] = path
 
     def radar(name: str, series: dict[str, np.ndarray], title: str, overlay=None) -> None:
@@ -240,7 +221,7 @@ def importance_report(
 
     personality = {t: profiles[t] for t in personality_traits if t in profiles}
     if len(personality) >= 2:
-        stack = np.stack([p.reduced for p in personality.values()])
+        stack = np.stack(list(personality.values()))
         mean = stack.mean(axis=0)
         std = stack.std(axis=0)
         path = out_dir / "importance_personality_summary.csv"
@@ -248,21 +229,21 @@ def importance_report(
             writer = csv.writer(fh)
             writer.writerow(["group"] + list(personality.keys()) + ["mean", "std"])
             for gi, group in enumerate(GROUP_NAMES):
-                row = [group] + [f"{p.reduced[gi]:.17g}" for p in personality.values()]
+                row = [group] + [f"{p[gi]:.17g}" for p in personality.values()]
                 row += [f"{mean[gi]:.17g}", f"{std[gi]:.17g}"]
                 writer.writerow(row)
         written["csv_personality_summary"] = path
         for trait, prof in personality.items():
-            radar(trait, {trait: prof.reduced}, f"Joint importance: {trait}", overlay=mean)
+            radar(trait, {trait: prof}, f"Joint importance: {trait}", overlay=mean)
     else:
         for trait, prof in personality.items():
-            radar(trait, {trait: prof.reduced}, f"Joint importance: {trait}")
+            radar(trait, {trait: prof}, f"Joint importance: {trait}")
 
     if "EQ" in profiles and "SQ" in profiles:
-        radar("EQ_SQ", {"EQ": profiles["EQ"].reduced, "SQ": profiles["SQ"].reduced},
+        radar("EQ_SQ", {"EQ": profiles["EQ"], "SQ": profiles["SQ"]},
               "Joint importance: EQ and SQ")
     else:
         for trait in ("EQ", "SQ"):
             if trait in profiles:
-                radar(trait, {trait: profiles[trait].reduced}, f"Joint importance: {trait}")
+                radar(trait, {trait: profiles[trait]}, f"Joint importance: {trait}")
     return written

@@ -85,6 +85,7 @@ class MarkerTake:
         if not np.isfinite(data).all():
             raise ValueError("non-finite sample in marker data")
         object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "markers", tuple(self.markers))
 
     @property
     def frames(self) -> int:
@@ -92,8 +93,8 @@ class MarkerTake:
 
     @property
     def conformant(self) -> bool:
-        """True when the take carries the standard 21-marker layout."""
-        return len(self.markers) == 21
+        """True when the take lists the 21 standard marker labels in order."""
+        return self.markers == MARKER_LABELS
 
 
 @dataclass(frozen=True)
@@ -323,7 +324,8 @@ def _read_decimal(body: bytes, width: int) -> np.ndarray | None:
     """Exact vectorized parse of a take body, or None for anything outside its grammar.
 
     Every line holds exactly ``width`` fields ``[+-]digits[.digits][(e|E)[+-]digits]``
-    (at least one mantissa digit) separated by tabs and ends with ``\\n``.
+    (at least one mantissa digit) separated by tabs and ends with ``\\n``; the
+    last line's ``\\n`` may be missing.
     Any other byte or shape (CR, blank lines, spaces, ``nan``, ``1_000``,
     empty fields, short rows, a second dot or exponent) returns None.
 
@@ -349,7 +351,7 @@ def _read_decimal(body: bytes, width: int) -> np.ndarray | None:
       are rare.
     """
     if not body.endswith(b"\n"):
-        return None
+        body += b"\n"   # a last line without its newline reads like one with it
     raw = np.frombuffer(body, np.uint8)
     ends = np.flatnonzero(raw == 10) + 1
     out = np.empty((len(ends), width))
@@ -488,12 +490,22 @@ def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> M
 def derive_joints(take: MarkerTake) -> JointTake:
     """Derive the 20-joint position trajectories from a 21-marker take.
 
+    The markers are read by position, so the take must list the standard
+    labels (``MARKER_LABELS``) in their order.
+
     Single-source joints copy the marker columns bit for bit; multi-source
     joints take the per-frame, per-coordinate arithmetic mean.
     """
-    if not take.conformant:
+    if len(take.markers) != len(MARKER_LABELS):
         raise ValueError(
             f"take has {len(take.markers)} markers, joint derivation needs 21"
+        )
+    if not take.conformant:
+        i = next(i for i, (got, want) in enumerate(zip(take.markers, MARKER_LABELS))
+                 if got != want)
+        raise ValueError(
+            f"marker {i + 1} is {take.markers[i]!r}, joint derivation needs "
+            f"{MARKER_LABELS[i]!r} there (the 21 standard labels in order)"
         )
     out = np.empty((take.frames, 60), dtype=float)
     for jidx, (_, sources) in enumerate(DEFAULT_JOINT_RECIPES):

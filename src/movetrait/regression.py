@@ -262,53 +262,40 @@ class DatasetMode(str, Enum):
     PARTICIPANT_MEAN = "participant_mean"
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Design matrix, targets, and the participant of each sample row.
-
-    ``y`` is a vector for one trait, or n x t with one column per trait.
-    """
-
-    X: np.ndarray
-    y: np.ndarray
-    participants: tuple[str, ...]
-
-
 def build_dataset(
     features: FeatureMatrix,
     trait_table: dict,
-    traits: str | Sequence[str],
+    traits: Sequence[str],
     mode: DatasetMode | str = DatasetMode.PER_STIMULUS,
-) -> Dataset:
-    """Pair feature rows with the targets of one trait or of several.
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Pair feature rows with the targets of the named traits.
 
-    A single trait name gives a target vector; a sequence of names gives an
-    n x t target matrix whose columns follow that order. PER_STIMULUS keeps
-    one sample per take (the participant's target is repeated);
-    PARTICIPANT_MEAN averages each participant's feature rows into a single
-    sample. Raises if any participant lacks a target.
+    Returns ``(X, Y, participants)``: the design, an n x len(traits) target
+    matrix whose columns follow ``traits``, and each row's participant.
+    PER_STIMULUS keeps one sample per take (the participant's target is
+    repeated); PARTICIPANT_MEAN averages each participant's feature rows into
+    a single sample. Raises if any participant lacks a target.
     """
     mode = DatasetMode(mode)
-    names = (traits,) if isinstance(traits, str) else tuple(traits)
+    traits = tuple(traits)
     pids = [meta.participant_id for meta in features.rows]
     for pid in pids:
-        for trait in names:
+        for trait in traits:
             if pid not in trait_table or trait not in trait_table[pid]:
                 raise ValueError(f"no '{trait}' target for participant '{pid}'")
 
     def targets(order: list[str]) -> np.ndarray:
-        y = np.array([[trait_table[pid][t] for t in names] for pid in order], dtype=float)
-        return y[:, 0].copy() if isinstance(traits, str) else y
+        return np.array([[trait_table[pid][t] for t in traits] for pid in order], dtype=float)
 
     if mode is DatasetMode.PER_STIMULUS:
-        return Dataset(X=features.values.copy(), y=targets(pids), participants=tuple(pids))
+        return features.values.copy(), targets(pids), tuple(pids)
 
     order = list(dict.fromkeys(pids))  # first-appearance order
     X = np.stack([
         features.values[[i for i, p in enumerate(pids) if p == pid]].mean(axis=0)
         for pid in order
     ])
-    return Dataset(X=X, y=targets(order), participants=tuple(order))
+    return X, targets(order), tuple(order)
 
 
 def load_trait_table(path: str | Path) -> dict:

@@ -21,7 +21,6 @@ from movetrait.evaluation import (
     r2,
     rmse,
     score_table_text,
-    ScoreRow,
     ScoreTable,
     CvResult,
 )
@@ -68,7 +67,7 @@ def test_c1_reference_constants_rendered_never_asserted():
         assert REFERENCE_RESULTS["SQ"][("position", "bayes_ridge")] == (2.161, 0.867)
         res = CvResult((1.0,) * 5, (0.5,) * 5, 1.0, 0.5)
         table = ScoreTable(
-            rows=(ScoreRow("position", "bayes_ridge", "EQ", res),),
+            cells={("position", "bayes_ridge", "EQ"): res},
             n_folds=5, seed=0, grouping="participant",
         )
         text = score_table_text(table)
@@ -190,14 +189,14 @@ def test_c7_end_to_end_planted_signal():
             rows.append(RowMeta(take.participant_id, take.stimulus_id, Kind.POSITION))
         matrix = FeatureMatrix(values=np.stack(vecs), rows=tuple(rows))
         assert matrix.values.shape == (240, 1770)
-        ds = build_dataset(matrix, traits, TRAIT_NAMES, "per_stimulus")
-        plan = make_fold_plan(len(ds.X), 5, seed=0, groups=ds.participants)
-        per_trait = cross_validate(ds.X, ds.y, [ModelSpec("bayes_ridge")], plan)[0]
+        X, Y, participants = build_dataset(matrix, traits, TRAIT_NAMES, "per_stimulus")
+        plan = make_fold_plan(len(X), 5, seed=0, groups=participants)
+        per_trait = cross_validate(X, Y, [ModelSpec("bayes_ridge")], plan)[0]
         worst = min(res.mean_r2 for res in per_trait)
         assert worst >= 0.7, f"worst trait mean R2 {worst:.3f} below 0.7"
-        shuffled = ds.y[:, TRAIT_NAMES.index("EQ")].copy()
+        shuffled = Y[:, TRAIT_NAMES.index("EQ")].copy()
         np.random.default_rng(12345).shuffle(shuffled)
-        ctrl = cross_validate(ds.X, shuffled, [ModelSpec("bayes_ridge")], plan)[0][0]
+        ctrl = cross_validate(X, shuffled, [ModelSpec("bayes_ridge")], plan)[0][0]
         assert ctrl.mean_r2 <= 0.1, f"shuffled control R2 {ctrl.mean_r2:.3f}"
         elapsed = time.monotonic() - start
         assert elapsed < 600.0, f"end-to-end took {elapsed:.0f}s"

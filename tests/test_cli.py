@@ -19,6 +19,7 @@ from movetrait.cli import (
     main,
 )
 from movetrait.features import apply_gaussian_stats, gaussian_stats, load_feature_matrix
+from movetrait.mocap import MARKER_LABELS
 from movetrait.regression import (
     build_dataset,
     centered_svd,
@@ -257,6 +258,23 @@ class TestExtract:
         with pytest.raises(ValueError, match=r"P000_S01\.tsv: take has 20 markers"):
             cmd_extract(cfg)
 
+    def test_permuted_marker_header_rejected(self, dataset_dir, tmp_path, capsys):
+        takes = tmp_path / "takes"
+        takes.mkdir()
+        for src in sorted(dataset_dir.glob("P00[0-2]_S0*")):
+            (takes / src.name).write_bytes(src.read_bytes())
+        bad = takes / "P001_S00.tsv"
+        header, _, body = bad.read_text().partition("\n")
+        labels = header.split("\t")[1:]
+        assert tuple(labels) == MARKER_LABELS
+        bad.write_text("\t".join(["#MARKERS", *labels[::-1]]) + "\n" + body)
+        out = tmp_path / "out"
+        rc = main(["extract", "--set", f"takes_dir={takes}", "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: marker 1 is 'R_toe', joint derivation needs 'LF_head'" in err
+        assert not list(out.rglob("features_*.csv"))
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_bad_workers_rejected_before_any_take_is_read(
             self, dataset_dir, tmp_path, monkeypatch, workers):
@@ -405,9 +423,9 @@ class TestTrain:
         cmd_train(cfg)
         table = load_trait_table(cfg.traits_csv)
         matrix = load_feature_matrix(cfg.resolved_features_dir() / "features_position.csv")
-        dataset = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
-        X = apply_gaussian_stats(dataset.X, *gaussian_stats(dataset.X))
-        for trait, y in zip(cfg.traits, dataset.y.T):
+        X, Y, _ = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
+        X = apply_gaussian_stats(X, *gaussian_stats(X))
+        for trait, y in zip(cfg.traits, Y.T):
             expected = fit_bayes_ridge(centered_svd(X), y, tol=cfg.bayes_tol,
                                        max_iter=cfg.bayes_max_iter).model
             model = load_model(tmp_path / "train" / f"model_{trait}.json")
@@ -436,7 +454,7 @@ class TestEvaluate:
     def test_eq_table_shape(self, extracted, capsys):
         cfg = PipelineConfig.from_dict({**extracted.to_dict(), "traits": ["EQ"]})
         table = cmd_evaluate(cfg)
-        assert len(table.rows) == 8  # 4 input kinds x 2 models
+        assert len(table.cells) == 8  # 4 input kinds x 2 models
         logged = capsys.readouterr().out
         assert "event=leakage_audit" in logged
         assert "shared_participants=0" in logged
@@ -452,9 +470,39 @@ class TestEvaluate:
         cfg2 = PipelineConfig.from_dict({**cfg1.to_dict(), "fold_seed": 99})
         t1 = cmd_evaluate(cfg1)
         t2 = cmd_evaluate(cfg2)
-        r1 = t1.lookup("position", "bayes_ridge", "EQ")
-        r2 = t2.lookup("position", "bayes_ridge", "EQ")
+        r1 = t1.cells["position", "bayes_ridge", "EQ"]
+        r2 = t2.cells["position", "bayes_ridge", "EQ"]
         assert r1.fold_rmse != r2.fold_rmse
+
+    def test_score_cells_follow_config_order(self, extracted, tmp_path):
+        inputs, models, traits = ["velocity_n", "position"], ["bayes_ridge", "pcr"], ["SQ", "EQ"]
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "eval_inputs": inputs, "model_kinds": models,
+            "traits": traits, "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        table = cmd_evaluate(cfg)
+        order = [(i, m, t) for i in inputs for m in models for t in traits]
+        assert list(table.cells) == order
+        out = tmp_path / "evaluate"
+        rows = [line.split(",") for line in (out / "scores.csv").read_text().splitlines()[1:]]
+        assert [tuple(r[:3]) for r in rows] == order
+        doc = json.loads((out / "scores.json").read_text())
+        assert [(r["input"], r["model"], r["trait"]) for r in doc["rows"]] == order
+        blocks = (out / "scores.txt").read_text().split("=== Trait ")[1:]
+        assert [b.split()[0] for b in blocks] == traits
+        labels = {"velocity_n": "Velocity(N)", "position": "Position"}
+        for block, trait in zip(blocks, traits):
+            table_lines = block.split("\n\n")[0].splitlines()[2:]
+            lines = {line.split()[0]: line for line in table_lines}
+            assert sorted(lines) == sorted(labels.values())
+            for i in inputs:
+                # every cell of the row, PCR before Bayesian ridge whatever the config order
+                line, at = lines[labels[i]], 0
+                for m in ("pcr", "bayes_ridge"):
+                    res = table.cells[i, m, trait]
+                    for v in (res.mean_rmse, res.mean_r2):
+                        at = line.index(f"{v:.3f}", at) + 1
 
     def test_bayes_diagnostics_logged_not_scored(self, extracted, tmp_path, capsys):
         cfg = PipelineConfig.from_dict({
@@ -561,20 +609,20 @@ def _drop_last_row(path):
 
 
 class TestBadReadBackFiles:
-    # (stage, file it reads back, how the file is spoiled, message after the path)
+    # (stage, file it reads back, how the file is spoiled, message right after the path)
     BAD_FILES = [
         ("evaluate", "features_position.csv", _replace_cell,
-         "could not convert string 'abc' to float64 at row 1, column 1"),
+         ":2: unparseable value 'abc' in column 1"),
         ("train", "features_position.csv", _drop_last_row,
-         "row metadata length 20 != row count 19"),
+         ": row metadata length 20 != row count 19"),
         ("evaluate", "features_position.csv.meta.json",
-         lambda p: p.write_text('{\n  "rows": [\n'), "Expecting value: line 3 column 1"),
+         lambda p: p.write_text('{\n  "rows": [\n'), ": Expecting value: line 3 column 1"),
         ("train", "features_position.csv.meta.json", lambda p: p.write_text("{}\n"),
-         "no 'rows' entry"),
+         ": no 'rows' entry"),
         ("importance", "model_O.json", lambda p: p.write_text("not json\n"),
-         "Expecting value: line 1 column 1 (char 0)"),
+         ": Expecting value: line 1 column 1 (char 0)"),
         ("importance", "model_O.json", lambda p: p.write_text("[1]\n"),
-         "model file holds a list, not a JSON object"),
+         ": model file holds a list, not a JSON object"),
     ]
 
     @pytest.mark.parametrize("stage,name,spoil,message", BAD_FILES, ids=[
@@ -597,7 +645,7 @@ class TestBadReadBackFiles:
         spoil(bad)
         capsys.readouterr()
         assert main([stage, "-c", str(cfg_path), "--output-dir", str(out)]) == 1
-        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert f"error: {bad}{message}" in capsys.readouterr().err
         assert not (out / stage).exists()
 
 
@@ -635,6 +683,27 @@ class TestImportanceAndReport:
         assert "(ref" in text  # at least one reference annotation
         csv_path = extracted.resolved_output_dir() / "report" / "trait_spearman.csv"
         assert csv_path.exists()
+
+    def test_report_manifest_lists_scores_txt(self, extracted, tmp_path):
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "traits": ["EQ"], "eval_inputs": ["position"],
+            "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        manifest = tmp_path / "report" / "manifest.json"
+        cmd_report(cfg)
+        assert sorted(json.loads(manifest.read_text())["inputs"]) == ["traits"]
+        cmd_evaluate(cfg)
+        cmd_report(cfg)
+        before = manifest.read_bytes()
+        scores_txt = tmp_path / "evaluate" / "scores.txt"
+        entry = json.loads(before)["inputs"]["scores_txt"]
+        assert entry == {"path": str(scores_txt),
+                         "sha256": hashlib.sha256(scores_txt.read_bytes()).hexdigest()}
+        scores_txt.write_text(scores_txt.read_text().replace("Position", "Posture"))
+        cmd_report(cfg)
+        assert manifest.read_bytes() != before
+        assert "Posture" in (tmp_path / "report" / "report.txt").read_text()
 
 
 class TestMainEntry:

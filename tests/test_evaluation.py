@@ -6,7 +6,6 @@ from movetrait.evaluation import (
     INPUT_KINDS,
     ModelSpec,
     REFERENCE_RESULTS,
-    ScoreRow,
     ScoreTable,
     CvResult,
     cross_validate,
@@ -131,7 +130,6 @@ class TestFoldPlan:
     def test_grouped_no_straddling(self):
         groups = tuple(f"P{i % 11}" for i in range(44))
         plan = make_fold_plan(44, 5, seed=1, groups=groups)
-        assert plan.grouping == "participant"
         assert leaked_groups(plan, groups) == 0
         for g in set(groups):
             folds = {int(f) for gg, f in zip(groups, plan.assignments) if gg == g}
@@ -352,12 +350,12 @@ def _toy_table():
         mean_rmse=3.0,
         mean_r2=0.3,
     )
-    rows = tuple(
-        ScoreRow(kind, model, "EQ", res)
+    cells = {
+        (kind, model, "EQ"): res
         for kind in INPUT_KINDS
         for model in ("pcr", "bayes_ridge")
-    )
-    return ScoreTable(rows=rows, n_folds=5, seed=0, grouping="participant")
+    }
+    return ScoreTable(cells=cells, n_folds=5, seed=0, grouping="participant")
 
 
 class TestScoreTable:

@@ -9,7 +9,6 @@ from movetrait.importance import (
     FEATURE_DIM,
     GROUP_MEMBERS,
     GROUP_NAMES,
-    JointImportance,
     importance_from_model,
     importance_report,
     joint_importance,
@@ -161,8 +160,8 @@ class TestModelWeights:
         X = rng.normal(size=(12, FEATURE_DIM))
         y = rng.normal(size=12)
         model = fit_bayes_ridge(centered_svd(X), y, max_iter=5, tol=1e-2).model
-        prof = importance_from_model(model, "EQ")
-        np.testing.assert_array_equal(prof.raw, joint_importance(model.weights))
+        expected = reduce_to_groups(minmax_normalize(joint_importance(model.weights)))
+        np.testing.assert_array_equal(importance_from_model(model, "EQ"), expected)
 
     def test_pcr_weights_back_projected(self):
         rng = np.random.default_rng(8)
@@ -172,32 +171,45 @@ class TestModelWeights:
         assert model.weights.shape == (FEATURE_DIM,)
         basis, coef = reference_pcr(X, y, k=4)
         expected = brute_force_importance(basis.components.T @ coef[1:])
-        np.testing.assert_allclose(importance_from_model(model, "EQ").raw, expected,
+        np.testing.assert_allclose(joint_importance(model.weights), expected,
                                    rtol=1e-12, atol=0)
+        np.testing.assert_allclose(importance_from_model(model, "EQ"),
+                                   reduce_to_groups(minmax_normalize(expected)),
+                                   rtol=0, atol=1e-10)
 
     def test_profile_invariants(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(10, FEATURE_DIM))
         y = rng.normal(size=10)
         model = fit_bayes_ridge(centered_svd(X), y, max_iter=5, tol=1e-2).model
-        prof = importance_from_model(model, "EQ")
-        assert (prof.raw >= 0).all()
-        assert prof.normalized.min() == 0.0 and prof.normalized.max() == 1.0
-        assert prof.reduced.shape == (12,)
+        raw = joint_importance(model.weights)
+        normalized = minmax_normalize(raw)
+        reduced = importance_from_model(model, "EQ")
+        assert (raw >= 0).all()
+        assert normalized.min() == 0.0 and normalized.max() == 1.0
+        assert reduced.shape == (12,)
         # group value equals the mean of its members' normalized values
         for gi, group in enumerate(GROUP_NAMES):
             members = [JOINT_LABELS.index(m) for m in GROUP_MEMBERS[group]]
-            assert prof.reduced[gi] == pytest.approx(prof.normalized[members].mean())
+            assert reduced[gi] == pytest.approx(normalized[members].mean())
+
+    def test_width_error_names_trait(self):
+        model = fit_pcr(centered_svd(np.random.default_rng(10).normal(size=(6, 5))),
+                        np.arange(6.0), k=2)
+        with pytest.raises(ValueError, match=f"model for 'SQ' has 5 feature weights, "
+                                             f"expected {FEATURE_DIM}"):
+            importance_from_model(model, "SQ")
 
 
-def _profile(trait, seed):
+def _profile(seed):
+    """12 group values as importance_from_model gives them, from random joint values."""
     rng = np.random.default_rng(seed)
-    return JointImportance.from_raw(trait, np.abs(rng.normal(size=20)))
+    return reduce_to_groups(minmax_normalize(np.abs(rng.normal(size=20))))
 
 
 class TestImportanceReport:
     def test_single_trait_csv(self, tmp_path):
-        written = importance_report({"EQ": _profile("EQ", 0)}, tmp_path)
+        written = importance_report({"EQ": _profile(0)}, tmp_path)
         with open(written["csv_EQ"]) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(GROUP_NAMES)
@@ -206,8 +218,8 @@ class TestImportanceReport:
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_identical_models_zero_std(self, tmp_path):
-        prof = _profile("O", 1)
-        profiles = {t: JointImportance.from_raw(t, prof.raw) for t in ("O", "C", "E", "A", "N")}
+        prof = _profile(1)
+        profiles = {t: prof.copy() for t in ("O", "C", "E", "A", "N")}
         written = importance_report(profiles, tmp_path)
         with open(written["csv_personality_summary"]) as fh:
             rows = list(csv.reader(fh))
@@ -216,7 +228,7 @@ class TestImportanceReport:
             assert float(row[std_col]) == pytest.approx(0.0, abs=1e-15)
 
     def test_eq_sq_radar_is_parseable_two_series(self, tmp_path):
-        written = importance_report({"EQ": _profile("EQ", 2), "SQ": _profile("SQ", 3)}, tmp_path)
+        written = importance_report({"EQ": _profile(2), "SQ": _profile(3)}, tmp_path)
         root = ET.fromstring(written["svg_EQ_SQ"].read_text())
         assert root.tag.endswith("svg")
         ns = "{http://www.w3.org/2000/svg}"
@@ -227,7 +239,7 @@ class TestImportanceReport:
         assert len([l for l in lines if l.get("stroke") == "#dddddd"]) == 12
 
     def test_personality_radars_carry_mean_overlay(self, tmp_path):
-        profiles = {t: _profile(t, i) for i, t in enumerate(("O", "C", "E", "A", "N"))}
+        profiles = {t: _profile(i) for i, t in enumerate(("O", "C", "E", "A", "N"))}
         written = importance_report(profiles, tmp_path)
         root = ET.fromstring(written["svg_O"].read_text())
         ns = "{http://www.w3.org/2000/svg}"
@@ -235,6 +247,11 @@ class TestImportanceReport:
         assert len(polylines) == 2  # the trait plus the dashed mean
         dashed = [p for p in polylines if p.get("stroke-dasharray")]
         assert len(dashed) == 1
+
+    def test_group_layout_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="disagree on group layout"):
+            importance_report({"EQ": _profile(0), "SQ": np.zeros(20)}, tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_radar_svg_standalone(self):
         svg = radar_svg({"EQ": np.linspace(0, 1, 12)}, title="t")

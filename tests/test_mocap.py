@@ -134,7 +134,9 @@ PARSE_CASES = [
     ("plain", _tsv(_ONES), "vector"),
     ("crlf", _tsv(_ONES, sep="\r\n", end="\r\n"), "fast"),
     ("blank-lines", b"\n\n".join(_tsv(_ONES).split(b"\n")) + b"\n\n", "fast"),
-    ("no-final-newline", _tsv(_ONES, end=""), "fast"),
+    ("no-final-newline", _tsv(_ONES, end=""), "vector"),
+    ("crlf-no-final-newline", _tsv(_ONES, sep="\r\n", end=""), "fast"),
+    ("rows-257-no-final-newline", _tsv(_rows_with(257), end=""), "vector"),
     ("no-header", _tsv(_ONES, header=False), "vector"),
     ("custom-header", b"#MARKERS\ta\tb\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "vector"),
     ("bare-header", b"#MARKERS\n" + _tsv(_ONES, header=False), "vector"),
@@ -148,6 +150,7 @@ PARSE_CASES = [
     ("rows-513", _tsv(_rows_with(513)), "vector"),
     ("underscore", _tsv([["1_000"] * 63, ["2"] * 63]), "scan"),
     ("lone-cr", _tsv(_ONES, sep="\r", end="\r"), "scan"),
+    ("lone-cr-no-final-newline", _tsv(_ONES, sep="\r", end=""), "scan"),
     ("cr-in-header", b"#MARKERS\ta\tb\r1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "scan"),
     ("cr-splits-header", b"#MARKERS\ta\tb\rc\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "error"),
     ("trailing-tab", _tsv([["1"] * 63 + [""]] * 2), "error"),
@@ -365,6 +368,20 @@ class TestDeriveJoints:
         )
         with pytest.raises(ValueError, match="21"):
             derive_joints(take)
+
+    def test_markers_out_of_order_rejected(self):
+        data = np.random.default_rng(2).normal(size=(4, 63))
+        swapped = list(MARKER_LABELS)
+        swapped[3], swapped[4] = swapped[4], swapped[3]
+        take = MarkerTake(data=data, frame_rate=120.0, markers=swapped)
+        assert not take.conformant
+        with pytest.raises(ValueError, match="marker 4 is 'R_shoulder', joint derivation "
+                                             "needs 'L_shoulder' there"):
+            derive_joints(take)
+        listed = MarkerTake(data=data, frame_rate=120.0, markers=list(MARKER_LABELS))
+        assert listed.conformant
+        np.testing.assert_array_equal(derive_joints(listed).data,
+                                      derive_joints(marker_take(data)).data)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)

@@ -521,43 +521,44 @@ class TestBuildDataset:
     def test_per_stimulus_row_count(self):
         features = _feature_matrix(58, 16)
         table = {f"P{p:03d}": {"EQ": float(p)} for p in range(58)}
-        ds = build_dataset(features, table, "EQ", DatasetMode.PER_STIMULUS)
-        assert ds.X.shape[0] == 928
-        assert len(ds.participants) == 928
+        X, Y, participants = build_dataset(features, table, ["EQ"], DatasetMode.PER_STIMULUS)
+        assert X.shape[0] == 928
+        assert Y.shape == (928, 1)
+        assert len(participants) == 928
         # target repeated per participant
-        assert ds.y[0] == ds.y[15] == 0.0
+        assert Y[0, 0] == Y[15, 0] == 0.0
 
     def test_participant_mean_row_count(self):
         features = _feature_matrix(58, 16)
         table = {f"P{p:03d}": {"EQ": float(p)} for p in range(58)}
-        ds = build_dataset(features, table, "EQ", DatasetMode.PARTICIPANT_MEAN)
-        assert ds.X.shape[0] == 58
-        np.testing.assert_array_equal(ds.y, np.arange(58.0))
+        X, Y, _ = build_dataset(features, table, ["EQ"], DatasetMode.PARTICIPANT_MEAN)
+        assert X.shape[0] == 58
+        np.testing.assert_array_equal(Y, np.arange(58.0)[:, None])
 
     def test_participant_mean_averages_rows(self):
         features = _feature_matrix(3, 4, seed=5)
         table = {f"P{p:03d}": {"O": 1.0} for p in range(3)}
-        ds = build_dataset(features, table, "O", "participant_mean")
-        np.testing.assert_allclose(ds.X[1], features.values[4:8].mean(axis=0), atol=1e-12)
+        X, _, _ = build_dataset(features, table, ["O"], "participant_mean")
+        np.testing.assert_allclose(X[1], features.values[4:8].mean(axis=0), atol=1e-12)
 
     def test_several_traits_give_target_columns(self):
         features = _feature_matrix(6, 3, seed=8)
         table = {f"P{p:03d}": {"EQ": float(p), "SQ": 10.0 - p} for p in range(6)}
         for mode in DatasetMode:
-            both = build_dataset(features, table, ("SQ", "EQ"), mode)
-            sq = build_dataset(features, table, "SQ", mode)
-            eq = build_dataset(features, table, "EQ", mode)
-            assert both.y.shape == (len(sq.y), 2)
-            np.testing.assert_array_equal(both.y[:, 0], sq.y)
-            np.testing.assert_array_equal(both.y[:, 1], eq.y)
-            np.testing.assert_array_equal(both.X, sq.X)
-            assert both.participants == sq.participants
+            X, Y, participants = build_dataset(features, table, ("SQ", "EQ"), mode)
+            X_sq, Y_sq, participants_sq = build_dataset(features, table, ["SQ"], mode)
+            _, Y_eq, _ = build_dataset(features, table, ["EQ"], mode)
+            assert Y.shape == (len(Y_sq), 2)
+            np.testing.assert_array_equal(Y[:, :1], Y_sq)
+            np.testing.assert_array_equal(Y[:, 1:], Y_eq)
+            np.testing.assert_array_equal(X, X_sq)
+            assert participants == participants_sq
 
     def test_missing_participant_named_in_error(self):
         features = _feature_matrix(3, 2)
         table = {"P000": {"EQ": 1.0}, "P001": {"EQ": 2.0}}
         with pytest.raises(ValueError, match="P002"):
-            build_dataset(features, table, "EQ", "per_stimulus")
+            build_dataset(features, table, ["EQ"], "per_stimulus")
 
 
 class TestCenteredSvd:
