@@ -99,6 +99,9 @@ class PipelineConfig:
         def entries(v, allowed):
             return isinstance(v, (list, tuple)) and all(k in allowed for k in v)
 
+        def distinct(v):
+            return not isinstance(v, (list, tuple)) or all(k not in v[:i] for i, k in enumerate(v))
+
         kinds = ("position", "velocity")
         modes = tuple(mode.value for mode in DatasetMode)
         rules = (
@@ -129,6 +132,8 @@ class PipelineConfig:
             ("pcr_components", isinstance(self.pcr_components, dict) and all(
                 k in kinds and integer(v) and v >= 1 for k, v in self.pcr_components.items()),
              "must map 'position' or 'velocity' to a positive integer"),
+            *((name, distinct(getattr(self, name)), "must list each entry once")
+              for name in ("extract_kinds", "eval_inputs", "model_kinds", "traits")),
         )
         for name, ok, rule in rules:
             if not ok:
@@ -336,10 +341,11 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
 
 
 def _load_features_for(cfg: PipelineConfig, base_kind: str, table: dict, traits_path: Path):
-    """One base kind's feature matrix and path.
+    """One base kind's feature matrix, path and sha256.
 
     Every row's participant is checked against the trait table, from the
-    feature file's row sidecar, before the CSV is parsed.
+    feature file's row sidecar, before the CSV is read. The CSV is read
+    once; the bytes parsed are the bytes hashed.
     """
     path = cfg.resolved_features_dir() / f"features_{base_kind}.csv"
     if not path.exists():
@@ -350,7 +356,8 @@ def _load_features_for(cfg: PipelineConfig, base_kind: str, table: dict, traits_
             if trait not in table.get(meta.participant_id, {}):
                 raise ValueError(f"{path}: participant {meta.participant_id!r} has no "
                                  f"{trait!r} value in {traits_path}")
-    return load_feature_matrix(path, rows), path
+    raw = path.read_bytes()
+    return load_feature_matrix(path, rows, raw=raw), path, hashlib.sha256(raw).hexdigest()
 
 
 def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path]:
@@ -376,11 +383,11 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     """
     table, traits_path = _require_traits(cfg)
     base = _base_kind(cfg.train_input)
-    matrix, features_path = _load_features_for(cfg, base, table, traits_path)
+    matrix, features_path, features_sha256 = _load_features_for(cfg, base, table, traits_path)
     out_dir = cfg.resolved_output_dir() / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    digests = {"features": sha256_file(features_path), "traits": sha256_file(traits_path)}
+    digests = {"features": features_sha256, "traits": sha256_file(traits_path)}
     provenance = {
         "config_sha256": config_hash(cfg),
         "features_sha256": digests["features"],
@@ -425,12 +432,14 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
     table, traits_path = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "evaluate"
     inputs: dict[str, Path] = {"traits": traits_path}
+    digests: dict[str, str] = {}
     designs = {}   # base kind -> (X, Y, participants, plan, specs)
     for input_kind in cfg.eval_inputs:
         base = _base_kind(input_kind)
         if base not in designs:
-            matrix, features_path = _load_features_for(cfg, base, table, traits_path)
+            matrix, features_path, digest = _load_features_for(cfg, base, table, traits_path)
             inputs[f"features_{base}"] = features_path
+            digests[f"features_{base}"] = digest
             X, Y, participants = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
             groups = participants if cfg.grouping == "participant" else None
             plan = make_fold_plan(len(X), cfg.n_folds, cfg.fold_seed, groups)
@@ -474,7 +483,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
         cells=cells, n_folds=cfg.n_folds, seed=cfg.fold_seed, grouping=cfg.grouping
     )
     paths = write_score_table(score_table, out_dir)
-    write_run_info(out_dir, cfg, inputs)
+    write_run_info(out_dir, cfg, inputs, digests)
     log("evaluate_done", rows=len(cells), csv=paths["csv"])
     return score_table
 

@@ -10,7 +10,9 @@ triangle, read row by row, is the 1770-dim feature vector of the take.
 """
 from __future__ import annotations
 
+import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,34 +168,43 @@ def load_feature_rows(csv_path: str | Path) -> tuple[RowMeta, ...]:
         raise ValueError(f"{sidecar}: {exc}") from exc
 
 
-def load_feature_matrix(csv_path: str | Path,
-                        rows: tuple[RowMeta, ...] | None = None) -> FeatureMatrix:
+def load_feature_matrix(csv_path: str | Path, rows: tuple[RowMeta, ...] | None = None,
+                        *, raw: bytes | None = None) -> FeatureMatrix:
     """Parse a feature CSV; ``rows`` are its ``load_feature_rows``, read here if not given.
 
-    A cell that is not a number or a row of the wrong width is a ValueError
-    naming ``file:line`` and the cell or width; a row count that disagrees
-    with ``rows`` is a ValueError naming the CSV.
+    ``raw`` is the CSV's bytes when the caller has already read them (to
+    hash them); otherwise the file is read once here. A cell that is not a
+    finite number or a row of the wrong width is a ValueError naming
+    ``file:line`` and the cell or width; a row count that disagrees with
+    ``rows`` is a ValueError naming the CSV.
     """
     if rows is None:
         rows = load_feature_rows(csv_path)
+    if raw is None:
+        raw = Path(csv_path).read_bytes()
     try:
-        values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+        # decoded and split into lines as the file opened in text mode would be
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        values = np.loadtxt(text, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise ValueError(_first_bad_line(csv_path) or f"{csv_path}: {exc}") from exc
+        raise ValueError(_first_bad_line(csv_path, raw) or f"{csv_path}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ValueError(_first_bad_line(csv_path, raw) or f"{csv_path}: non-finite value")
     try:
         return FeatureMatrix(values=values, rows=rows)
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from exc
 
 
-def _first_bad_line(csv_path: str | Path) -> str | None:
-    """``file:line: problem`` for the first row ``np.loadtxt`` rejects, or None.
+def _first_bad_line(csv_path: str | Path, raw: bytes) -> str | None:
+    """``file:line: problem`` for the first row ``np.loadtxt`` rejects or that
+    holds a non-finite cell, or None.
 
     Lines are counted from 1 and read as ``np.loadtxt`` reads them: text
     after ``#`` is dropped and empty lines are skipped.
     """
     width = None
-    with open(csv_path, encoding="utf-8", errors="replace") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").partition("#")[0]
             if not line:
@@ -204,7 +215,9 @@ def _first_bad_line(csv_path: str | Path) -> str | None:
                 return f"{csv_path}:{lineno}: {len(cells)} cells, expected {width}"
             for column, cell in enumerate(cells, start=1):
                 try:
-                    float(cell)
+                    value = float(cell)
                 except ValueError:
                     return f"{csv_path}:{lineno}: unparseable value {cell!r} in column {column}"
+                if not math.isfinite(value):
+                    return f"{csv_path}:{lineno}: non-finite value {cell!r} in column {column}"
     return None

@@ -13,8 +13,11 @@ generation is reproducible per participant and independent of scheduling.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -271,35 +274,50 @@ def write_trait_table(traits: dict[str, dict[str, float]], path: str | Path) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_take(spec: SynthSpec, out_dir: Path, job: tuple[int, int, dict[str, float]]) -> None:
+    """Generate one take and write its .tsv and .json; runs in a pool worker."""
+    pidx, sidx, traits = job
+    take = generate_take(spec, traits, pidx, sidx)
+    stem = f"{take.participant_id}_{take.stimulus_id}"
+    row_format = "\t".join(["%.17g"] * take.data.shape[1])
+    rows = ["#MARKERS\t" + "\t".join(MARKER_LABELS)]
+    rows.extend(row_format % tuple(frame) for frame in take.data.tolist())
+    (out_dir / f"{stem}.tsv").write_text("\n".join(rows) + "\n")
+    sidecar = {
+        "frame_rate": take.frame_rate,
+        "participant_id": take.participant_id,
+        "stimulus_id": take.stimulus_id,
+    }
+    (out_dir / f"{stem}.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+
+
 def write_dataset(spec: SynthSpec, out_dir: str | Path) -> dict:
     """Materialize the dataset in the take TSV + sidecar format.
 
     Writes one <participant>_<stimulus>.tsv and .json pair per take, the
-    trait table CSV, and a copy of the generating spec.
+    trait table CSV, and a copy of the generating spec. Each take is
+    generated, formatted and written in a pool of one process per available
+    CPU (at most one per take), since formatting holds the GIL. Workers get
+    the take's indices and trait values, never its arrays, and every random
+    stream is keyed by those indices, so no byte depends on the pool size or
+    on scheduling. A worker's error propagates: the takes not yet started
+    are cancelled, and the pool is joined before this returns or raises.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     traits = sample_traits(spec)
-    header = "#MARKERS\t" + "\t".join(MARKER_LABELS)
-    n_takes = 0
-    for take in iter_takes(spec, traits):
-        stem = f"{take.participant_id}_{take.stimulus_id}"
-        row_format = "\t".join(["%.17g"] * take.data.shape[1])
-        rows = [header]
-        rows.extend(row_format % tuple(frame) for frame in take.data.tolist())
-        (out_dir / f"{stem}.tsv").write_text("\n".join(rows) + "\n")
-        sidecar = {
-            "frame_rate": take.frame_rate,
-            "participant_id": take.participant_id,
-            "stimulus_id": take.stimulus_id,
-        }
-        (out_dir / f"{stem}.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-        )
-        n_takes += 1
+    jobs = [(pidx, sidx, traits[participant_label(pidx)])
+            for pidx in range(spec.participants) for sidx in range(spec.stimuli)]
+    # concurrent.futures loads its process pool (and multiprocessing) on first
+    # use, so the pipeline stages that import this module do not pay for it
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # map cancels the pending takes once one raises; leaving the block joins the workers
+        for _ in pool.map(partial(_write_take, spec, out_dir), jobs):
+            pass
     write_trait_table(traits, out_dir / "traits.csv")
     spec.to_json(out_dir / "synth_spec.json")
-    return {"takes": n_takes, "participants": spec.participants, "dir": out_dir}
+    return {"takes": len(jobs), "participants": spec.participants, "dir": out_dir}
 
 
 # Markers that become single-copy joints; a trait coupled to these keeps its

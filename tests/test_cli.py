@@ -1,7 +1,11 @@
 import builtins
+import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +61,38 @@ def make_config(dataset_dir, out_dir, **overrides) -> PipelineConfig:
     )
     base.update(overrides)
     return PipelineConfig.from_dict({**PipelineConfig().to_dict(), **base})
+
+
+# watched path -> the modes it was opened with while watched
+_WATCHED_OPENS: dict[str, list] = {}
+
+
+def _record_open(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)):
+        modes = _WATCHED_OPENS.get(os.fspath(args[0]))
+        if modes is not None:
+            modes.append(args[1])
+
+
+@contextlib.contextmanager
+def _opens_of(path):
+    """A list that gains one entry per open of ``path`` inside the block.
+
+    Counted from the interpreter's "open" audit event, which every open
+    raises: numpy keeps its own reference to ``open``, so patching
+    ``builtins.open`` would miss ``np.loadtxt`` reading a path. An audit
+    hook cannot be removed, so one is installed for the session and records
+    only the paths being watched.
+    """
+    if not getattr(_record_open, "installed", False):
+        sys.addaudithook(_record_open)
+        _record_open.installed = True
+    key = os.fspath(path)
+    _WATCHED_OPENS[key] = []
+    try:
+        yield _WATCHED_OPENS[key]
+    finally:
+        del _WATCHED_OPENS[key]
 
 
 class TestConfig:
@@ -126,6 +162,11 @@ class TestConfig:
         ("eval_inputs", "position", "eval_inputs entries must be in ('position'"),
         ("traits", "EQ", "traits must be a list of names"),
         ("traits", "[1]", "traits must be a list of names"),
+        ("traits", '["EQ", "EQ"]', "traits must list each entry once, got ('EQ', 'EQ')"),
+        ("eval_inputs", '["position", "velocity", "position"]',
+         "eval_inputs must list each entry once"),
+        ("model_kinds", '["pcr", "pcr"]', "model_kinds must list each entry once"),
+        ("extract_kinds", '["velocity", "velocity"]', "extract_kinds must list each entry once"),
     ]
 
     @pytest.mark.parametrize("command", ["extract", "evaluate"])
@@ -363,8 +404,8 @@ class TestTrain:
             "features_dir": str(extracted.resolved_features_dir()),
         })
         cmd_train(cfg)
-        features = cfg.resolved_features_dir() / "features_position.csv"
-        assert sorted(map(str, hashed)) == sorted([str(features), cfg.traits_csv])
+        # the feature CSV is hashed from the bytes its parse read
+        assert list(map(str, hashed)) == [cfg.traits_csv]
 
     def test_provenance_embedded(self, extracted):
         cmd_train(extracted)
@@ -526,13 +567,33 @@ class TestEvaluate:
         loaded = []
         load = cli.load_feature_matrix
         monkeypatch.setattr(cli, "load_feature_matrix",
-                            lambda path, *rows: loaded.append(path.name) or load(path, *rows))
+                            lambda path, *rows, **kw: loaded.append(path.name)
+                            or load(path, *rows, **kw))
         cfg = PipelineConfig.from_dict({
             **extracted.to_dict(), "traits": ["EQ"], "output_dir": str(tmp_path),
             "features_dir": str(extracted.resolved_features_dir()),
         })
         cmd_evaluate(cfg)
         assert sorted(loaded) == ["features_position.csv", "features_velocity.csv"]
+
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_feature_csv_opened_once(self, extracted, tmp_path, stage):
+        features = extracted.resolved_features_dir() / "features_position.csv"
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "traits": ["EQ"], "eval_inputs": ["position", "position_n"],
+            "output_dir": str(tmp_path), "features_dir": str(features.parent),
+        })
+        with _opens_of(features) as opened:
+            {"train": cmd_train, "evaluate": cmd_evaluate}[stage](cfg)
+        assert len(opened) == 1
+        digest = hashlib.sha256(features.read_bytes()).hexdigest()
+        manifest = json.loads((tmp_path / stage / "manifest.json").read_text())
+        if stage == "train":
+            assert manifest["inputs"]["features"]["sha256"] == digest
+            model = json.loads((tmp_path / "train" / "model_EQ.json").read_text())
+            assert model["provenance"]["features_sha256"] == digest
+        else:
+            assert manifest["inputs"]["features_position"]["sha256"] == digest
 
     def test_pcr_k_checked_against_training_fold_before_fit(
             self, extracted, tmp_path, capsys):
@@ -604,6 +665,12 @@ def _replace_cell(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _nan_on_line_4(path):
+    lines = path.read_text().splitlines()
+    lines[3] = "nan" + lines[3][lines[3].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _drop_last_row(path):
     path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
 
@@ -613,6 +680,10 @@ class TestBadReadBackFiles:
     BAD_FILES = [
         ("evaluate", "features_position.csv", _replace_cell,
          ":2: unparseable value 'abc' in column 1"),
+        ("train", "features_position.csv", _nan_on_line_4,
+         ":4: non-finite value 'nan' in column 1"),
+        ("evaluate", "features_position.csv", _nan_on_line_4,
+         ":4: non-finite value 'nan' in column 1"),
         ("train", "features_position.csv", _drop_last_row,
          ": row metadata length 20 != row count 19"),
         ("evaluate", "features_position.csv.meta.json",
@@ -626,8 +697,8 @@ class TestBadReadBackFiles:
     ]
 
     @pytest.mark.parametrize("stage,name,spoil,message", BAD_FILES, ids=[
-        "non-numeric cell", "row short of sidecar", "truncated sidecar",
-        "sidecar without rows", "non-JSON model", "model not an object"])
+        "non-numeric cell", "nan cell in train", "nan cell in evaluate", "row short of sidecar",
+        "truncated sidecar", "sidecar without rows", "non-JSON model", "model not an object"])
     def test_bad_file_is_named_and_stage_writes_nothing(
             self, extracted, tmp_path, capsys, stage, name, spoil, message):
         features = tmp_path / "features"
@@ -714,6 +785,17 @@ class TestMainEntry:
         rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")])
         assert rc == 0
         assert len(list((tmp_path / "data").glob("*.tsv"))) == 2
+
+    def test_synth_write_error_exits_1_and_leaves_no_worker(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        default_strong_spec(participants=4, stimuli=1, frames=30, seed=2).to_json(spec_path)
+        blocked = tmp_path / "data" / "P002_S00.tsv"
+        blocked.mkdir(parents=True)
+        rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocked) in err
+        assert not multiprocessing.active_children()
 
     def test_extract_via_main(self, dataset_dir, tmp_path):
         cfg = make_config(dataset_dir, tmp_path / "out")

@@ -1,3 +1,8 @@
+import hashlib
+import multiprocessing
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,8 @@ from movetrait.synth import (
     sample_traits,
     write_dataset,
 )
+
+from oracles import write_dataset_serial
 
 
 def small_spec(**kw):
@@ -168,3 +175,31 @@ class TestWriteDataset:
             expected = ("\n".join(rows) + "\n").encode()
             path = tmp_path / f"{take.participant_id}_{take.stimulus_id}.tsv"
             assert path.read_bytes() == expected
+
+
+def _digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+class TestPooledWriter:
+    @pytest.mark.parametrize("cpus", [None, 1, 5])
+    def test_bytes_match_serial_oracle(self, tmp_path, monkeypatch, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        spec = small_spec(participants=3, stimuli=3, frames=50, noise_std=2.0)
+        info = write_dataset(spec, tmp_path / "pool")
+        write_dataset_serial(spec, tmp_path / "serial")
+        assert info["takes"] == 9
+        pooled = _digests(tmp_path / "pool")
+        assert len(pooled) == 2 * 9 + 2
+        assert pooled == _digests(tmp_path / "serial")
+        assert not multiprocessing.active_children()
+
+    def test_worker_error_propagates_and_pool_is_joined(self, tmp_path):
+        blocked = tmp_path / "P002_S00.tsv"
+        blocked.mkdir()
+        with pytest.raises(OSError, match=re.escape(str(blocked))):
+            write_dataset(small_spec(participants=4, stimuli=1, frames=30), tmp_path)
+        assert not multiprocessing.active_children()
+        assert not (tmp_path / "traits.csv").exists()
