@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -61,6 +61,7 @@ from .regression import (
 from .synth import SynthSpec, write_dataset
 
 ENV_OUT_ROOT = "MOVETRAIT_OUT"
+_LIST_FIELDS = ("extract_kinds", "eval_inputs", "model_kinds", "traits")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ class PipelineConfig:
     n_folds: int = 5
     fold_seed: int = 0
     grouping: str = "participant"        # "none" | "participant"
-    pooled_metrics: bool = False
     bayes_tol: float = 1e-3
     bayes_max_iter: int = 300
     workers: int = 1
@@ -117,7 +117,6 @@ class PipelineConfig:
             ("n_folds", integer(self.n_folds) and self.n_folds >= 2, "must be an integer >= 2"),
             ("fold_seed", integer(self.fold_seed) and self.fold_seed >= 0,
              "must be an integer >= 0"),
-            ("pooled_metrics", isinstance(self.pooled_metrics, bool), "must be true or false"),
             ("dataset_mode", self.dataset_mode in modes, f"must be one of {modes}"),
             ("train_input", self.train_input in INPUT_KINDS, f"must be one of {INPUT_KINDS}"),
             ("train_model", self.train_model in MODEL_KINDS, f"must be one of {MODEL_KINDS}"),
@@ -132,8 +131,10 @@ class PipelineConfig:
             ("pcr_components", isinstance(self.pcr_components, dict) and all(
                 k in kinds and integer(v) and v >= 1 for k, v in self.pcr_components.items()),
              "must map 'position' or 'velocity' to a positive integer"),
+            *((name, bool(getattr(self, name)), "must list at least one entry")
+              for name in _LIST_FIELDS),
             *((name, distinct(getattr(self, name)), "must list each entry once")
-              for name in ("extract_kinds", "eval_inputs", "model_kinds", "traits")),
+              for name in _LIST_FIELDS),
         )
         for name, ok, rule in rules:
             if not ok:
@@ -141,8 +142,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config field {unknown[0]!r}")
         kwargs = dict(doc)
-        for key in ("extract_kinds", "eval_inputs", "model_kinds", "traits"):
+        for key in _LIST_FIELDS:
             if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
@@ -153,7 +157,7 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        for key in ("extract_kinds", "eval_inputs", "model_kinds", "traits"):
+        for key in _LIST_FIELDS:
             doc[key] = list(doc[key])
         return doc
 
@@ -175,8 +179,6 @@ def apply_overrides(cfg: PipelineConfig, overrides: list[str]) -> PipelineConfig
         key, sep, raw = item.partition("=")
         if not sep:
             raise ValueError(f"override {item!r} is not key=value")
-        if key not in doc:
-            raise ValueError(f"unknown config field {key!r}")
         try:
             doc[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -360,12 +362,17 @@ def _load_features_for(cfg: PipelineConfig, base_kind: str, table: dict, traits_
     return load_feature_matrix(path, rows, raw=raw), path, hashlib.sha256(raw).hexdigest()
 
 
-def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path]:
-    """The trait table, checked to hold every configured trait before features load."""
+def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path, str]:
+    """The trait table, checked to hold every configured trait before features
+    load, its path and its sha256.
+
+    The file is read once; the bytes parsed are the bytes hashed.
+    """
     if not cfg.traits_csv or not Path(cfg.traits_csv).exists():
         raise ValueError(f"traits_csv {cfg.traits_csv!r} not found")
     path = Path(cfg.traits_csv)
-    table = load_trait_table(path)
+    raw = path.read_bytes()
+    table = load_trait_table(path, raw=raw)
     missing = [t for t in cfg.traits if all(t not in row for row in table.values())]
     if missing:
         raise ValueError(f"traits {missing} have no column in {path}")
@@ -373,7 +380,7 @@ def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path]:
         lacking = [pid for pid, row in table.items() if trait not in row]
         if lacking:
             raise ValueError(f"{path}: participants {lacking} have no '{trait}' value")
-    return table, path
+    return table, path, hashlib.sha256(raw).hexdigest()
 
 
 def cmd_train(cfg: PipelineConfig) -> dict:
@@ -381,13 +388,13 @@ def cmd_train(cfg: PipelineConfig) -> dict:
 
     The design is factored once; every trait's model is fitted from it.
     """
-    table, traits_path = _require_traits(cfg)
+    table, traits_path, traits_sha256 = _require_traits(cfg)
     base = _base_kind(cfg.train_input)
     matrix, features_path, features_sha256 = _load_features_for(cfg, base, table, traits_path)
     out_dir = cfg.resolved_output_dir() / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    digests = {"features": features_sha256, "traits": sha256_file(traits_path)}
+    digests = {"features": features_sha256, "traits": traits_sha256}
     provenance = {
         "config_sha256": config_hash(cfg),
         "features_sha256": digests["features"],
@@ -429,10 +436,10 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
     component count is checked before the first fit; then one
     ``cross_validate`` per input kind scores all models and traits.
     """
-    table, traits_path = _require_traits(cfg)
+    table, traits_path, traits_sha256 = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "evaluate"
     inputs: dict[str, Path] = {"traits": traits_path}
-    digests: dict[str, str] = {}
+    digests = {"traits": traits_sha256}
     designs = {}   # base kind -> (X, Y, participants, plan, specs)
     for input_kind in cfg.eval_inputs:
         base = _base_kind(input_kind)
@@ -466,10 +473,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
     cells = {}
     for input_kind in cfg.eval_inputs:
         X, Y, _, plan, specs = designs[_base_kind(input_kind)]
-        results = cross_validate(
-            X, Y, specs, plan,
-            normalize=input_kind.endswith("_n"), pooled=cfg.pooled_metrics,
-        )
+        results = cross_validate(X, Y, specs, plan, normalize=input_kind.endswith("_n"))
         for spec, per_trait in zip(specs, results):
             for trait, result in zip(cfg.traits, per_trait):
                 diagnostics = {}
@@ -517,7 +521,7 @@ def cmd_synth(spec_path: str | Path, out_dir: str | Path) -> dict:
 
 def cmd_report(cfg: PipelineConfig) -> Path:
     """Combined report: measured trait correlations plus the score table."""
-    table, traits_path = _require_traits(cfg)
+    table, traits_path, traits_sha256 = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -552,7 +556,7 @@ def cmd_report(cfg: PipelineConfig) -> Path:
         inputs["scores_txt"] = scores_txt
     report_path = out_dir / "report.txt"
     report_path.write_text("\n".join(lines) + "\n")
-    write_run_info(out_dir, cfg, inputs)
+    write_run_info(out_dir, cfg, inputs, {"traits": traits_sha256})
     log("report", out=report_path)
     return report_path
 

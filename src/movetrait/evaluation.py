@@ -8,7 +8,6 @@ training block once for every trait and model.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -265,18 +264,20 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class CvResult:
-    """Fold and mean scores of one (model, trait) cell.
+    """Fold, mean and pooled scores of one (model, trait) cell.
 
-    For Bayesian ridge, ``converged_folds`` and ``max_iterations`` summarize
-    the evidence loop over the folds; they are diagnostics, not scores.
+    The pooled scores are those of all out-of-fold predictions taken as one
+    set; they can differ from the per-fold means. For Bayesian ridge,
+    ``converged_folds`` and ``max_iterations`` summarize the evidence loop
+    over the folds; they are diagnostics, not scores.
     """
 
     fold_rmse: tuple[float, ...]
     fold_r2: tuple[float, ...]
     mean_rmse: float
     mean_r2: float
-    pooled_rmse: float | None = None
-    pooled_r2: float | None = None
+    pooled_rmse: float
+    pooled_r2: float
     converged_folds: int | None = None
     max_iterations: int | None = None
 
@@ -287,16 +288,15 @@ def cross_validate(
     specs: Sequence[ModelSpec],
     plan: FoldPlan,
     normalize: bool = False,
-    pooled: bool = False,
 ) -> list[list[CvResult]]:
     """Fit on out-of-fold rows, score on in-fold rows, for every fold.
 
     ``Y`` holds one target column per trait (a vector is one trait). Each
     fold's training rows are normalized (when ``normalize`` is set, with
     Gaussian statistics of those rows only, applied to both sides) and
-    factored once; every spec and trait is fitted from that factor.
-    ``pooled`` additionally scores the concatenated out-of-sample
-    predictions as a single set. Returns ``results[spec][trait]``.
+    factored once; every spec and trait is fitted from that factor. The
+    out-of-fold predictions of each cell are also scored as one set.
+    Returns ``results[spec][trait]``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -328,15 +328,14 @@ def cross_validate(
             folds[c].append((rmse(y[val], pred), r2(y[val], pred),
                              diagnostics.get("converged"), diagnostics.get("iterations")))
     results = [
-        _cv_result(folds[c], y, all_pred[c], pooled)
+        _cv_result(folds[c], y, all_pred[c])
         for c, (_, y) in enumerate(cells)
     ]
     n_traits = Y.shape[1]
     return [results[i:i + n_traits] for i in range(0, len(results), n_traits)]
 
 
-def _cv_result(folds: list[tuple], y: np.ndarray,
-               all_pred: np.ndarray, pooled: bool) -> CvResult:
+def _cv_result(folds: list[tuple], y: np.ndarray, all_pred: np.ndarray) -> CvResult:
     fold_rmse, fold_r2, converged, iterations = zip(*folds)
     diagnosed = None not in converged
     return CvResult(
@@ -344,8 +343,8 @@ def _cv_result(folds: list[tuple], y: np.ndarray,
         fold_r2=fold_r2,
         mean_rmse=float(np.mean(fold_rmse)),
         mean_r2=float(np.mean(fold_r2)),
-        pooled_rmse=rmse(y, all_pred) if pooled else None,
-        pooled_r2=r2(y, all_pred) if pooled else None,
+        pooled_rmse=rmse(y, all_pred),
+        pooled_r2=r2(y, all_pred),
         converged_folds=sum(converged) if diagnosed else None,
         max_iterations=max(iterations) if diagnosed else None,
     )
@@ -355,8 +354,8 @@ def _cv_result(folds: list[tuple], y: np.ndarray,
 class ScoreTable:
     """Cross-validated scores keyed by (input kind, model, trait).
 
-    ``cells`` keeps insertion order, which is the row order of the CSV and
-    JSON renderings.
+    ``cells`` keeps insertion order, which is the row order of the CSV
+    rendering.
     """
 
     cells: dict[tuple[str, str, str], CvResult]
@@ -369,50 +368,23 @@ class ScoreTable:
         return tuple(dict.fromkeys(trait for _, _, trait in self.cells))
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else f"{v:.17g}"
-
-
 def score_table_csv(table: ScoreTable) -> str:
     n = table.n_folds
     header = (
         ["input", "model", "trait", "mean_rmse", "mean_r2"]
         + [f"rmse_fold{i + 1}" for i in range(n)]
         + [f"r2_fold{i + 1}" for i in range(n)]
+        + ["pooled_rmse", "pooled_r2"]
     )
     lines = [",".join(header)]
     for (input_kind, model, trait), res in table.cells.items():
-        cells = [input_kind, model, trait, _fmt(res.mean_rmse), _fmt(res.mean_r2)]
-        cells += [_fmt(v) for v in res.fold_rmse]
-        cells += [_fmt(v) for v in res.fold_r2]
-        lines.append(",".join(cells))
+        scores = (res.mean_rmse, res.mean_r2, *res.fold_rmse, *res.fold_r2,
+                  res.pooled_rmse, res.pooled_r2)
+        lines.append(",".join([input_kind, model, trait, *(f"{v:.17g}" for v in scores)]))
     return "\n".join(lines) + "\n"
 
 
-def score_table_json(table: ScoreTable) -> str:
-    doc = {
-        "n_folds": table.n_folds,
-        "seed": table.seed,
-        "grouping": table.grouping,
-        "rows": [
-            {
-                "input": input_kind,
-                "model": model,
-                "trait": trait,
-                "mean_rmse": res.mean_rmse,
-                "mean_r2": res.mean_r2,
-                "fold_rmse": list(res.fold_rmse),
-                "fold_r2": list(res.fold_r2),
-                "pooled_rmse": res.pooled_rmse,
-                "pooled_r2": res.pooled_r2,
-            }
-            for (input_kind, model, trait), res in table.cells.items()
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def score_table_text(table: ScoreTable, reference: dict = REFERENCE_RESULTS) -> str:
+def score_table_text(table: ScoreTable) -> str:
     """Readable per-trait blocks: input rows, model columns.
 
     Reference scores from the original (private) dataset are shown in
@@ -423,7 +395,7 @@ def score_table_text(table: ScoreTable, reference: dict = REFERENCE_RESULTS) -> 
     for trait in table.traits:
         out.append(f"=== Trait {trait} "
                    f"({table.n_folds}-fold CV, seed {table.seed}, grouping {table.grouping}) ===")
-        ref_t = reference.get(trait, {})
+        ref_t = REFERENCE_RESULTS.get(trait, {})
         header = f"{'Input':<13}"
         models = [m for m in MODEL_KINDS
                   if any((mk, t) == (m, trait) for _, mk, t in table.cells)]
@@ -453,16 +425,11 @@ def score_table_text(table: ScoreTable, reference: dict = REFERENCE_RESULTS) -> 
     return "\n".join(out) + "\n"
 
 
-def write_score_table(table: ScoreTable, out_dir: str | Path, stem: str = "scores") -> dict:
-    """Emit CSV, JSON and text renderings; returns the written paths."""
+def write_score_table(table: ScoreTable, out_dir: str | Path) -> dict:
+    """Emit ``scores.csv`` and ``scores.txt``; returns the written paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "csv": out_dir / f"{stem}.csv",
-        "json": out_dir / f"{stem}.json",
-        "txt": out_dir / f"{stem}.txt",
-    }
+    paths = {"csv": out_dir / "scores.csv", "txt": out_dir / "scores.txt"}
     paths["csv"].write_text(score_table_csv(table))
-    paths["json"].write_text(score_table_json(table))
     paths["txt"].write_text(score_table_text(table))
     return paths

@@ -98,15 +98,14 @@ def radar_svg(
     series: dict[str, np.ndarray],
     title: str = "",
     overlay: np.ndarray | None = None,
-    overlay_label: str = "mean",
-    size: int = 520,
 ) -> str:
     """12-axis radar chart as a self-contained SVG string.
 
     One polyline per series over GROUP_NAMES axes (values expected in
-    [0, 1]); ``overlay`` draws one extra dashed black reference line, e.g.
-    the across-trait mean. No external assets.
+    [0, 1]); ``overlay`` draws one extra dashed black line, labelled
+    "trait mean". No external assets.
     """
+    size = 520
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
     cx = cy = size / 2.0
     radius = size * 0.36
@@ -178,7 +177,7 @@ def radar_svg(
         )
         parts.append(
             f'<text x="25" y="{y0 + 9:.1f}" font-size="12" '
-            f'font-family="sans-serif">{overlay_label}</text>'
+            f'font-family="sans-serif">trait mean</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -187,7 +186,6 @@ def radar_svg(
 def importance_report(
     profiles: dict[str, np.ndarray],
     out_dir: str | Path,
-    personality_traits: tuple[str, ...] = ("O", "C", "E", "A", "N"),
 ) -> dict:
     """Write per-trait CSVs, the cross-trait summary, and radar SVGs.
 
@@ -216,10 +214,10 @@ def importance_report(
 
     def radar(name: str, series: dict[str, np.ndarray], title: str, overlay=None) -> None:
         path = out_dir / f"radar_{name}.svg"
-        path.write_text(radar_svg(series, title, overlay=overlay, overlay_label="trait mean"))
+        path.write_text(radar_svg(series, title, overlay=overlay))
         written[f"svg_{name}"] = path
 
-    personality = {t: profiles[t] for t in personality_traits if t in profiles}
+    personality = {t: profiles[t] for t in ("O", "C", "E", "A", "N") if t in profiles}
     if len(personality) >= 2:
         stack = np.stack(list(personality.values()))
         mean = stack.mean(axis=0)

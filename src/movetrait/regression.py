@@ -24,6 +24,7 @@ trait and both model kinds.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections.abc import Sequence
@@ -298,14 +299,24 @@ def build_dataset(
     return X, targets(order), tuple(order)
 
 
-def load_trait_table(path: str | Path) -> dict:
+def load_trait_table(path: str | Path, *, raw: bytes | None = None) -> dict:
     """Read a trait CSV (participant_id plus one column per trait).
 
-    An empty cell leaves that trait missing for its participant; any other
-    cell must be a finite number.
+    ``raw`` is the file's bytes when the caller has already read them (to
+    hash them); otherwise the file is read once here. Bytes that are not
+    UTF-8 are a ValueError naming the file. An empty cell leaves that trait
+    missing for its participant; any other cell must be a finite number.
     """
+    if raw is None:
+        raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: trait table is not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from exc
     table: dict[str, dict[str, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    # newline="" splits lines as csv expects of a file opened that way
+    with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "participant_id" not in reader.fieldnames:
             raise ValueError(f"{path}: trait table needs a participant_id column")

@@ -65,7 +65,7 @@ def test_c1_reference_constants_rendered_never_asserted():
         # the published cells exist as data and appear in the rendered report
         assert REFERENCE_RESULTS["EQ"][("position", "bayes_ridge")] == (2.722, 0.771)
         assert REFERENCE_RESULTS["SQ"][("position", "bayes_ridge")] == (2.161, 0.867)
-        res = CvResult((1.0,) * 5, (0.5,) * 5, 1.0, 0.5)
+        res = CvResult((1.0,) * 5, (0.5,) * 5, 1.0, 0.5, 1.0, 0.5)
         table = ScoreTable(
             cells={("position", "bayes_ridge", "EQ"): res},
             n_folds=5, seed=0, grouping="participant",
@@ -253,8 +253,11 @@ def test_c9_pipeline_determinism(tmp_path):
 
         first = run()
         second = run()
-        assert set(first) == set(second)
-        assert len(first) >= 2 + 2 + 3
+        assert set(first) == set(second) == {
+            "extract/features_position.csv", "extract/features_velocity.csv",
+            "train/model_EQ.json", "train/model_SQ.json",
+            "evaluate/scores.csv", "evaluate/scores.txt",
+        }
         for name in first:
             assert first[name] == second[name], f"{name} differs between runs"
 

@@ -156,8 +156,6 @@ class TestConfig:
          "pcr_components must map 'position' or 'velocity' to a positive integer"),
         ("pcr_components", "[3]",
          "pcr_components must map 'position' or 'velocity' to a positive integer"),
-        ("pooled_metrics", "no", "pooled_metrics must be true or false"),
-        ("pooled_metrics", "1", "pooled_metrics must be true or false"),
         ("extract_kinds", "3", "extract_kinds entries must be 'position' or 'velocity'"),
         ("eval_inputs", "position", "eval_inputs entries must be in ('position'"),
         ("traits", "EQ", "traits must be a list of names"),
@@ -167,6 +165,10 @@ class TestConfig:
          "eval_inputs must list each entry once"),
         ("model_kinds", '["pcr", "pcr"]', "model_kinds must list each entry once"),
         ("extract_kinds", '["velocity", "velocity"]', "extract_kinds must list each entry once"),
+        ("extract_kinds", "[]", "extract_kinds must list at least one entry, got ()"),
+        ("eval_inputs", "[]", "eval_inputs must list at least one entry, got ()"),
+        ("model_kinds", "[]", "model_kinds must list at least one entry, got ()"),
+        ("traits", "[]", "traits must list at least one entry, got ()"),
     ]
 
     @pytest.mark.parametrize("command", ["extract", "evaluate"])
@@ -183,6 +185,26 @@ class TestConfig:
         assert message in err
         assert "tsv" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["file", "set"])
+    def test_removed_pooled_metrics_field_rejected(self, dataset_dir, tmp_path, capsys, via):
+        doc = make_config(dataset_dir, None).to_dict()
+        if via == "file":
+            doc["pooled_metrics"] = True
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["evaluate", "-c", str(cfg_path), "--output-dir", str(out),
+                   *(["--set", "pooled_metrics=true"] if via == "set" else [])])
+        assert rc == 1
+        assert "error: unknown config field 'pooled_metrics'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_example_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Example `config.json`:", 1)[1].split("```json\n", 1)[1]
+        doc = json.loads(block.split("```", 1)[0])
+        assert PipelineConfig.from_dict(doc).to_dict() == {**PipelineConfig().to_dict(), **doc}
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_unknown_trait_rejected_before_features_load(
@@ -216,6 +238,17 @@ class TestConfig:
         assert rc == 1
         lacking = [lines[i].split(",")[0] for i in (2, 5)]
         assert f"{traits}: participants {lacking} have no 'EQ' value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_trait_table_not_utf8_named(self, dataset_dir, tmp_path, capsys):
+        traits = tmp_path / "traits.csv"
+        traits.write_bytes((dataset_dir / "traits.csv").read_bytes().replace(b"P003", b"P\xe9"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(dataset_dir, None).to_dict()))
+        rc = main(["train", "-c", str(cfg_path), "--output-dir", str(tmp_path / "out"),
+                   "--set", f"traits_csv={traits}"])
+        assert rc == 1
+        assert f"error: {traits}: trait table is not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -404,8 +437,8 @@ class TestTrain:
             "features_dir": str(extracted.resolved_features_dir()),
         })
         cmd_train(cfg)
-        # the feature CSV is hashed from the bytes its parse read
-        assert list(map(str, hashed)) == [cfg.traits_csv]
+        # the feature CSV and the trait table are hashed from the bytes their parses read
+        assert hashed == []
 
     def test_provenance_embedded(self, extracted):
         cmd_train(extracted)
@@ -500,9 +533,8 @@ class TestEvaluate:
         assert "event=leakage_audit" in logged
         assert "shared_participants=0" in logged
         out = extracted.resolved_output_dir() / "evaluate"
-        assert (out / "scores.csv").exists()
-        assert (out / "scores.txt").exists()
-        assert (out / "scores.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "manifest.json", "scores.csv", "scores.txt"]
 
     def test_seed_changes_fold_assignment(self, extracted):
         cfg1 = PipelineConfig.from_dict(
@@ -528,8 +560,9 @@ class TestEvaluate:
         out = tmp_path / "evaluate"
         rows = [line.split(",") for line in (out / "scores.csv").read_text().splitlines()[1:]]
         assert [tuple(r[:3]) for r in rows] == order
-        doc = json.loads((out / "scores.json").read_text())
-        assert [(r["input"], r["model"], r["trait"]) for r in doc["rows"]] == order
+        for row in rows:
+            res = table.cells[tuple(row[:3])]
+            assert row[-2:] == [f"{res.pooled_rmse:.17g}", f"{res.pooled_r2:.17g}"]
         blocks = (out / "scores.txt").read_text().split("=== Trait ")[1:]
         assert [b.split()[0] for b in blocks] == traits
         labels = {"velocity_n": "Velocity(N)", "position": "Position"}
@@ -557,7 +590,7 @@ class TestEvaluate:
         for line in lines:
             has = "converged_folds=" in line and "max_iterations=" in line
             assert has == ("model=bayes_ridge" in line)
-        for name in ("scores.csv", "scores.json", "scores.txt"):
+        for name in ("scores.csv", "scores.txt"):
             text = (tmp_path / "evaluate" / name).read_text()
             assert "converged" not in text and "iterations" not in text
 
@@ -576,23 +609,28 @@ class TestEvaluate:
         cmd_evaluate(cfg)
         assert sorted(loaded) == ["features_position.csv", "features_velocity.csv"]
 
-    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    @pytest.mark.parametrize("stage", ["train", "evaluate", "report"])
     def test_feature_csv_opened_once(self, extracted, tmp_path, stage):
         features = extracted.resolved_features_dir() / "features_position.csv"
+        traits = Path(extracted.traits_csv)
         cfg = PipelineConfig.from_dict({
             **extracted.to_dict(), "traits": ["EQ"], "eval_inputs": ["position", "position_n"],
             "output_dir": str(tmp_path), "features_dir": str(features.parent),
         })
-        with _opens_of(features) as opened:
-            {"train": cmd_train, "evaluate": cmd_evaluate}[stage](cfg)
-        assert len(opened) == 1
-        digest = hashlib.sha256(features.read_bytes()).hexdigest()
+        with _opens_of(features) as opened, _opens_of(traits) as traits_opened:
+            {"train": cmd_train, "evaluate": cmd_evaluate, "report": cmd_report}[stage](cfg)
+        assert len(opened) == (stage != "report")
+        assert len(traits_opened) == 1
         manifest = json.loads((tmp_path / stage / "manifest.json").read_text())
+        traits_digest = hashlib.sha256(traits.read_bytes()).hexdigest()
+        assert manifest["inputs"]["traits"]["sha256"] == traits_digest
+        digest = hashlib.sha256(features.read_bytes()).hexdigest()
         if stage == "train":
             assert manifest["inputs"]["features"]["sha256"] == digest
             model = json.loads((tmp_path / "train" / "model_EQ.json").read_text())
             assert model["provenance"]["features_sha256"] == digest
-        else:
+            assert model["provenance"]["traits_sha256"] == traits_digest
+        elif stage == "evaluate":
             assert manifest["inputs"]["features_position"]["sha256"] == digest
 
     def test_pcr_k_checked_against_training_fold_before_fit(

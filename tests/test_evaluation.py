@@ -14,7 +14,6 @@ from movetrait.evaluation import (
     r2,
     rmse,
     score_table_csv,
-    score_table_json,
     score_table_text,
     spearman,
 )
@@ -207,16 +206,6 @@ class TestCrossValidate:
         expected = rmse(y[val], pred)
         assert res.fold_rmse[f] == pytest.approx(expected, rel=1e-12)
 
-    def test_pooled_metrics_optional(self):
-        rng = np.random.default_rng(103)
-        X = rng.normal(size=(50, 4))
-        y = X[:, 0] + rng.normal(scale=0.1, size=50)
-        plan = make_fold_plan(50, 5, seed=0)
-        res = cross_validate(X, y, [ModelSpec("bayes_ridge")], plan, pooled=True)[0][0]
-        assert res.pooled_rmse is not None and res.pooled_r2 is not None
-        res2 = cross_validate(X, y, [ModelSpec("bayes_ridge")], plan)[0][0]
-        assert res2.pooled_rmse is None
-
     def test_pcr_inside_cv(self):
         rng = np.random.default_rng(104)
         X = rng.normal(size=(60, 6))
@@ -306,7 +295,7 @@ class TestSharedFactor:
     @pytest.mark.parametrize("normalize", [False, True])
     def test_every_cell_equals_separate_fits(self, normalize):
         X, Y, plan = self._data()
-        results = cross_validate(X, Y, self.SPECS, plan, normalize=normalize, pooled=True)
+        results = cross_validate(X, Y, self.SPECS, plan, normalize=normalize)
         assert len(results) == len(self.SPECS)
         for spec, per_trait in zip(self.SPECS, results):
             assert len(per_trait) == Y.shape[1]
@@ -349,6 +338,8 @@ def _toy_table():
         fold_r2=(0.1, 0.2, 0.3, 0.4, 0.5),
         mean_rmse=3.0,
         mean_r2=0.3,
+        pooled_rmse=3.25,
+        pooled_r2=0.25,
     )
     cells = {
         (kind, model, "EQ"): res
@@ -363,14 +354,11 @@ class TestScoreTable:
         text = score_table_csv(_toy_table())
         lines = text.strip().split("\n")
         assert len(lines) == 1 + 8
-        assert lines[0].startswith("input,model,trait,mean_rmse,mean_r2")
-
-    def test_json_round_trips(self):
-        import json
-        doc = json.loads(score_table_json(_toy_table()))
-        assert doc["n_folds"] == 5
-        assert len(doc["rows"]) == 8
-        assert doc["rows"][0]["fold_rmse"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert lines[0].startswith("input,model,trait,mean_rmse,mean_r2,rmse_fold1,")
+        assert lines[0].endswith(",r2_fold5,pooled_rmse,pooled_r2")
+        assert lines[1] == ("position,pcr,EQ,3,0.29999999999999999,1,2,3,4,5,"
+                            "0.10000000000000001,0.20000000000000001,0.29999999999999999,"
+                            "0.40000000000000002,0.5,3.25,0.25")
 
     def test_text_includes_reference_values(self):
         text = score_table_text(_toy_table())
