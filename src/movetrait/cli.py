@@ -5,7 +5,8 @@ the command line with repeated ``--set key=value`` flags. Each stage writes
 its outputs under its own subdirectory of the output root together with the
 resolved config and a manifest of input hashes, so identical manifests give
 byte-identical outputs. Log lines are ``key=value`` oriented for machine
-parsing.
+parsing; each stage's last line carries ``seconds=``, the stage's wall time,
+which goes to stdout only and into no output file.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
@@ -310,6 +312,7 @@ def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, 
 
 def cmd_extract(cfg: PipelineConfig) -> dict:
     """Takes directory -> one feature CSV per requested kind."""
+    start = time.perf_counter()
     takes_dir = Path(cfg.takes_dir) if cfg.takes_dir else None
     if takes_dir is None or not takes_dir.is_dir():
         raise ValueError(f"takes_dir {cfg.takes_dir!r} is not a directory")
@@ -333,7 +336,8 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
         save_feature_matrix(matrix, path)
         written[kind] = path
         log("extract", kind=kind, takes=len(take_paths),
-            rows=matrix.n_samples, cols=matrix.n_features, out=path)
+            rows=matrix.n_samples, cols=matrix.n_features, out=path,
+            seconds=time.perf_counter() - start)
 
     inputs = {p.name: p for p in [*take_paths, *sidecar_digests]}
     digests = {p.name: digest for p, (_, digest) in zip(take_paths, per_take)}
@@ -388,6 +392,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
 
     The design is factored once; every trait's model is fitted from it.
     """
+    start = time.perf_counter()
     table, traits_path, traits_sha256 = _require_traits(cfg)
     base = _base_kind(cfg.train_input)
     matrix, features_path, features_sha256 = _load_features_for(cfg, base, table, traits_path)
@@ -422,7 +427,8 @@ def cmd_train(cfg: PipelineConfig) -> dict:
         path = out_dir / f"model_{trait}.json"
         save_model(model, path, provenance=provenance)
         log("train", trait=trait, model=cfg.train_model, rows=rows,
-            train_r2=train_r2, **diagnostics, out=path)
+            train_r2=train_r2, **diagnostics, out=path,
+            seconds=time.perf_counter() - start)
         results[trait] = {"path": path, "train_r2": train_r2}
 
     write_run_info(out_dir, cfg, {"features": features_path, "traits": traits_path}, digests)
@@ -436,6 +442,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
     component count is checked before the first fit; then one
     ``cross_validate`` per input kind scores all models and traits.
     """
+    start = time.perf_counter()
     table, traits_path, traits_sha256 = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "evaluate"
     inputs: dict[str, Path] = {"traits": traits_path}
@@ -480,6 +487,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
                 if result.converged_folds is not None:
                     diagnostics = {"converged_folds": result.converged_folds,
                                    "max_iterations": result.max_iterations}
+                if result.out_of_range is not None:
+                    diagnostics.update(out_of_range=result.out_of_range,
+                                       max_abs_z=result.max_abs_z)
                 log("evaluate", input=input_kind, model=spec.kind, trait=trait,
                     mean_rmse=result.mean_rmse, mean_r2=result.mean_r2, **diagnostics)
                 cells[input_kind, spec.kind, trait] = result
@@ -488,12 +498,14 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
     )
     paths = write_score_table(score_table, out_dir)
     write_run_info(out_dir, cfg, inputs, digests)
-    log("evaluate_done", rows=len(cells), csv=paths["csv"])
+    log("evaluate_done", rows=len(cells), csv=paths["csv"],
+        seconds=time.perf_counter() - start)
     return score_table
 
 
 def cmd_importance(cfg: PipelineConfig) -> dict:
     """Per-joint importance CSVs and radar SVGs from the trained models."""
+    start = time.perf_counter()
     models_dir = cfg.resolved_output_dir() / "train"
     profiles = {}
     inputs: dict[str, Path] = {}
@@ -506,21 +518,24 @@ def cmd_importance(cfg: PipelineConfig) -> dict:
     out_dir = cfg.resolved_output_dir() / "importance"
     written = importance_report(profiles, out_dir)
     write_run_info(out_dir, cfg, inputs)
-    log("importance", traits=len(profiles), out=out_dir)
+    log("importance", traits=len(profiles), out=out_dir,
+        seconds=time.perf_counter() - start)
     return written
 
 
 def cmd_synth(spec_path: str | Path, out_dir: str | Path) -> dict:
     """Generate a synthetic dataset in the take TSV + sidecar format."""
+    start = time.perf_counter()
     spec = SynthSpec.from_json(spec_path)
     info = write_dataset(spec, out_dir)
     log("synth", takes=info["takes"], participants=info["participants"],
-        out=info["dir"])
+        out=info["dir"], seconds=time.perf_counter() - start)
     return info
 
 
 def cmd_report(cfg: PipelineConfig) -> Path:
     """Combined report: measured trait correlations plus the score table."""
+    start = time.perf_counter()
     table, traits_path, traits_sha256 = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -557,7 +572,7 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     report_path = out_dir / "report.txt"
     report_path.write_text("\n".join(lines) + "\n")
     write_run_info(out_dir, cfg, inputs, {"traits": traits_sha256})
-    log("report", out=report_path)
+    log("report", out=report_path, seconds=time.perf_counter() - start)
     return report_path
 
 

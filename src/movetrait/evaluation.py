@@ -269,7 +269,10 @@ class CvResult:
     The pooled scores are those of all out-of-fold predictions taken as one
     set; they can differ from the per-fold means. For Bayesian ridge,
     ``converged_folds`` and ``max_iterations`` summarize the evidence loop
-    over the folds; they are diagnostics, not scores.
+    over the folds. For normalized inputs, ``out_of_range`` counts the
+    validation cells outside their training column's [min, max], summed
+    over the folds, and ``max_abs_z`` is the largest |z| of a validation
+    cell. All four are diagnostics, not scores.
     """
 
     fold_rmse: tuple[float, ...]
@@ -280,6 +283,8 @@ class CvResult:
     pooled_r2: float
     converged_folds: int | None = None
     max_iterations: int | None = None
+    out_of_range: int | None = None
+    max_abs_z: float | None = None
 
 
 def cross_validate(
@@ -310,6 +315,7 @@ def cross_validate(
     # per cell, one (rmse, r2, converged, iterations) tuple per fold
     folds: list[list[tuple]] = [[] for _ in cells]
     all_pred = [np.empty_like(y) for _, y in cells]
+    extrapolation = {"out_of_range": 0, "max_abs_z": 0.0} if normalize else {}
     for f in range(plan.n_folds):
         val = plan.assignments == f
         if val.sum() < 2:
@@ -317,9 +323,13 @@ def cross_validate(
         train = ~val
         xtr, xva = X[train], X[val]
         if normalize:
+            outside = (xva < xtr.min(axis=0)) | (xva > xtr.max(axis=0))
+            extrapolation["out_of_range"] += int(np.count_nonzero(outside))
             mu, sd = gaussian_stats(xtr)
             xtr = apply_gaussian_stats(xtr, mu, sd)
             xva = apply_gaussian_stats(xva, mu, sd)
+            extrapolation["max_abs_z"] = max(extrapolation["max_abs_z"],
+                                             float(np.abs(xva).max()))
         factor = centered_svd(xtr)
         for c, (spec, y) in enumerate(cells):
             model, diagnostics = spec.fit(factor, y[train])
@@ -328,14 +338,15 @@ def cross_validate(
             folds[c].append((rmse(y[val], pred), r2(y[val], pred),
                              diagnostics.get("converged"), diagnostics.get("iterations")))
     results = [
-        _cv_result(folds[c], y, all_pred[c])
+        _cv_result(folds[c], y, all_pred[c], **extrapolation)
         for c, (_, y) in enumerate(cells)
     ]
     n_traits = Y.shape[1]
     return [results[i:i + n_traits] for i in range(0, len(results), n_traits)]
 
 
-def _cv_result(folds: list[tuple], y: np.ndarray, all_pred: np.ndarray) -> CvResult:
+def _cv_result(folds: list[tuple], y: np.ndarray, all_pred: np.ndarray,
+               **extrapolation) -> CvResult:
     fold_rmse, fold_r2, converged, iterations = zip(*folds)
     diagnosed = None not in converged
     return CvResult(
@@ -347,6 +358,7 @@ def _cv_result(folds: list[tuple], y: np.ndarray, all_pred: np.ndarray) -> CvRes
         pooled_r2=r2(y, all_pred),
         converged_folds=sum(converged) if diagnosed else None,
         max_iterations=max(iterations) if diagnosed else None,
+        **extrapolation,
     )
 
 

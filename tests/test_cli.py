@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -594,6 +595,31 @@ class TestEvaluate:
             text = (tmp_path / "evaluate" / name).read_text()
             assert "converged" not in text and "iterations" not in text
 
+    def test_normalized_inputs_report_extrapolation(self, extracted, tmp_path, capsys):
+        cfg = PipelineConfig.from_dict({
+            **extracted.to_dict(), "traits": ["EQ"], "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        })
+        table = cmd_evaluate(cfg)
+        cells = [dict(part.split("=", 1) for part in line.split())
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("event=evaluate ")]
+        assert len(cells) == 4 * 2
+        for kv in cells:
+            normalized = kv["input"].endswith("_n")
+            assert ("out_of_range" in kv) == ("max_abs_z" in kv) == normalized
+            res = table.cells[kv["input"], kv["model"], "EQ"]
+            assert (res.out_of_range is not None) == normalized
+        # the fixture's velocity kernel features sit near 0 on every training
+        # row of a fold and not on its validation rows
+        for kv in cells:
+            if kv["input"] == "velocity_n":
+                assert int(kv["out_of_range"]) > 0
+                assert float(kv["max_abs_z"]) > 1e4
+        for name in ("scores.csv", "scores.txt"):
+            text = (tmp_path / "evaluate" / name).read_text()
+            assert "out_of_range" not in text and "max_abs_z" not in text
+
     def test_each_feature_file_loaded_once(self, extracted, tmp_path, monkeypatch):
         import movetrait.cli as cli
 
@@ -834,6 +860,37 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(blocked) in err
         assert not multiprocessing.active_children()
+
+    def test_stage_logs_end_with_seconds(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        default_strong_spec(participants=10, stimuli=1, frames=40, seed=3).to_json(spec_path)
+        data = tmp_path / "data"
+        cfg = PipelineConfig(takes_dir=str(data), traits_csv=str(data / "traits.csv"),
+                             output_dir=str(tmp_path / "out"), traits=("EQ",),
+                             pcr_components={"position": 3, "velocity": 3})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        finals = {"synth": "synth", "extract": "extract", "train": "train",
+                  "evaluate": "evaluate_done", "importance": "importance", "report": "report"}
+        for stage, event in finals.items():
+            args = (["--spec", str(spec_path), "--out", str(data)] if stage == "synth"
+                    else ["-c", str(cfg_path)])
+            assert main([stage, *args]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            last = dict(part.split("=", 1) for part in lines[-1].split())
+            assert last["event"] == event
+            assert float(last["seconds"]) >= 0
+        assert all(b"seconds" not in path.read_bytes()
+                   for path in (tmp_path / "out").rglob("*") if path.is_file())
+
+    def test_import_loads_no_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, movetrait, movetrait.cli; "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out.strip() == "[]"
 
     def test_extract_via_main(self, dataset_dir, tmp_path):
         cfg = make_config(dataset_dir, tmp_path / "out")

@@ -248,14 +248,19 @@ def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
 
     y = Y[:, trait].copy()
     fold_rmse, fold_r2, converged, iterations = [], [], [], []
+    outside, biggest = 0, 0.0
     all_pred = np.empty_like(y)
     for f in range(plan.n_folds):
         val = plan.assignments == f
         xtr, xva = X[~val], X[val]
         if normalize:
+            for col in range(X.shape[1]):
+                lo, hi = min(xtr[:, col]), max(xtr[:, col])
+                outside += sum(not lo <= v <= hi for v in xva[:, col])
             mu, sd = gaussian_stats(xtr)
             xtr = apply_gaussian_stats(xtr, mu, sd)
             xva = apply_gaussian_stats(xva, mu, sd)
+            biggest = max(biggest, *(abs(v) for v in xva.ravel()))
         if spec.kind == "pcr":
             model = fit_pcr(centered_svd(xtr), y[~val], spec.k)
         else:
@@ -277,6 +282,8 @@ def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
         pooled_r2=r2(y, all_pred),
         converged_folds=sum(converged) if bayes else None,
         max_iterations=max(iterations) if bayes else None,
+        out_of_range=outside if normalize else None,
+        max_abs_z=biggest if normalize else None,
     )
 
 

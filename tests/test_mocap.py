@@ -453,6 +453,34 @@ class TestButterworth:
         np.testing.assert_allclose(y, y[::-1], atol=1e-9)
 
 
+class TestZeroPhaseOracle:
+    """``zero_phase_filter`` against ``scipy.signal.filtfilt``, which it replaces."""
+
+    @pytest.mark.parametrize("fs", [60.0, 100.0, 120.0, 240.0, 1000.0])
+    @pytest.mark.parametrize("n", [7, 8, 9, 50, 600, 4200])
+    def test_matches_filtfilt(self, fs, n):
+        signal = pytest.importorskip("scipy.signal")
+        b, a = butter_lowpass(24.0, fs)
+        rng = np.random.default_rng(int(fs) * 10_000 + n)
+        # joint-velocity-like columns: a random walk with offsets, in mm/s
+        x = np.cumsum(rng.normal(scale=50.0, size=(n, 60)), axis=0) + rng.uniform(-500, 500, 60)
+        ref = signal.filtfilt(b, a, x, axis=0, padlen=min(9, n - 2))
+        got = zero_phase_filter(x, b, a)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # each column is filtered on its own: the layout changes no bit
+        for col in (0, 31, 59):
+            alone = zero_phase_filter(x[:, col:col + 1], b, a)
+            assert np.array_equal(alone[:, 0], got[:, col])
+
+    def test_rejects_other_orders_and_short_input(self):
+        b, a = butter_lowpass(24.0, 120.0)
+        with pytest.raises(ValueError, match="2nd-order"):
+            zero_phase_filter(np.zeros((20, 2)), np.r_[b, 0.0], np.r_[a, 0.0])
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            zero_phase_filter(np.zeros((1, 2)), b, a)
+
+
 class TestVelocity:
     def test_constant_position_gives_zero_velocity(self):
         data = np.full((50, 60), 123.4)
