@@ -486,7 +486,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
                 diagnostics = {}
                 if result.converged_folds is not None:
                     diagnostics = {"converged_folds": result.converged_folds,
-                                   "max_iterations": result.max_iterations}
+                                   "max_iterations": result.max_iterations,
+                                   "clamped_folds": result.clamped_folds}
                 if result.out_of_range is not None:
                     diagnostics.update(out_of_range=result.out_of_range,
                                        max_abs_z=result.max_abs_z)

@@ -251,7 +251,8 @@ class ModelSpec:
         """Fit on the ``centered_svd`` of the design.
 
         Returns the model and its fit diagnostics: none for PCR; converged,
-        iterations, alpha, lambda and gamma for Bayesian ridge.
+        iterations, alpha, lambda, gamma and whether alpha or lambda ended
+        on a clamp bound for Bayesian ridge.
         """
         if self.kind == "pcr":
             return fit_pcr(factor, y, self.k), {}
@@ -259,6 +260,7 @@ class ModelSpec:
         return fit.model, {
             "converged": fit.converged, "iterations": fit.iterations,
             "alpha": fit.alpha, "lambda": fit.lambda_, "gamma": fit.gamma,
+            "clamped": fit.clamped,
         }
 
 
@@ -269,10 +271,11 @@ class CvResult:
     The pooled scores are those of all out-of-fold predictions taken as one
     set; they can differ from the per-fold means. For Bayesian ridge,
     ``converged_folds`` and ``max_iterations`` summarize the evidence loop
-    over the folds. For normalized inputs, ``out_of_range`` counts the
-    validation cells outside their training column's [min, max], summed
-    over the folds, and ``max_abs_z`` is the largest |z| of a validation
-    cell. All four are diagnostics, not scores.
+    over the folds, and ``clamped_folds`` counts the folds whose final
+    alpha or lambda sits on a clamp bound. For normalized inputs,
+    ``out_of_range`` counts the validation cells outside their training
+    column's [min, max], summed over the folds, and ``max_abs_z`` is the
+    largest |z| of a validation cell. All five are diagnostics, not scores.
     """
 
     fold_rmse: tuple[float, ...]
@@ -283,6 +286,7 @@ class CvResult:
     pooled_r2: float
     converged_folds: int | None = None
     max_iterations: int | None = None
+    clamped_folds: int | None = None
     out_of_range: int | None = None
     max_abs_z: float | None = None
 
@@ -312,7 +316,7 @@ def cross_validate(
     if Y.shape[0] != X.shape[0]:
         raise ValueError("Y needs one row per sample")
     cells = [(spec, y) for spec in specs for y in Y.T]
-    # per cell, one (rmse, r2, converged, iterations) tuple per fold
+    # per cell, one (rmse, r2, converged, iterations, clamped) tuple per fold
     folds: list[list[tuple]] = [[] for _ in cells]
     all_pred = [np.empty_like(y) for _, y in cells]
     extrapolation = {"out_of_range": 0, "max_abs_z": 0.0} if normalize else {}
@@ -336,7 +340,8 @@ def cross_validate(
             pred = predict_means(model, xva)
             all_pred[c][val] = pred
             folds[c].append((rmse(y[val], pred), r2(y[val], pred),
-                             diagnostics.get("converged"), diagnostics.get("iterations")))
+                             diagnostics.get("converged"), diagnostics.get("iterations"),
+                             diagnostics.get("clamped")))
     results = [
         _cv_result(folds[c], y, all_pred[c], **extrapolation)
         for c, (_, y) in enumerate(cells)
@@ -347,7 +352,7 @@ def cross_validate(
 
 def _cv_result(folds: list[tuple], y: np.ndarray, all_pred: np.ndarray,
                **extrapolation) -> CvResult:
-    fold_rmse, fold_r2, converged, iterations = zip(*folds)
+    fold_rmse, fold_r2, converged, iterations, clamped = zip(*folds)
     diagnosed = None not in converged
     return CvResult(
         fold_rmse=fold_rmse,
@@ -358,6 +363,7 @@ def _cv_result(folds: list[tuple], y: np.ndarray, all_pred: np.ndarray,
         pooled_r2=r2(y, all_pred),
         converged_folds=sum(converged) if diagnosed else None,
         max_iterations=max(iterations) if diagnosed else None,
+        clamped_folds=sum(clamped) if diagnosed else None,
         **extrapolation,
     )
 

@@ -135,6 +135,12 @@ class Evidence:
     converged: bool
     iterations: int
 
+    @property
+    def clamped(self) -> bool:
+        """Whether alpha or lambda ended on a clamp bound, so the evidence
+        fit did not estimate it."""
+        return self.alpha in (_HYPER_MIN, _HYPER_MAX) or self.lambda_ in (_HYPER_MIN, _HYPER_MAX)
+
 
 def fit_pca(factor: CenteredSvd, k: int) -> PcaBasis:
     """Centered SVD basis of the top-k principal directions of a factor.

@@ -589,11 +589,12 @@ class TestEvaluate:
                  if l.startswith("event=evaluate ")]
         assert len(lines) == 4 * 2 * 2
         for line in lines:
-            has = "converged_folds=" in line and "max_iterations=" in line
-            assert has == ("model=bayes_ridge" in line)
+            for key in ("converged_folds", "max_iterations", "clamped_folds"):
+                assert (f"{key}=" in line) == ("model=bayes_ridge" in line)
         for name in ("scores.csv", "scores.txt"):
             text = (tmp_path / "evaluate" / name).read_text()
             assert "converged" not in text and "iterations" not in text
+            assert "clamped" not in text
 
     def test_normalized_inputs_report_extrapolation(self, extracted, tmp_path, capsys):
         cfg = PipelineConfig.from_dict({
@@ -885,8 +886,11 @@ class TestMainEntry:
 
     def test_import_loads_no_scipy(self):
         src = Path(__file__).resolve().parent.parent / "src"
+        # the synth writer's process pool is loaded on first use, so no
+        # stage pays for multiprocessing either
         code = ("import sys, movetrait, movetrait.cli; "
-                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.') "
+                "or m.startswith('multiprocessing') or m == 'concurrent.futures.process'])")
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True).stdout

@@ -244,10 +244,12 @@ def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
     """One (spec, trait) cell fitted fold by fold, each fit on its own factor,
     as before sharing."""
     from movetrait.features import apply_gaussian_stats, gaussian_stats
-    from movetrait.regression import centered_svd, fit_bayes_ridge, fit_pcr, predict_means
+    from movetrait.regression import (
+        _HYPER_MAX, _HYPER_MIN, centered_svd, fit_bayes_ridge, fit_pcr, predict_means,
+    )
 
     y = Y[:, trait].copy()
-    fold_rmse, fold_r2, converged, iterations = [], [], [], []
+    fold_rmse, fold_r2, converged, iterations, clamped = [], [], [], [], []
     outside, biggest = 0, 0.0
     all_pred = np.empty_like(y)
     for f in range(plan.n_folds):
@@ -268,6 +270,8 @@ def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
             model = fit.model
             converged.append(fit.converged)
             iterations.append(fit.iterations)
+            clamped.append(fit.alpha in (_HYPER_MIN, _HYPER_MAX)
+                           or fit.lambda_ in (_HYPER_MIN, _HYPER_MAX))
         pred = predict_means(model, xva)
         all_pred[val] = pred
         fold_rmse.append(rmse(y[val], pred))
@@ -282,6 +286,7 @@ def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
         pooled_r2=r2(y, all_pred),
         converged_folds=sum(converged) if bayes else None,
         max_iterations=max(iterations) if bayes else None,
+        clamped_folds=sum(clamped) if bayes else None,
         out_of_range=outside if normalize else None,
         max_abs_z=biggest if normalize else None,
     )
@@ -308,6 +313,23 @@ class TestSharedFactor:
             assert len(per_trait) == Y.shape[1]
             for trait, got in enumerate(per_trait):
                 assert got == _separate_fit_oracle(X, Y, spec, plan, trait, normalize)
+
+    def test_interpolating_folds_counted_as_clamped(self):
+        # noiseless targets and more features than rows: each training block
+        # is fitted exactly, so the noise precision alpha runs onto _HYPER_MAX
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(20, 50))
+        Y = X @ rng.normal(size=(50, 2))
+        plan = make_fold_plan(20, 4, seed=0)
+        specs = [ModelSpec("bayes_ridge", tol=1e-9, max_iter=1000), ModelSpec("pcr", k=5)]
+        bayes, pcr = cross_validate(X, Y, specs, plan)
+        for trait, got in enumerate(bayes):
+            assert got.clamped_folds >= 1
+            assert got == _separate_fit_oracle(X, Y, specs[0], plan, trait, False)
+        assert [got.clamped_folds for got in pcr] == [None, None]
+        # with noise and fewer features than training rows, no fold is clamped
+        noisy = cross_validate(X[:, :8], Y + rng.normal(size=Y.shape), specs[:1], plan)[0]
+        assert [got.clamped_folds for got in noisy] == [0, 0]
 
     def test_one_svd_per_fold(self, monkeypatch):
         X, Y, plan = self._data()

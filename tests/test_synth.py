@@ -18,6 +18,7 @@ from movetrait.synth import (
     planted_amplitude,
     sample_traits,
     write_dataset,
+    _format_g17,
 )
 
 from oracles import write_dataset_serial
@@ -146,7 +147,8 @@ class TestWriteDataset:
         assert take.frame_rate == spec.frame_rate
         assert take.participant_id == "P000"
         takes, _ = generate(spec)
-        np.testing.assert_allclose(take.data, takes[0].data, atol=1e-12)
+        # %.17g round-trips every double
+        np.testing.assert_array_equal(take.data, takes[0].data)
 
     def test_trait_table_written(self, tmp_path):
         spec = small_spec(participants=2, stimuli=1, frames=30)
@@ -175,6 +177,49 @@ class TestWriteDataset:
             expected = ("\n".join(rows) + "\n").encode()
             path = tmp_path / f"{take.participant_id}_{take.stimulus_id}.tsv"
             assert path.read_bytes() == expected
+
+
+def _format_case(name):
+    """A 2-D float64 block; the 1-D cases become one column, with both signs."""
+    if name == "random":
+        rng = np.random.default_rng(19)
+        signs = rng.choice([-1.0, 1.0], 300_000)
+        return (signs * 10.0 ** rng.uniform(-320, 300, 300_000)).reshape(3000, 100)
+    if name == "random_fixed":
+        # the fixed-notation range, with rounded decimals and dyadic fractions
+        rng = np.random.default_rng(20)
+        spread = 10.0 ** rng.uniform(-5, 18, 100_000)
+        decimals = rng.integers(-2 * 10**9, 2 * 10**9, 50_000) / 10.0 ** rng.integers(0, 7, 50_000)
+        dyadic = rng.integers(-2**40, 2**40, 50_000) / 2.0 ** rng.integers(0, 40, 50_000)
+        return np.r_[spread, -spread, decimals, dyadic].reshape(-1, 50)
+    if name == "one_value":
+        return np.array([[-1234.5]])
+    fixed_powers = np.array([float(f"1e{n}") for n in range(-4, 18)])
+    # float("1e-14") lies below 10**-14 and its 17th digit rounds up to "1e-14"
+    all_powers = np.array([float(f"1e{n}") for n in range(-323, 309)])
+    # exact ties at the 18th significant digit, rounded half to even
+    ties = np.r_[1e14 + np.arange(1, 80, 2) / 8, 1e15 + np.arange(1, 80, 2) / 4]
+    values = {
+        "zeros": [0.0],
+        "subnormals": [5e-324, 1.5e-310, 2.2250738585072009e-308],
+        "near_1e-4": [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 9.9999999999999995e-05],
+        "powers_of_ten": np.r_[fixed_powers, np.nextafter(fixed_powers, 0),
+                               np.nextafter(fixed_powers, np.inf)],
+        "round_up_to_power": np.r_[all_powers, np.nextafter(all_powers, 0)],
+        "dyadic_ties": np.r_[ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)],
+        "non_finite": [np.nan, np.inf],
+    }[name]
+    values = np.asarray(values, dtype=float)
+    return np.r_[values, -values][:, None]
+
+
+@pytest.mark.parametrize("case", ["random", "random_fixed", "zeros", "subnormals", "near_1e-4",
+                                  "powers_of_ten", "round_up_to_power", "dyadic_ties",
+                                  "non_finite", "one_value"])
+def test_format_g17_matches_percent_format(case):
+    data = _format_case(case)
+    expected = "".join("\t".join("%.17g" % v for v in row) + "\n" for row in data.tolist())
+    assert _format_g17(data) == expected.encode()
 
 
 def _digests(directory):
