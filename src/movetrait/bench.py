@@ -3,8 +3,11 @@
 ``python -m movetrait.bench``, run from the repository root, generates the
 dataset of ``docs/example_synth_spec.json`` and runs extract, train,
 evaluate, importance and report on it through ``cli.main``, as the command
-line would, several times over. It writes each stage's median wall time,
-with the machine line, to ``docs/benchmarks.{csv,md}``.
+line would, several times over. It writes each stage's median wall time
+and median count of minor page faults, with the machine line, to
+``docs/benchmarks.{csv,md}``. The faults are this process's, its threads
+included (``getrusage``); synth's pool workers are processes of their own
+and are not counted.
 
 Times are medians over at least 3 repetitions to resist scheduler noise.
 Nothing here asserts an absolute duration beyond a configurable timeout
@@ -18,6 +21,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import tempfile
 import time
@@ -37,6 +41,7 @@ PCR_COMPONENTS = {"position": 24, "velocity": 16}
 class BenchRecord:
     stage: str
     seconds: float       # median wall time
+    minor_faults: int    # median minor page faults
     repetitions: int
     machine: str
 
@@ -49,30 +54,34 @@ def machine_descriptor() -> str:
     return f"{platform.platform()} cpus={os.cpu_count()}"
 
 
-def _time_stage(argv: list[str]) -> float:
-    """Wall time of one ``cli.main`` call with its output captured.
+def _time_stage(argv: list[str]) -> tuple[float, int]:
+    """Wall time and minor page faults of one ``cli.main`` call with its
+    output captured.
 
     A non-zero exit is a RuntimeError naming the stage and its error line.
     """
     out, err = io.StringIO(), io.StringIO()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if code != 0:
         raise RuntimeError(f"stage {argv[0]} exited {code}: {err.getvalue().strip()}")
-    return seconds
+    return seconds, faults
 
 
 def bench_pipeline(spec_path: str | Path = DEFAULT_SPEC, repetitions: int = 3,
                    timeout_s: float = DEFAULT_TIMEOUT_S) -> list[BenchRecord]:
-    """Median wall time of each pipeline stage over ``repetitions`` full runs.
+    """Median wall time and minor faults of each pipeline stage over
+    ``repetitions`` full runs.
 
     The config is the ``PipelineConfig`` defaults (the full 4 x 2 x 7 grid)
     with only the paths and the PCR component counts set. Every repetition
     regenerates the dataset and overwrites the previous run's outputs.
     """
-    times: dict[str, list[float]] = {stage: [] for stage in STAGES}
+    runs: dict[str, list[tuple[float, int]]] = {stage: [] for stage in STAGES}
     with tempfile.TemporaryDirectory() as tmp:
         takes, config = Path(tmp) / "takes", Path(tmp) / "config.json"
         config.write_text(json.dumps(cli.PipelineConfig(
@@ -80,13 +89,14 @@ def bench_pipeline(spec_path: str | Path = DEFAULT_SPEC, repetitions: int = 3,
             output_dir=str(Path(tmp) / "out"), pcr_components=PCR_COMPONENTS,
         ).to_dict()))
         for _ in range(repetitions):
-            times["synth"].append(
+            runs["synth"].append(
                 _time_stage(["synth", "--spec", str(spec_path), "--out", str(takes)]))
             for stage in STAGES[1:]:
-                times[stage].append(_time_stage([stage, "-c", str(config)]))
+                runs[stage].append(_time_stage([stage, "-c", str(config)]))
     machine = machine_descriptor()
-    records = [BenchRecord(stage, statistics.median(runs), repetitions, machine)
-               for stage, runs in times.items()]
+    records = [BenchRecord(stage, statistics.median(t for t, _ in stage_runs),
+                           statistics.median_low(f for _, f in stage_runs), repetitions, machine)
+               for stage, stage_runs in runs.items()]
     assert_under_timeout(records, timeout_s)
     return records
 
@@ -98,9 +108,9 @@ def assert_under_timeout(records: list[BenchRecord], timeout_s: float) -> None:
 
 
 def records_csv(records: list[BenchRecord]) -> str:
-    lines = ["stage,median_seconds,repetitions,machine"]
+    lines = ["stage,median_seconds,median_minor_faults,repetitions,machine"]
     for r in records:
-        lines.append(f"{r.stage},{r.seconds:.6f},{r.repetitions},\"{r.machine}\"")
+        lines.append(f"{r.stage},{r.seconds:.6f},{r.minor_faults},{r.repetitions},\"{r.machine}\"")
     return "\n".join(lines) + "\n"
 
 
@@ -110,11 +120,11 @@ def records_markdown(records: list[BenchRecord]) -> str:
         "",
         f"Machine: {records[0].machine if records else 'n/a'}",
         "",
-        "| stage | median (s) | reps |",
-        "|---|---|---|",
+        "| stage | median (s) | median minor faults | reps |",
+        "|---|---|---|---|",
     ]
     for r in records:
-        lines.append(f"| {r.stage} | {r.seconds:.4f} | {r.repetitions} |")
+        lines.append(f"| {r.stage} | {r.seconds:.4f} | {r.minor_faults} | {r.repetitions} |")
     return "\n".join(lines) + "\n"
 
 
@@ -125,7 +135,8 @@ def main(out_dir: str | Path = "docs") -> int:
     (out / "benchmarks.csv").write_text(records_csv(records))
     (out / "benchmarks.md").write_text(records_markdown(records))
     for r in records:
-        print(f"event=bench stage={r.stage} median_s={r.seconds:.4f}")
+        print(f"event=bench stage={r.stage} median_s={r.seconds:.4f} "
+              f"minor_faults={r.minor_faults}")
     return 0
 
 

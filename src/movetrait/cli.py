@@ -298,6 +298,7 @@ def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, 
     raw = path.read_bytes()
     take = load_take(path, metadata=side, raw=raw)  # its TakeFormatErrors carry file:line
     digest = hashlib.sha256(raw).hexdigest()
+    del raw   # not held through the velocity filter and the kernel
     out = {}
     try:
         joints = derive_joints(take)

@@ -11,6 +11,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import mmap
+import re
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -193,9 +196,14 @@ def _frame_rate(path: Path, side: dict) -> float:
 # quad. IBM double-double (nexp 11) has a wide significand but does not round
 # correctly, so it takes np.loadtxt like a plain 64-bit long double.
 _EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63 and np.finfo(np.longdouble).nexp > 11
-# 256 lines keep the reader's temporaries at a few MB per thread, which malloc
-# reuses from block to block; at 1024 lines every block faulted in fresh pages
+# Lines per block. A block's arrays live in the thread's _Workspace (6.4 MiB
+# for 256 lines of 63 `%.17g` fields), reused from block to block and take to
+# take: glibc hands freed temporaries of that size back to the kernel after
+# each block of a short take, and every block would fault them in afresh.
+# 1024-line blocks parse slower, and 64 lines or fewer pay so much overhead
+# per block that ingest_long's extract went from 1.4 s to 2.4 s and more.
 _BLOCK_LINES = 256
+_CHUNK = 1 << 18     # bytes scanned for line ends at a time
 _PAD = 32            # leading bytes before a block, so every 32-byte window fits
 _TAB, _NL, _DOT, _EXP, _PLUS, _MINUS = 1, 2, 3, 4, 5, 6
 _CLASS = np.zeros(256, np.uint8)   # class of each byte a field may hold besides digits
@@ -207,119 +215,246 @@ _KEEP = np.array([[(~0 << 8 * min(max(t - 8 * i, 0), 8)) & (2**64 - 1) for t in 
 _POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))   # 1 .. 1e27, exact
 _DIVISOR = np.r_[_POW10[::-1], np.ones(27, np.longdouble)]      # by decimal exponent + 27
 _MULTIPLIER = np.r_[np.ones(27, np.longdouble), _POW10]
+_NONSPACE = re.compile(rb"\S")     # \s is the whitespace of bytes.isspace
+
+# The workspace's arrays as (names, dtype, length per byte of capacity, per
+# field of capacity). Per byte: the block with its padding, the line-end scan,
+# and per-token values; per field: at most two dots or exponent marks, and the
+# 4 + 3 + 3 + 3 window, lane, scratch and mask rows of the SWAR step.
+_WORKSPACE = (
+    ("buf scratch cls mcls", np.uint8, 1, 0),
+    ("mask sep de", np.bool_, 1, 0),
+    ("dm key at pos", np.intp, 0, 2),
+    ("is_exp order", np.bool_, 0, 2),
+    ("fe fs me digits frac e10 idx", np.intp, 0, 1),
+    ("lead", np.uint8, 0, 1),
+    ("neg signed has_dot has_exp slow flag flag2", np.bool_, 0, 1),
+    ("w", np.uint64, 0, 4),
+    ("lanes tmp keep", np.uint64, 0, 3),
+    ("q d", np.longdouble, 0, 1),
+    ("rounded", np.float64, 0, 1),
+)
 
 
-def _swar8(lanes: np.ndarray) -> np.ndarray:
-    """Eight ASCII digits per little-endian uint64 lane to their integer value.
+class _Workspace:
+    """The block arrays of ``_read_block`` for one thread, as typed views of
+    one anonymous memory mapping.
+
+    ``nbytes`` bounds a block with its ``_PAD`` leading bytes and final
+    newline, and is at least ``_CHUNK``; ``nfields`` bounds its fields. A
+    block slices what it needs from the front of each array. The mapping is
+    the thread's own and not the heap's, so the pages stay mapped between
+    blocks, and are unmapped when the thread's ``threading.local`` goes.
+    """
+
+    def __init__(self, nbytes: int, nfields: int):
+        self.nbytes, self.nfields = nbytes, nfields
+        layout = [(name, np.dtype(dtype), per_byte * nbytes + per_field * nfields)
+                  for names, dtype, per_byte, per_field in _WORKSPACE for name in names.split()]
+        sizes = [-(-dtype.itemsize * length // 64) * 64 for _, dtype, length in layout]
+        mapping = mmap.mmap(-1, sum(sizes), flags=mmap.MAP_PRIVATE)
+        offset = 0
+        for (name, dtype, length), size in zip(layout, sizes):
+            setattr(self, name, np.frombuffer(mapping, dtype, length, offset))
+            offset += size
+        self.buf[:_PAD] = 48
+
+
+_LOCAL = threading.local()
+
+
+def _workspace(nbytes: int, nfields: int) -> _Workspace:
+    """This thread's workspace, first grown to at least ``nbytes`` and ``nfields``.
+
+    Byte capacity grows in steps of 64 KiB, so takes whose longest blocks
+    differ by a few bytes share one mapping.
+    """
+    ws = getattr(_LOCAL, "workspace", None)
+    if ws is None or ws.nbytes < nbytes or ws.nfields < nfields:
+        if ws is not None:
+            nbytes, nfields = max(nbytes, ws.nbytes), max(nfields, ws.nfields)
+        ws = _LOCAL.workspace = _Workspace(max(-(-nbytes >> 16) << 16, _CHUNK), nfields)
+    return ws
+
+
+def _swar8(v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Eight ASCII digits per little-endian uint64 lane of ``v`` to their
+    integer value, in place; ``tmp`` is scratch of ``v``'s shape.
 
     The first byte is the most significant digit; zero bytes read as 0.
     """
-    v = lanes & 0x0F0F0F0F0F0F0F0F
-    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
-    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
-    return (v * 10000 + (v >> 32)) & 0xFFFFFFFF
+    v &= 0x0F0F0F0F0F0F0F0F
+    for shift, scale, keep in ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF),
+                               (32, 10000, 0xFFFFFFFF)):
+        np.right_shift(v, shift, out=tmp)
+        v *= scale
+        v += tmp
+        v &= keep
+    return v
 
 
-def _windows(buf: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bytes of ``buf`` before each offset in ``ends``.
+def _windows(buf: np.ndarray, starts: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` from each offset in ``starts``, into ``out``.
 
-    Returned as ``width // 8`` rows of little-endian uint64 lanes, one
+    ``out`` has ``width // 8`` rows of little-endian uint64 lanes and one
     column per offset; lane 0 holds the first 8 bytes.
     """
-    rows = np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))[ends - width]
-    return np.ascontiguousarray(rows.view("<u8").reshape(len(ends), width // 8).T)
+    rows = np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))[starts]
+    np.copyto(out, rows.view("<u8").reshape(len(starts), width // 8).T)
+    return out
 
 
-def _read_block(buf: np.ndarray, nlines: int, width: int, out: np.ndarray) -> bool:
-    """Parse ``nlines`` lines from ``buf[_PAD:]`` into ``out``; False on any grammar breach."""
+def _read_block(ws: _Workspace, size: int, nlines: int, width: int, out: np.ndarray) -> bool:
+    """Parse ``nlines`` lines from ``ws.buf[_PAD:size]`` into the flat ``out``;
+    False on any grammar breach.
+
+    Every block-sized array is a slice of ``ws``, apart from the offsets
+    that ``np.flatnonzero`` returns and the gathered 32-byte windows.
+    """
+    buf = ws.buf[:size]
     block = buf[_PAD:]
+    nb = len(block)
     n = nlines * width
-    tok = np.flatnonzero((block - 48) >= 10)   # every byte that is not a digit
-    cls = np.take(_CLASS, np.take(block, tok))
+    np.subtract(block, 48, out=ws.scratch[:nb])
+    tok = np.flatnonzero(np.greater_equal(ws.scratch[:nb], 10, out=ws.mask[:nb]))  # not digits
+    t = len(tok)
+    # mode="clip" wherever the indices are in range: take's default mode
+    # copies its output first
+    cls = np.take(_CLASS, np.take(block, tok, out=ws.scratch[:t], mode="clip"),
+                  out=ws.cls[:t], mode="clip")
     if not cls.all():
         return False
-    sep = cls <= _NL
-    fe = np.compress(sep, tok)                 # field ends
+    sep = np.less_equal(cls, _NL, out=ws.sep[:t])
     # the block holds nlines newlines, so this gives every line width fields
-    if len(fe) != n or not (np.take(block, fe[width - 1::width]) == 10).all():
+    if np.count_nonzero(sep) != n:
         return False
-    fs = np.empty(n, np.intp)                  # field starts
+    fe = np.take(tok, np.flatnonzero(sep), out=ws.fe[:n], mode="clip")   # field ends
+    if not (np.take(block, fe[width - 1::width]) == 10).all():
+        return False
+    fs = ws.fs[:n]                             # field starts
     fs[0] = 0
     np.add(fe[:-1], 1, out=fs[1:])
 
-    mi = np.flatnonzero(~sep)                  # dots, exponent marks and signs
-    mcls = np.take(cls, mi)
-    de = mcls < _PLUS
-    field = np.compress(de, mi) - np.flatnonzero(de)   # separators before the mark
-    at = np.take(tok, np.compress(de, mi))
-    is_exp = np.compress(de, mcls) == _EXP
-    key = 2 * field + is_exp
-    if (key[1:] <= key[:-1]).any():
+    mi = np.flatnonzero(np.logical_not(sep, out=sep))   # dots, exponent marks and signs
+    mcls = np.take(cls, mi, out=ws.mcls[:len(mi)], mode="clip")
+    di = np.flatnonzero(np.less(mcls, _PLUS, out=ws.de[:len(mi)]))   # dots and exponent marks
+    nd = len(di)
+    if nd > 2 * n:
+        return False   # more than one dot and one exponent mark a field
+    dm = np.take(mi, di, out=ws.dm[:nd], mode="clip")
+    key = np.subtract(dm, di, out=ws.key[:nd])   # separators before the mark: its field
+    is_exp = np.equal(np.take(mcls, di, out=ws.scratch[:nd], mode="clip"), _EXP,
+                      out=ws.is_exp[:nd])
+    key *= 2
+    key += is_exp
+    if np.less_equal(key[1:], key[:-1], out=ws.order[:max(nd - 1, 0)]).any():
         return False   # two dots or two exponent marks in a field, or a dot after one
-    dot = np.full(n, -1, np.intp)
-    exp = np.full(n, -1, np.intp)
-    dot[field[~is_exp]] = at[~is_exp]
-    exp[field[is_exp]] = at[is_exp]
-    signs = len(mi) - len(field)
+    pos = ws.pos[:2 * n]
+    pos.fill(-1)
+    np.put(pos, key, np.take(tok, dm, out=ws.at[:nd], mode="clip"), mode="clip")
+    dot, exp = pos[0::2], pos[1::2]
+    signs = len(mi) - nd
 
-    lead = np.take(_CLASS, np.take(block, fs))
-    neg = lead == _MINUS
-    signed = neg | (lead == _PLUS)
-    has_exp = exp >= 0
-    has_dot = dot >= 0
-    me = np.where(has_exp, exp, fe)            # mantissa ends
-    digits = me - fs - signed - has_dot
-    if (digits < 1).any():
+    lead = np.take(_CLASS, np.take(block, fs, out=ws.scratch[:n], mode="clip"),
+                   out=ws.lead[:n], mode="clip")
+    neg = np.equal(lead, _MINUS, out=ws.neg[:n])
+    signed = np.greater_equal(lead, _PLUS, out=ws.signed[:n])
+    has_exp = np.greater_equal(exp, 0, out=ws.has_exp[:n])
+    has_dot = np.greater_equal(dot, 0, out=ws.has_dot[:n])
+    me = ws.me[:n]                             # mantissa ends
+    np.copyto(me, fe)
+    np.copyto(me, exp, where=has_exp)
+    digits = np.subtract(me, fs, out=ws.digits[:n])
+    digits -= signed
+    digits -= has_dot
+    if digits.min() < 1:
         return False
-    frac = np.where(has_dot, me - dot - 1, 0)
+    frac = np.subtract(me, dot, out=ws.frac[:n])
+    frac -= 1
+    frac *= has_dot
 
     # the mantissa's last 24 bytes, with the bytes left of the dot moved one
     # place right over it and the bytes left of the first digit cleared
-    w = _windows(buf, me + _PAD, 32)
+    idx = ws.idx[:n]
+    w = _windows(buf, np.add(me, _PAD - 32, out=idx), 32, ws.w[:4 * n].reshape(4, n))
     a = w[1:]
-    b = (a << 8) | (w[:-1] >> 56)
-    from_a = np.take(_KEEP, np.where(has_dot, np.maximum(24 - frac, 0), 0), axis=1)
-    lanes = b ^ ((a ^ b) & from_a)
-    lanes &= np.take(_KEEP, np.maximum(24 - digits, 0), axis=1)
-    m = _swar8(lanes)
-    slow = (digits > 24) | (m[0] >= 1000)      # mantissa may not fit in 64 bits
-    mant = m[0] * 10**16 + m[1] * 10**8 + m[2]
+    lanes = np.left_shift(a, 8, out=ws.lanes[:3 * n].reshape(3, n))
+    tmp = np.right_shift(w[:-1], 56, out=ws.tmp[:3 * n].reshape(3, n))
+    lanes |= tmp
+    np.subtract(24, frac, out=idx)
+    np.maximum(idx, 0, out=idx)
+    idx *= has_dot
+    keep = np.take(_KEEP, idx, axis=1, out=ws.keep[:3 * n].reshape(3, n), mode="clip")
+    np.bitwise_xor(a, lanes, out=tmp)
+    tmp &= keep
+    lanes ^= tmp
+    np.subtract(24, digits, out=idx)
+    np.maximum(idx, 0, out=idx)
+    lanes &= np.take(_KEEP, idx, axis=1, out=keep, mode="clip")
+    m = _swar8(lanes, tmp)
+    slow = np.greater(digits, 24, out=ws.slow[:n])
+    slow |= np.greater_equal(m[0], 1000, out=ws.flag[:n])   # mantissa may not fit in 64 bits
+    mant = m[0]                                # m[0] * 10**16 + m[1] * 10**8 + m[2]
+    mant *= 10**8
+    mant += m[1]
+    mant *= 10**8
+    mant += m[2]
 
-    e10 = -frac
+    e10 = np.negative(frac, out=ws.e10[:n])
     ef = np.flatnonzero(has_exp)
     if len(ef):
         after = np.take(exp, ef) + 1
         acls = np.take(_CLASS, np.take(block, after))
         esigned = acls >= _PLUS
         signs -= np.count_nonzero(esigned)
-        elen = np.take(fe, ef) - after - esigned
+        ends = np.take(fe, ef)
+        elen = ends - after - esigned
         if (elen < 1).any():
             return False
-        ev = _swar8(_windows(buf, np.take(fe, ef) + _PAD, 8)[0]
-                    & np.take(_KEEP[2], np.maximum(24 - elen, 16))).astype(np.intp)
+        ev = _windows(buf, ends + (_PAD - 8), 8, np.empty((1, len(ef)), np.uint64))[0]
+        ev &= np.take(_KEEP[2], np.maximum(24 - elen, 16))
+        ev = _swar8(ev, np.empty_like(ev)).astype(np.intp)
         e10[ef] += np.where(acls == _MINUS, -ev, ev)
         slow[ef[elen > 8]] = True
     if signs != np.count_nonzero(signed):
         return False   # a sign neither first in its field nor right after the exponent mark
-    slow |= np.abs(e10) > 27
+    scale = np.abs(e10, out=idx)
+    slow |= np.greater(scale, 27, out=ws.flag[:n])
+    np.add(e10, 27, out=scale)
+    np.clip(scale, 0, 54, out=scale)
 
-    scale = np.clip(e10 + 27, 0, 54)
-    q = mant.astype(np.longdouble)
-    q /= np.take(_DIVISOR, scale)
-    if (e10 > 0).any():
-        q *= np.take(_MULTIPLIER, scale)
-    vals = q.astype(np.float64)
-    rem = q - vals
-    twice = q + rem
-    slow |= (rem != 0) & (twice.astype(np.float64) == twice)   # q is a float64 midpoint
-    vals *= 1 - 2 * neg.view(np.int8)          # "-0" reads as -0.0
+    q = ws.q[:n]
+    np.copyto(q, mant)
+    q /= np.take(_DIVISOR, scale, out=ws.d[:n], mode="clip")
+    if e10.max() > 0:
+        q *= np.take(_MULTIPLIER, scale, out=ws.d[:n], mode="clip")
+    np.copyto(out, q)                          # rounds to float64
+    rem = np.subtract(q, out, out=ws.d[:n])
+    twice = np.add(q, rem, out=q)
+    rounded = ws.rounded[:n]
+    np.copyto(rounded, twice)
+    on_grid = np.equal(rounded, twice, out=ws.flag[:n])
+    on_grid &= np.not_equal(rem, 0, out=ws.flag2[:n])
+    slow |= on_grid                            # q is a float64 midpoint
+    np.negative(out, out=out, where=neg)       # "-0" reads as -0.0
     for i in np.flatnonzero(slow):
-        vals[i] = float(block[fs[i]:fe[i]].tobytes())
-    out[...] = vals.reshape(nlines, width)
+        out[i] = float(block[fs[i]:fe[i]].tobytes())
     return True
 
 
-def _read_decimal(body: bytes, width: int) -> np.ndarray | None:
+def _line_ends(raw: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Offsets just past every ``\\n`` of ``raw``, found ``_CHUNK`` bytes at a
+    time through ``mask``, so that no mask of the whole body is made."""
+    parts = [np.empty(0, np.intp)]
+    for start in range(0, len(raw), _CHUNK):
+        chunk = raw[start:start + _CHUNK]
+        hits = np.flatnonzero(np.equal(chunk, 10, out=mask[:len(chunk)]))
+        hits += start + 1
+        parts.append(hits)
+    return np.concatenate(parts)
+
+
+def _read_decimal(body, width: int) -> np.ndarray | None:
     """Exact vectorized parse of a take body, or None for anything outside its grammar.
 
     Every line holds exactly ``width`` fields ``[+-]digits[.digits][(e|E)[+-]digits]``
@@ -328,9 +463,12 @@ def _read_decimal(body: bytes, width: int) -> np.ndarray | None:
     Any other byte or shape (CR, blank lines, spaces, ``nan``, ``1_000``,
     empty fields, short rows, a second dot or exponent) returns None.
 
-    The body is parsed 256 lines at a time with numpy array operations,
-    which release the GIL, so threads parse takes in parallel. Each value
-    equals ``float()`` of its field bit for bit:
+    ``body`` is ``bytes`` or a ``memoryview`` and is read in place. It is
+    parsed 256 lines at a time with numpy array operations, which release
+    the GIL, so threads parse takes in parallel. Each block is copied into
+    the thread's workspace (``_Workspace``), which holds every block-sized
+    array and is reused across blocks and takes. Each value equals
+    ``float()`` of its field bit for bit:
 
     - The mantissa digits M are read 8 at a time with the SWAR step of
       Lemire, "Number Parsing at a Gigabyte per Second" (SPE 2021).
@@ -349,22 +487,24 @@ def _read_decimal(body: bytes, width: int) -> np.ndarray | None:
       ``repr`` value lies next to a float64, not on a midpoint, so these
       are rare.
     """
-    if not body.endswith(b"\n"):
-        body += b"\n"   # a last line without its newline reads like one with it
     raw = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero(raw == 10) + 1
-    out = np.empty((len(ends), width))
-    start = 0
-    for first in range(0, len(ends), _BLOCK_LINES):
-        last = min(first + _BLOCK_LINES, len(ends))
-        end = ends[last - 1]
-        buf = np.empty(end - start + _PAD, np.uint8)
-        buf[:_PAD] = 48
-        buf[_PAD:] = raw[start:end]
-        if not _read_block(buf, last - first, width, out[first:last]):
+    ends = _line_ends(raw, _workspace(0, 0).mask)
+    if not len(raw) or raw[-1] != 10:
+        ends = np.append(ends, len(raw))   # a last line without its newline
+    cuts = np.r_[0, ends[_BLOCK_LINES - 1:-1:_BLOCK_LINES], ends[-1]].tolist()
+    longest = max(end - start for start, end in zip(cuts, cuts[1:]))
+    ws = _workspace(_PAD + longest + 1, min(len(ends), _BLOCK_LINES) * width)
+    out = np.empty(len(ends) * width)
+    for first, start, end in zip(range(0, len(ends), _BLOCK_LINES), cuts, cuts[1:]):
+        nlines = min(_BLOCK_LINES, len(ends) - first)
+        size = _PAD + end - start
+        ws.buf[_PAD:size] = raw[start:end]
+        if ws.buf[size - 1] != 10:             # reads like the same line with its newline
+            ws.buf[size] = 10
+            size += 1
+        if not _read_block(ws, size, nlines, width, out[first * width:(first + nlines) * width]):
             return None
-        start = end
-    return out
+    return out.reshape(len(ends), width)
 
 
 def _parse_fast(raw: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
@@ -376,20 +516,23 @@ def _parse_fast(raw: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
     give bit for bit is returned: at least 2 rows, 3 columns per marker,
     every sample finite. Everything else (bad rows, lone CR line ends,
     ``1_000``) is left to ``_scan_take``, which accepts or rejects it with
-    file and line context.
+    file and line context. The body is read in place, not copied.
     """
-    markers, body = MARKER_LABELS, raw
+    markers, start = MARKER_LABELS, 0
     try:
         if raw.startswith(b"#MARKERS"):
-            header, _, body = raw.partition(b"\n")
-            header = header.rstrip(b"\r")
+            start = raw.find(b"\n") + 1
+            if not start:
+                return None   # a header and no body
+            header = raw[:start - 1].rstrip(b"\r")
             if b"\r" in header:
                 return None
             labels = header.decode("utf-8").split("\t")[1:]
             if labels:
                 markers = tuple(labels)
-        if not body or body.isspace():  # loadtxt warns on a body with no rows
+        if not _NONSPACE.search(raw, start):  # loadtxt warns on a body with no rows
             return None
+        body = memoryview(raw)[start:]
         data = _read_decimal(body, 3 * len(markers)) if _EXACT_LONGDOUBLE else None
         if data is None:
             data = np.loadtxt(io.BytesIO(body), delimiter="\t", comments=None, ndmin=2,

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 
 from movetrait.features import SIGMA_DEFAULT, lower_triangle_indices
-from movetrait.mocap import MARKER_LABELS
+from movetrait.mocap import (
+    _BLOCK_LINES, _CLASS, _DIVISOR, _EXP, _KEEP, _MINUS, _MULTIPLIER, _NL, _PAD, _PLUS,
+    MARKER_LABELS,
+)
 from movetrait.synth import iter_takes, sample_traits, write_trait_table
 
 
@@ -75,3 +78,135 @@ def write_dataset_serial(spec, out_dir) -> None:
         )
     write_trait_table(traits, out_dir / "traits.csv")
     spec.to_json(out_dir / "synth_spec.json")
+
+
+def _swar8_alloc(lanes: np.ndarray) -> np.ndarray:
+    """Eight ASCII digits per little-endian uint64 lane to their integer value.
+
+    The first byte is the most significant digit; zero bytes read as 0.
+    """
+    v = lanes & 0x0F0F0F0F0F0F0F0F
+    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
+    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
+    return (v * 10000 + (v >> 32)) & 0xFFFFFFFF
+
+
+def _windows_alloc(buf: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` before each offset in ``ends``.
+
+    Returned as ``width // 8`` rows of little-endian uint64 lanes, one
+    column per offset; lane 0 holds the first 8 bytes.
+    """
+    rows = np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))[ends - width]
+    return np.ascontiguousarray(rows.view("<u8").reshape(len(ends), width // 8).T)
+
+
+def read_block(buf: np.ndarray, nlines: int, width: int, out: np.ndarray) -> bool:
+    """Parse ``nlines`` lines from ``buf[_PAD:]`` into ``out``; False on any grammar breach."""
+    block = buf[_PAD:]
+    n = nlines * width
+    tok = np.flatnonzero((block - 48) >= 10)   # every byte that is not a digit
+    cls = np.take(_CLASS, np.take(block, tok))
+    if not cls.all():
+        return False
+    sep = cls <= _NL
+    fe = np.compress(sep, tok)                 # field ends
+    # the block holds nlines newlines, so this gives every line width fields
+    if len(fe) != n or not (np.take(block, fe[width - 1::width]) == 10).all():
+        return False
+    fs = np.empty(n, np.intp)                  # field starts
+    fs[0] = 0
+    np.add(fe[:-1], 1, out=fs[1:])
+
+    mi = np.flatnonzero(~sep)                  # dots, exponent marks and signs
+    mcls = np.take(cls, mi)
+    de = mcls < _PLUS
+    field = np.compress(de, mi) - np.flatnonzero(de)   # separators before the mark
+    at = np.take(tok, np.compress(de, mi))
+    is_exp = np.compress(de, mcls) == _EXP
+    key = 2 * field + is_exp
+    if (key[1:] <= key[:-1]).any():
+        return False   # two dots or two exponent marks in a field, or a dot after one
+    dot = np.full(n, -1, np.intp)
+    exp = np.full(n, -1, np.intp)
+    dot[field[~is_exp]] = at[~is_exp]
+    exp[field[is_exp]] = at[is_exp]
+    signs = len(mi) - len(field)
+
+    lead = np.take(_CLASS, np.take(block, fs))
+    neg = lead == _MINUS
+    signed = neg | (lead == _PLUS)
+    has_exp = exp >= 0
+    has_dot = dot >= 0
+    me = np.where(has_exp, exp, fe)            # mantissa ends
+    digits = me - fs - signed - has_dot
+    if (digits < 1).any():
+        return False
+    frac = np.where(has_dot, me - dot - 1, 0)
+
+    # the mantissa's last 24 bytes, with the bytes left of the dot moved one
+    # place right over it and the bytes left of the first digit cleared
+    w = _windows_alloc(buf, me + _PAD, 32)
+    a = w[1:]
+    b = (a << 8) | (w[:-1] >> 56)
+    from_a = np.take(_KEEP, np.where(has_dot, np.maximum(24 - frac, 0), 0), axis=1)
+    lanes = b ^ ((a ^ b) & from_a)
+    lanes &= np.take(_KEEP, np.maximum(24 - digits, 0), axis=1)
+    m = _swar8_alloc(lanes)
+    slow = (digits > 24) | (m[0] >= 1000)      # mantissa may not fit in 64 bits
+    mant = m[0] * 10**16 + m[1] * 10**8 + m[2]
+
+    e10 = -frac
+    ef = np.flatnonzero(has_exp)
+    if len(ef):
+        after = np.take(exp, ef) + 1
+        acls = np.take(_CLASS, np.take(block, after))
+        esigned = acls >= _PLUS
+        signs -= np.count_nonzero(esigned)
+        elen = np.take(fe, ef) - after - esigned
+        if (elen < 1).any():
+            return False
+        ev = _swar8_alloc(_windows_alloc(buf, np.take(fe, ef) + _PAD, 8)[0]
+                          & np.take(_KEEP[2], np.maximum(24 - elen, 16))).astype(np.intp)
+        e10[ef] += np.where(acls == _MINUS, -ev, ev)
+        slow[ef[elen > 8]] = True
+    if signs != np.count_nonzero(signed):
+        return False   # a sign neither first in its field nor right after the exponent mark
+    slow |= np.abs(e10) > 27
+
+    scale = np.clip(e10 + 27, 0, 54)
+    q = mant.astype(np.longdouble)
+    q /= np.take(_DIVISOR, scale)
+    if (e10 > 0).any():
+        q *= np.take(_MULTIPLIER, scale)
+    vals = q.astype(np.float64)
+    rem = q - vals
+    twice = q + rem
+    slow |= (rem != 0) & (twice.astype(np.float64) == twice)   # q is a float64 midpoint
+    vals *= 1 - 2 * neg.view(np.int8)          # "-0" reads as -0.0
+    for i in np.flatnonzero(slow):
+        vals[i] = float(block[fs[i]:fe[i]].tobytes())
+    out[...] = vals.reshape(nlines, width)
+    return True
+
+
+def read_decimal(body: bytes, width: int) -> np.ndarray | None:
+    """The allocating take reader that ``mocap._read_decimal`` replaced: the
+    bit-for-bit oracle for the workspace reader. It holds a ``raw == 10``
+    mask of the whole body and fresh block temporaries for every block."""
+    if not body.endswith(b"\n"):
+        body += b"\n"   # a last line without its newline reads like one with it
+    raw = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(raw == 10) + 1
+    out = np.empty((len(ends), width))
+    start = 0
+    for first in range(0, len(ends), _BLOCK_LINES):
+        last = min(first + _BLOCK_LINES, len(ends))
+        end = ends[last - 1]
+        buf = np.empty(end - start + _PAD, np.uint8)
+        buf[:_PAD] = 48
+        buf[_PAD:] = raw[start:end]
+        if not read_block(buf, last - first, width, out[first:last]):
+            return None
+        start = end
+    return out

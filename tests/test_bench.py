@@ -19,11 +19,11 @@ def write_spec(tmp_path, participants):
 
 def test_record_requires_three_repetitions():
     with pytest.raises(ValueError, match="3 repetitions"):
-        BenchRecord("extract", 0.1, repetitions=2, machine="m")
+        BenchRecord("extract", 0.1, 0, repetitions=2, machine="m")
 
 
 def test_timeout_ceiling():
-    rec = BenchRecord("evaluate", 5.0, 3, "m")
+    rec = BenchRecord("evaluate", 5.0, 0, 3, "m")
     assert_under_timeout([rec], timeout_s=10.0)
     with pytest.raises(RuntimeError, match="evaluate took 5.0s > 1.0s ceiling"):
         assert_under_timeout([rec], timeout_s=1.0)
@@ -38,13 +38,17 @@ def test_pipeline_smoke(tmp_path):
         assert r.repetitions == 3
         assert r.machine == machine_descriptor()
         assert r.seconds > 0
+        assert isinstance(r.minor_faults, int) and r.minor_faults >= 0
+    # extract parses 40 takes: its faults are counted, not left at 0
+    assert records[1].minor_faults > 0
     csv_lines = records_csv(records).strip().split("\n")
-    assert csv_lines[0] == "stage,median_seconds,repetitions,machine"
+    assert csv_lines[0] == "stage,median_seconds,median_minor_faults,repetitions,machine"
+    assert csv_lines[2].startswith(f"extract,{records[1].seconds:.6f},{records[1].minor_faults},3,")
     assert len(csv_lines) == 1 + len(records)
     md = records_markdown(records)
     assert f"Machine: {machine_descriptor()}" in md
     for r in records:
-        assert f"| {r.stage} | {r.seconds:.4f} | 3 |" in md
+        assert f"| {r.stage} | {r.seconds:.4f} | {r.minor_faults} | 3 |" in md
 
 
 def test_failing_stage_is_named(tmp_path):

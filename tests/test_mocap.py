@@ -1,6 +1,13 @@
 import decimal
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+try:
+    import resource
+except ImportError:   # not on Windows
+    resource = None
 
 import numpy as np
 import pytest
@@ -24,6 +31,7 @@ from movetrait.mocap import (
     _parse_fast,
     _scan_take,
 )
+import oracles
 from oracles import filter_magnitude_squared
 
 
@@ -281,6 +289,105 @@ def test_reader_matches_float_bit_for_bit():
     assert got is not None
     bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
     assert not len(bad), [(fields[i], got.flat[i], expected.flat[i]) for i in bad[:5]]
+
+
+def _oracle_body(lines, width, seed, end=b"\n", bad=None):
+    """``lines`` rows of ``width`` fields drawn from ``_oracle_fields``; ``bad``
+    replaces the field in the middle of the body."""
+    fields = _oracle_fields(seed, per_format=lines * width // 6 + 1)
+    picks = np.random.default_rng(seed).permutation(len(fields))[:lines * width].tolist()
+    cells = [fields[i] for i in picks]
+    if bad is not None:
+        cells[len(cells) // 2] = bad
+    rows = ["\t".join(cells[r * width:(r + 1) * width]) for r in range(lines)]
+    return "\n".join(rows).encode() + end
+
+
+# (id, builder of the (body, width, accepted) triples one thread parses in
+# turn); lines counts of 1, 255, 256, 257, 511 and 512 end on blocks of 1,
+# 255, 256, 1, 255 and 256 lines
+READER_CASES = [
+    ("widths-63-3-63", lambda: [(_oracle_body(300, 63, 1), 63, True),
+                                (_oracle_body(300, 3, 2), 3, True),
+                                (_oracle_body(300, 63, 3), 63, True)]),
+    *[(f"lines-{k}", lambda k=k: [(_oracle_body(k, 63, k), 63, True)])
+      for k in (1, 255, 256, 257, 511, 512)],
+    ("no-final-newline", lambda: [(_oracle_body(257, 63, 4, end=b""), 63, True)]),
+    ("memoryview", lambda: [(memoryview(b"#MARKERS\n" + _oracle_body(300, 63, 5))[9:], 63, True)]),
+    ("rejected-around-accepted", lambda: [(_oracle_body(300, 63, 6, bad="1.5.1"), 63, False),
+                                          (_oracle_body(300, 63, 7), 63, True),
+                                          (_oracle_body(300, 63, 8, bad="1-2"), 63, False),
+                                          (_oracle_body(300, 63, 9), 63, True)]),
+]
+
+
+@pytest.mark.parametrize("build", [c[1] for c in READER_CASES], ids=[c[0] for c in READER_CASES])
+def test_reader_matches_allocating_oracle(build):
+    """The workspace reader against the allocating one it replaced, bit for
+    bit, with each case's bodies parsed in turn on one new thread, so that
+    every parse after the first reuses (or grows) that thread's workspace."""
+    bodies = build()
+    with ThreadPoolExecutor(1) as pool:
+        got = pool.submit(lambda: [mocap._read_decimal(b, w) for b, w, _ in bodies]).result(60)
+    for (body, width, accepted), result in zip(bodies, got):
+        expected = oracles.read_decimal(bytes(body), width)
+        assert (expected is not None) == accepted
+        if not accepted:
+            assert result is None
+            continue
+        assert result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
+
+
+def test_workspace_fits_a_short_take():
+    """A 2-line take gets room for its own 2 lines of fields, not for a full
+    256-line block of its width."""
+    body = ("\n".join(["\t".join(["1.5"] * 3000)] * 2) + "\n").encode()
+
+    def fields_held():
+        assert mocap._read_decimal(body, 3000).shape == (2, 3000)
+        return mocap._LOCAL.workspace.nfields
+
+    with ThreadPoolExecutor(1) as pool:
+        assert pool.submit(fields_held).result(60) == 2 * 3000
+
+
+def test_threads_keep_their_own_workspace():
+    """Two threads parse takes of different widths at once, round after
+    round; each result equals the serial one bit for bit."""
+    bodies = [(_oracle_body(300 + 61 * i, width, 20 + i), width)
+              for i, width in enumerate((63, 3, 63, 12))]
+    serial = [mocap._read_decimal(b, w) for b, w in bodies]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(6):
+                got = list(pool.map(lambda bw: mocap._read_decimal(*bw), bodies, timeout=60))
+                for g, s in zip(got, serial):
+                    assert g.tobytes() == s.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread rusage")
+def test_second_parse_on_a_worker_faults_in_no_block_pages():
+    """After one warm-up parse on a fresh worker thread, a second parse of the
+    same 600 x 63 ``%.17g`` body reuses the thread's workspace: it takes
+    fewer than 100 minor faults. The allocating reader took about 1200."""
+    values = np.random.default_rng(17).normal(0, 500, size=(600, 63))
+    body = ("\n".join("\t".join("%.17g" % v for v in row) for row in values.tolist())
+            + "\n").encode()
+
+    def second_parse_faults():
+        mocap._read_decimal(body, 63)
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        mocap._read_decimal(body, 63)
+        return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+    with ThreadPoolExecutor(1) as pool:
+        faults = pool.submit(second_parse_faults).result(60)
+    assert faults < 100
 
 
 # (id, sidecar bytes, take bytes, message): each message names the file at fault
