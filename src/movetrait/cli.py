@@ -3,8 +3,11 @@
 One JSON config drives every stage; individual fields can be overridden on
 the command line with repeated ``--set key=value`` flags. Each stage writes
 its outputs under its own subdirectory of the output root together with the
-resolved config and a manifest of input hashes, so identical manifests give
-byte-identical outputs. Log lines are ``key=value`` oriented for machine
+resolved config and a manifest of its inputs. Each stage reads each input
+file once, and the manifest lists every file it read (takes and their
+sidecars, feature CSVs and their row sidecars, the trait table, model files,
+``scores.txt``) with the sha256 of the bytes it parsed, so identical
+manifests give byte-identical outputs. Log lines are ``key=value`` oriented for machine
 parsing; each stage's last line carries ``seconds=``, the stage's wall time,
 which goes to stdout only and into no output file.
 """
@@ -45,6 +48,7 @@ from .features import (
     gaussian_stats,
     load_feature_matrix,
     load_feature_rows,
+    rows_path,
     save_feature_matrix,
 )
 from .importance import importance_from_model, importance_report
@@ -198,6 +202,8 @@ def log(event: str, **kv) -> None:
     print(" ".join(parts))
 
 
+# No stage calls this: each hashes the bytes it parsed (``_read_recorded``).
+# It stays because perfbench/tracing.py traces it by name.
 def sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -218,24 +224,26 @@ def config_hash(cfg: PipelineConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def write_run_info(out_dir: Path, cfg: PipelineConfig, inputs: dict[str, Path],
-                   digests: dict[str, str] | None = None) -> None:
+def _read_recorded(path: Path) -> tuple[bytes, tuple[Path, str]]:
+    """A file's bytes and its manifest record: the path and the sha256 of those bytes."""
+    raw = path.read_bytes()
+    return raw, (path, hashlib.sha256(raw).hexdigest())
+
+
+def write_run_info(out_dir: Path, cfg: PipelineConfig,
+                   inputs: dict[str, tuple[Path, str]]) -> None:
     """Resolved config copy plus a manifest of input hashes, no timestamps.
 
-    ``digests`` holds the sha256 of inputs whose bytes the stage already
-    read, by input name; every other input is read and hashed here.
+    ``inputs`` maps each input's name to its ``_read_recorded`` record.
     """
-    digests = digests or {}
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(
         json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
     )
     manifest = {
         "config_sha256": config_hash(cfg),
-        "inputs": {
-            name: {"path": str(path), "sha256": digests.get(name) or sha256_file(path)}
-            for name, path in sorted(inputs.items())
-        },
+        "inputs": {name: {"path": str(path), "sha256": digest}
+                   for name, (path, digest) in inputs.items()},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -246,15 +254,18 @@ def _base_kind(input_kind: str) -> str:
     return input_kind.removesuffix("_n")
 
 
-def _resolve_k(cfg: PipelineConfig, base_kind: str, n_rows: int, rows_of: str) -> int:
-    """PCR k from the config, checked against the rows PCR will be fitted on."""
+def _model_specs(cfg: PipelineConfig, kinds: tuple[str, ...], base_kind: str, n_rows: int,
+                 rows_of: str) -> list[ModelSpec]:
+    """One ModelSpec per model kind, PCR's k from the config checked against
+    the rows PCR will be fitted on."""
     k = int(cfg.pcr_components.get(base_kind, PCR_DEFAULT_COMPONENTS[base_kind]))
-    if k > n_rows - 1:
+    if "pcr" in kinds and k > n_rows - 1:
         raise ValueError(
             f"PCR component count {k} exceeds rows-1 ({n_rows - 1}) of {rows_of} "
             f"({n_rows} rows) for {base_kind} features; set pcr_components in the config"
         )
-    return k
+    return [ModelSpec(kind=kind, k=k if kind == "pcr" else None,
+                      tol=cfg.bayes_tol, max_iter=cfg.bayes_max_iter) for kind in kinds]
 
 
 _TAKE_IDS = ("participant_id", "stimulus_id")
@@ -262,22 +273,20 @@ _TAKE_IDS = ("participant_id", "stimulus_id")
 
 def _read_take_ids(
     take_paths: list[Path],
-) -> tuple[list[dict], list[tuple[str, str]], dict[Path, str]]:
+) -> tuple[list[dict], list[tuple[str, str]], dict[str, tuple[Path, str]]]:
     """Every take's sidecar and (participant_id, stimulus_id), read before any take is parsed.
 
-    Also returns the sha256 of each sidecar file read, by path, so the
-    manifest hashes the bytes that were parsed. A missing or empty id, or a
-    pair another take already has, is a ValueError naming the take files
-    involved.
+    Also returns the manifest record of each sidecar file read, by file
+    name. A missing or empty id, or a pair another take already has, is a
+    ValueError naming the take files involved.
     """
-    sidecars, first, digests = [], {}, {}
+    sidecars, first, records = [], {}, {}
     for path in take_paths:
         side_path = path.with_suffix(".json")
         side = {}
         if side_path.exists():
-            raw = side_path.read_bytes()
+            raw, records[side_path.name] = _read_recorded(side_path)
             side = parse_sidecar(raw, side_path)
-            digests[side_path] = hashlib.sha256(raw).hexdigest()
         for key in _TAKE_IDS:
             if side.get(key) in (None, ""):
                 raise ValueError(f"{path}: its sidecar gives no {key}")
@@ -287,17 +296,16 @@ def _read_take_ids(
                              f"stimulus {ids[1]!r}")
         first[ids] = path
         sidecars.append(side)
-    return sidecars, list(first), digests
+    return sidecars, list(first), records
 
 
-def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, str]:
-    """One take's feature vectors by kind and the sha256 of the bytes they came from.
+def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, tuple]:
+    """One take's feature vectors by kind and the take's manifest record.
 
     The file is read once: the same bytes are parsed and hashed.
     """
-    raw = path.read_bytes()
+    raw, record = _read_recorded(path)
     take = load_take(path, metadata=side, raw=raw)  # its TakeFormatErrors carry file:line
-    digest = hashlib.sha256(raw).hexdigest()
     del raw   # not held through the velocity filter and the kernel
     out = {}
     try:
@@ -308,7 +316,7 @@ def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, 
             out["velocity"] = extract_features(velocity(joints), cfg.sigma)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return out, digest
+    return out, record
 
 
 def cmd_extract(cfg: PipelineConfig) -> dict:
@@ -320,7 +328,7 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     take_paths = sorted(takes_dir.glob("*.tsv"))
     if not take_paths:
         raise ValueError(f"no .tsv takes found in {takes_dir}")
-    sidecars, ids, sidecar_digests = _read_take_ids(take_paths)
+    sidecars, ids, sidecar_records = _read_take_ids(take_paths)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         per_take = list(pool.map(_featurize_take, take_paths, sidecars, repeat(cfg)))
@@ -340,43 +348,53 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
             rows=matrix.n_samples, cols=matrix.n_features, out=path,
             seconds=time.perf_counter() - start)
 
-    inputs = {p.name: p for p in [*take_paths, *sidecar_digests]}
-    digests = {p.name: digest for p, (_, digest) in zip(take_paths, per_take)}
-    digests.update({p.name: digest for p, digest in sidecar_digests.items()})
-    write_run_info(features_dir, cfg, inputs, digests)
+    inputs = {path.name: record for path, (_, record) in zip(take_paths, per_take)}
+    write_run_info(features_dir, cfg, {**inputs, **sidecar_records})
     return {"features": written, "takes": len(take_paths)}
 
 
-def _load_features_for(cfg: PipelineConfig, base_kind: str, table: dict, traits_path: Path):
-    """One base kind's feature matrix, path and sha256.
+def _load_design(cfg: PipelineConfig, base_kind: str, table: dict, traits_path: Path,
+                 name: str) -> tuple[np.ndarray, np.ndarray, tuple, dict]:
+    """One base kind's ``build_dataset`` and the manifest records of the
+    feature CSV (``name``) and its row sidecar (``name_rows``).
 
     Every row's participant is checked against the trait table, from the
-    feature file's row sidecar, before the CSV is read. The CSV is read
-    once; the bytes parsed are the bytes hashed.
+    row sidecar, before the CSV is read. Each file is read once; the bytes
+    parsed are the bytes hashed. A configured trait whose target column is
+    constant over the design is a ValueError naming it, the feature file
+    and the trait table, raised before any fit.
     """
     path = cfg.resolved_features_dir() / f"features_{base_kind}.csv"
     if not path.exists():
         raise ValueError(f"feature file {path} not found; run extract first")
-    rows = load_feature_rows(path)
+    rows_raw, rows_record = _read_recorded(rows_path(path))
+    rows = load_feature_rows(path, raw=rows_raw)
     for meta in rows:
         for trait in cfg.traits:
             if trait not in table.get(meta.participant_id, {}):
                 raise ValueError(f"{path}: participant {meta.participant_id!r} has no "
                                  f"{trait!r} value in {traits_path}")
-    raw = path.read_bytes()
-    return load_feature_matrix(path, rows, raw=raw), path, hashlib.sha256(raw).hexdigest()
+    raw, record = _read_recorded(path)
+    matrix = load_feature_matrix(path, rows, raw=raw)
+    del raw   # not held through build_dataset's copy of the values
+    X, Y, participants = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
+    for trait, y in zip(cfg.traits, Y.T):
+        if y.min() == y.max():
+            raise ValueError(f"{path}: trait {trait!r} is {y[0]:g} on every row, as "
+                             f"{traits_path} gives it; a constant target cannot be scored")
+    return X, Y, participants, {name: record, f"{name}_rows": rows_record}
 
 
-def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path, str]:
+def _require_traits(cfg: PipelineConfig) -> tuple[dict, tuple[Path, str]]:
     """The trait table, checked to hold every configured trait before features
-    load, its path and its sha256.
+    load, and its manifest record.
 
     The file is read once; the bytes parsed are the bytes hashed.
     """
     if not cfg.traits_csv or not Path(cfg.traits_csv).exists():
         raise ValueError(f"traits_csv {cfg.traits_csv!r} not found")
     path = Path(cfg.traits_csv)
-    raw = path.read_bytes()
+    raw, record = _read_recorded(path)
     table = load_trait_table(path, raw=raw)
     missing = [t for t in cfg.traits if all(t not in row for row in table.values())]
     if missing:
@@ -385,7 +403,7 @@ def _require_traits(cfg: PipelineConfig) -> tuple[dict, Path, str]:
         lacking = [pid for pid, row in table.items() if trait not in row]
         if lacking:
             raise ValueError(f"{path}: participants {lacking} have no '{trait}' value")
-    return table, path, hashlib.sha256(raw).hexdigest()
+    return table, record
 
 
 def cmd_train(cfg: PipelineConfig) -> dict:
@@ -394,32 +412,25 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     The design is factored once; every trait's model is fitted from it.
     """
     start = time.perf_counter()
-    table, traits_path, traits_sha256 = _require_traits(cfg)
+    table, traits_record = _require_traits(cfg)
     base = _base_kind(cfg.train_input)
-    matrix, features_path, features_sha256 = _load_features_for(cfg, base, table, traits_path)
+    X, Y, _, inputs = _load_design(cfg, base, table, traits_record[0], "features")
+    inputs["traits"] = traits_record
     out_dir = cfg.resolved_output_dir() / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    digests = {"features": features_sha256, "traits": traits_sha256}
     provenance = {
         "config_sha256": config_hash(cfg),
-        "features_sha256": digests["features"],
-        "traits_sha256": digests["traits"],
+        "features_sha256": inputs["features"][1],
+        "traits_sha256": inputs["traits"][1],
         "input_kind": cfg.train_input,
         "dataset_mode": cfg.dataset_mode,
         "model_kind": cfg.train_model,
     }
-    X, Y, _ = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
     if cfg.train_input.endswith("_n"):
         X = apply_gaussian_stats(X, *gaussian_stats(X))  # as cross_validate does per fold
     rows = X.shape[0]
-    spec = ModelSpec(
-        kind=cfg.train_model,
-        k=(_resolve_k(cfg, base, rows, "the training set")
-           if cfg.train_model == "pcr" else None),
-        tol=cfg.bayes_tol,
-        max_iter=cfg.bayes_max_iter,
-    )
+    spec, = _model_specs(cfg, (cfg.train_model,), base, rows, "the training set")
     factor = centered_svd(X)
     results = {}
     for trait, y in zip(cfg.traits, Y.T):
@@ -432,7 +443,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
             seconds=time.perf_counter() - start)
         results[trait] = {"path": path, "train_r2": train_r2}
 
-    write_run_info(out_dir, cfg, {"features": features_path, "traits": traits_path}, digests)
+    write_run_info(out_dir, cfg, inputs)
     return results
 
 
@@ -444,39 +455,28 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
     ``cross_validate`` per input kind scores all models and traits.
     """
     start = time.perf_counter()
-    table, traits_path, traits_sha256 = _require_traits(cfg)
+    table, traits_record = _require_traits(cfg)
     out_dir = cfg.resolved_output_dir() / "evaluate"
-    inputs: dict[str, Path] = {"traits": traits_path}
-    digests = {"traits": traits_sha256}
+    inputs = {"traits": traits_record}
     designs = {}   # base kind -> (X, Y, participants, plan, specs)
     for input_kind in cfg.eval_inputs:
         base = _base_kind(input_kind)
         if base not in designs:
-            matrix, features_path, digest = _load_features_for(cfg, base, table, traits_path)
-            inputs[f"features_{base}"] = features_path
-            digests[f"features_{base}"] = digest
-            X, Y, participants = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
+            X, Y, participants, records = _load_design(cfg, base, table, traits_record[0],
+                                                       f"features_{base}")
+            inputs.update(records)
             groups = participants if cfg.grouping == "participant" else None
             plan = make_fold_plan(len(X), cfg.n_folds, cfg.fold_seed, groups)
-            specs = [
-                ModelSpec(
-                    kind=model_kind,
-                    k=(_resolve_k(cfg, base, plan.smallest_train_size,
-                                  "the smallest training fold")
-                       if model_kind == "pcr" else None),
-                    tol=cfg.bayes_tol,
-                    max_iter=cfg.bayes_max_iter,
-                )
-                for model_kind in cfg.model_kinds
-            ]
+            specs = _model_specs(cfg, cfg.model_kinds, base, plan.smallest_train_size,
+                                 "the smallest training fold")
             designs[base] = (X, Y, participants, plan, specs)
         _, _, participants, plan, _ = designs[base]
         shared = leaked_groups(plan, participants)
         log("leakage_audit", input=input_kind, grouping=cfg.grouping,
             shared_participants=shared)
         if shared and cfg.grouping == "participant":
-            raise ValueError(f"{inputs[f'features_{base}']}: {shared} participants are split "
-                             f"across folds despite grouping=participant")
+            raise ValueError(f"{inputs[f'features_{base}'][0]}: {shared} participants are "
+                             f"split across folds despite grouping=participant")
 
     cells = {}
     for input_kind in cfg.eval_inputs:
@@ -484,22 +484,14 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
         results = cross_validate(X, Y, specs, plan, normalize=input_kind.endswith("_n"))
         for spec, per_trait in zip(specs, results):
             for trait, result in zip(cfg.traits, per_trait):
-                diagnostics = {}
-                if result.converged_folds is not None:
-                    diagnostics = {"converged_folds": result.converged_folds,
-                                   "max_iterations": result.max_iterations,
-                                   "clamped_folds": result.clamped_folds}
-                if result.out_of_range is not None:
-                    diagnostics.update(out_of_range=result.out_of_range,
-                                       max_abs_z=result.max_abs_z)
                 log("evaluate", input=input_kind, model=spec.kind, trait=trait,
-                    mean_rmse=result.mean_rmse, mean_r2=result.mean_r2, **diagnostics)
+                    mean_rmse=result.mean_rmse, mean_r2=result.mean_r2, **result.diagnostics)
                 cells[input_kind, spec.kind, trait] = result
     score_table = ScoreTable(
         cells=cells, n_folds=cfg.n_folds, seed=cfg.fold_seed, grouping=cfg.grouping
     )
     paths = write_score_table(score_table, out_dir)
-    write_run_info(out_dir, cfg, inputs, digests)
+    write_run_info(out_dir, cfg, inputs)
     log("evaluate_done", rows=len(cells), csv=paths["csv"],
         seconds=time.perf_counter() - start)
     return score_table
@@ -509,14 +501,13 @@ def cmd_importance(cfg: PipelineConfig) -> dict:
     """Per-joint importance CSVs and radar SVGs from the trained models."""
     start = time.perf_counter()
     models_dir = cfg.resolved_output_dir() / "train"
-    profiles = {}
-    inputs: dict[str, Path] = {}
+    profiles, inputs = {}, {}
     for trait in cfg.traits:
         path = models_dir / f"model_{trait}.json"
         if not path.exists():
             raise ValueError(f"model file {path} not found; run train first")
-        profiles[trait] = importance_from_model(load_model(path), trait)
-        inputs[f"model_{trait}"] = path
+        raw, inputs[f"model_{trait}"] = _read_recorded(path)
+        profiles[trait] = importance_from_model(load_model(path, raw=raw), trait)
     out_dir = cfg.resolved_output_dir() / "importance"
     written = importance_report(profiles, out_dir)
     write_run_info(out_dir, cfg, inputs)
@@ -538,18 +529,21 @@ def cmd_synth(spec_path: str | Path, out_dir: str | Path) -> dict:
 def cmd_report(cfg: PipelineConfig) -> Path:
     """Combined report: measured trait correlations plus the score table."""
     start = time.perf_counter()
-    table, traits_path, traits_sha256 = _require_traits(cfg)
+    table, traits_record = _require_traits(cfg)
+    pids = sorted(table)
+    traits = cfg.traits if len(pids) >= 3 else ()  # Spearman needs 3 samples
+    for trait in traits:
+        if len({table[p][trait] for p in pids}) == 1:
+            raise ValueError(f"{traits_record[0]}: trait {trait!r} is {table[pids[0]][trait]:g} "
+                             f"for every participant; its rank correlations are undefined")
     out_dir = cfg.resolved_output_dir() / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    pids = sorted(table)
-    traits = [t for t in cfg.traits if all(t in table[p] for p in pids)]
     lines = ["Spearman correlation between trait targets"]
     lines.append("(reference values from the original private dataset in parentheses)")
     csv_lines = ["trait_a,trait_b,spearman,reference"]
-    if len(pids) < 3:
+    if not traits:
         lines.append("  (needs at least 3 participants, skipped)")
-        traits = []
     for i, ta in enumerate(traits):
         for tb in traits[:i]:
             a = np.array([table[p][ta] for p in pids])
@@ -565,15 +559,15 @@ def cmd_report(cfg: PipelineConfig) -> Path:
             )
     (out_dir / "trait_spearman.csv").write_text("\n".join(csv_lines) + "\n")
 
-    inputs = {"traits": traits_path}
+    inputs = {"traits": traits_record}
     scores_txt = cfg.resolved_output_dir() / "evaluate" / "scores.txt"
     if scores_txt.exists():
+        raw, inputs["scores_txt"] = _read_recorded(scores_txt)
         lines.append("")
-        lines.append(scores_txt.read_text().rstrip("\n"))
-        inputs["scores_txt"] = scores_txt
+        lines.append(raw.decode("utf-8").rstrip("\n"))
     report_path = out_dir / "report.txt"
     report_path.write_text("\n".join(lines) + "\n")
-    write_run_info(out_dir, cfg, inputs, {"traits": traits_sha256})
+    write_run_info(out_dir, cfg, inputs)
     log("report", out=report_path, seconds=time.perf_counter() - start)
     return report_path
 

@@ -9,7 +9,7 @@ training block once for every trait and model.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -269,13 +269,13 @@ class CvResult:
     """Fold, mean and pooled scores of one (model, trait) cell.
 
     The pooled scores are those of all out-of-fold predictions taken as one
-    set; they can differ from the per-fold means. For Bayesian ridge,
-    ``converged_folds`` and ``max_iterations`` summarize the evidence loop
-    over the folds, and ``clamped_folds`` counts the folds whose final
-    alpha or lambda sits on a clamp bound. For normalized inputs,
-    ``out_of_range`` counts the validation cells outside their training
-    column's [min, max], summed over the folds, and ``max_abs_z`` is the
-    largest |z| of a validation cell. All five are diagnostics, not scores.
+    set; they can differ from the per-fold means. ``diagnostics`` holds what
+    is logged but not scored. For Bayesian ridge, ``converged_folds`` and
+    ``max_iterations`` summarize the evidence loop over the folds, and
+    ``clamped_folds`` counts the folds whose final alpha or lambda sits on a
+    clamp bound. For normalized inputs, ``out_of_range`` counts the
+    validation cells outside their training column's [min, max], summed over
+    the folds, and ``max_abs_z`` is the largest |z| of a validation cell.
     """
 
     fold_rmse: tuple[float, ...]
@@ -284,11 +284,7 @@ class CvResult:
     mean_r2: float
     pooled_rmse: float
     pooled_r2: float
-    converged_folds: int | None = None
-    max_iterations: int | None = None
-    clamped_folds: int | None = None
-    out_of_range: int | None = None
-    max_abs_z: float | None = None
+    diagnostics: dict = field(default_factory=dict)
 
 
 def cross_validate(
@@ -316,7 +312,7 @@ def cross_validate(
     if Y.shape[0] != X.shape[0]:
         raise ValueError("Y needs one row per sample")
     cells = [(spec, y) for spec in specs for y in Y.T]
-    # per cell, one (rmse, r2, converged, iterations, clamped) tuple per fold
+    # per cell, one (rmse, r2, fit diagnostics) per fold
     folds: list[list[tuple]] = [[] for _ in cells]
     all_pred = [np.empty_like(y) for _, y in cells]
     extrapolation = {"out_of_range": 0, "max_abs_z": 0.0} if normalize else {}
@@ -339,33 +335,21 @@ def cross_validate(
             model, diagnostics = spec.fit(factor, y[train])
             pred = predict_means(model, xva)
             all_pred[c][val] = pred
-            folds[c].append((rmse(y[val], pred), r2(y[val], pred),
-                             diagnostics.get("converged"), diagnostics.get("iterations"),
-                             diagnostics.get("clamped")))
-    results = [
-        _cv_result(folds[c], y, all_pred[c], **extrapolation)
-        for c, (_, y) in enumerate(cells)
-    ]
+            folds[c].append((rmse(y[val], pred), r2(y[val], pred), diagnostics))
+    results = []
+    for (spec, y), pred, per_fold in zip(cells, all_pred, folds):
+        fold_rmse, fold_r2, fits = zip(*per_fold)
+        diagnostics = {}
+        if spec.kind == "bayes_ridge":
+            diagnostics = {"converged_folds": sum(d["converged"] for d in fits),
+                           "max_iterations": max(d["iterations"] for d in fits),
+                           "clamped_folds": sum(d["clamped"] for d in fits)}
+        results.append(CvResult(
+            fold_rmse, fold_r2, mean_rmse=float(np.mean(fold_rmse)),
+            mean_r2=float(np.mean(fold_r2)), pooled_rmse=rmse(y, pred), pooled_r2=r2(y, pred),
+            diagnostics={**diagnostics, **extrapolation}))
     n_traits = Y.shape[1]
     return [results[i:i + n_traits] for i in range(0, len(results), n_traits)]
-
-
-def _cv_result(folds: list[tuple], y: np.ndarray, all_pred: np.ndarray,
-               **extrapolation) -> CvResult:
-    fold_rmse, fold_r2, converged, iterations, clamped = zip(*folds)
-    diagnosed = None not in converged
-    return CvResult(
-        fold_rmse=fold_rmse,
-        fold_r2=fold_r2,
-        mean_rmse=float(np.mean(fold_rmse)),
-        mean_r2=float(np.mean(fold_r2)),
-        pooled_rmse=rmse(y, all_pred),
-        pooled_r2=r2(y, all_pred),
-        converged_folds=sum(converged) if diagnosed else None,
-        max_iterations=max(iterations) if diagnosed else None,
-        clamped_folds=sum(clamped) if diagnosed else None,
-        **extrapolation,
-    )
 
 
 @dataclass(frozen=True)

@@ -143,25 +143,33 @@ def apply_gaussian_stats(values: np.ndarray, mu: np.ndarray, sigma: np.ndarray) 
     return out
 
 
+def rows_path(csv_path: str | Path) -> Path:
+    """The ``.meta.json`` sidecar that holds a feature CSV's row provenance."""
+    csv_path = Path(csv_path)
+    return csv_path.with_suffix(csv_path.suffix + ".meta.json")
+
+
 def save_feature_matrix(matrix: FeatureMatrix, csv_path: str | Path) -> None:
     """Write rows as CSV plus a ``.meta.json`` sidecar with row provenance."""
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(csv_path, matrix.values, fmt="%.17g", delimiter=",")
     meta = {"rows": [r.to_dict() for r in matrix.rows]}
-    sidecar = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    rows_path(csv_path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_feature_rows(csv_path: str | Path) -> tuple[RowMeta, ...]:
+def load_feature_rows(csv_path: str | Path, *, raw: bytes | None = None) -> tuple[RowMeta, ...]:
     """Row provenance from a feature CSV's ``.meta.json`` sidecar; the CSV is not read.
 
-    A sidecar that does not parse or lacks an entry is a ValueError naming it.
+    ``raw`` is the sidecar's bytes when the caller has already read them (to
+    hash them); otherwise the sidecar is read once here. A sidecar that does
+    not parse or lacks an entry is a ValueError naming it.
     """
-    csv_path = Path(csv_path)
-    sidecar = csv_path.with_suffix(csv_path.suffix + ".meta.json")
+    sidecar = rows_path(csv_path)
+    if raw is None:
+        raw = sidecar.read_bytes()
     try:
-        return tuple(RowMeta.from_dict(r) for r in json.loads(sidecar.read_text())["rows"])
+        return tuple(RowMeta.from_dict(r) for r in json.loads(raw.decode("utf-8"))["rows"])
     except KeyError as exc:
         raise ValueError(f"{sidecar}: no {exc.args[0]!r} entry") from exc
     except (ValueError, TypeError) as exc:

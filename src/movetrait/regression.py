@@ -363,11 +363,17 @@ def save_model(model: LinearModel, path: str | Path, provenance: dict | None = N
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_model(path: str | Path) -> LinearModel:
-    """Read a model file; other entries are ignored. A file that is not a
-    JSON object, or lacks an entry, is a ValueError naming the file."""
+def load_model(path: str | Path, *, raw: bytes | None = None) -> LinearModel:
+    """Read a model file; other entries are ignored.
+
+    ``raw`` is the file's bytes when the caller has already read them (to
+    hash them); otherwise the file is read once here. A file that is not a
+    JSON object, or lacks an entry, is a ValueError naming the file.
+    """
+    if raw is None:
+        raw = Path(path).read_bytes()
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -427,19 +427,59 @@ class TestTrain:
         logged = capsys.readouterr().out
         assert "event=train" in logged and "train_r2=" in logged
 
-    def test_each_input_hashed_once(self, extracted, tmp_path, monkeypatch):
-        import movetrait.cli as cli
+    def test_each_input_hashed_once(self, dataset_dir, tmp_path):
+        # every stage opens each file it reads once, and its manifest lists
+        # exactly those files, hashed from the bytes that were parsed
+        cfg = make_config(dataset_dir, tmp_path / "out", traits=("EQ", "SQ"))
+        stages = {"extract": cmd_extract, "train": cmd_train, "evaluate": cmd_evaluate,
+                  "importance": cmd_importance, "report": cmd_report}
+        for stage, command in stages.items():
+            existing = [p for root in (dataset_dir, tmp_path / "out")
+                        for p in root.rglob("*") if p.is_file()]
+            with contextlib.ExitStack() as stack:
+                opens = {p: stack.enter_context(_opens_of(p)) for p in existing}
+                command(cfg)
+            opened = {p: modes for p, modes in opens.items() if modes}
+            assert all(len(modes) == 1 for modes in opened.values()), (stage, opened)
+            out_dir = cfg.resolved_features_dir() if stage == "extract" else tmp_path / "out" / stage
+            manifest = json.loads((out_dir / "manifest.json").read_text())["inputs"]
+            assert {Path(entry["path"]) for entry in manifest.values()} == set(opened), stage
+            for entry in manifest.values():
+                assert entry["sha256"] == hashlib.sha256(
+                    Path(entry["path"]).read_bytes()).hexdigest()
+        assert sorted(json.loads((tmp_path / "out" / "train" / "manifest.json").read_text())
+                      ["inputs"]) == ["features", "features_rows", "traits"]
 
-        hashed = []
-        real = cli.sha256_file
-        monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(path) or real(path))
+    def test_manifest_tracks_feature_row_sidecar(self, extracted, tmp_path):
+        # swapping two rows' participants changes the targets the models are
+        # fitted on, so it must change the manifest of every stage that reads them
+        features = tmp_path / "features"
+        features.mkdir()
+        for src in extracted.resolved_features_dir().glob("features_*"):
+            (features / src.name).write_bytes(src.read_bytes())
         cfg = PipelineConfig.from_dict({
-            **extracted.to_dict(), "output_dir": str(tmp_path),
-            "features_dir": str(extracted.resolved_features_dir()),
+            **extracted.to_dict(), "traits": ["EQ"], "eval_inputs": ["position"],
+            "output_dir": str(tmp_path / "out"), "features_dir": str(features),
         })
-        cmd_train(cfg)
-        # the feature CSV and the trait table are hashed from the bytes their parses read
-        assert hashed == []
+        runs = []
+        for swap in (False, True):
+            if swap:
+                sidecar = features / "features_position.csv.meta.json"
+                doc = json.loads(sidecar.read_text())
+                a, b = doc["rows"][0], doc["rows"][-1]
+                assert a["participant_id"] != b["participant_id"]
+                a["participant_id"], b["participant_id"] = b["participant_id"], a["participant_id"]
+                sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            cmd_train(cfg)
+            cmd_evaluate(cfg)
+            runs.append({name: (tmp_path / "out" / name).read_bytes() for name in (
+                "train/manifest.json", "evaluate/manifest.json", "train/model_EQ.json")})
+        for name in runs[0]:
+            assert runs[0][name] != runs[1][name], name
+        for stage, key in (("train", "features_rows"), ("evaluate", "features_position_rows")):
+            entry = json.loads(runs[1][f"{stage}/manifest.json"])["inputs"][key]
+            assert entry == {"path": str(sidecar),
+                             "sha256": hashlib.sha256(sidecar.read_bytes()).hexdigest()}
 
     def test_provenance_embedded(self, extracted):
         cmd_train(extracted)
@@ -610,7 +650,7 @@ class TestEvaluate:
             normalized = kv["input"].endswith("_n")
             assert ("out_of_range" in kv) == ("max_abs_z" in kv) == normalized
             res = table.cells[kv["input"], kv["model"], "EQ"]
-            assert (res.out_of_range is not None) == normalized
+            assert ("out_of_range" in res.diagnostics) == normalized
         # the fixture's velocity kernel features sit near 0 on every training
         # row of a fold and not on its validation rows
         for kv in cells:
@@ -783,6 +823,34 @@ class TestBadReadBackFiles:
         assert main([stage, "-c", str(cfg_path), "--output-dir", str(out)]) == 1
         assert f"error: {bad}{message}" in capsys.readouterr().err
         assert not (out / stage).exists()
+
+
+def test_constant_trait_rejected_before_any_output(extracted, tmp_path, capsys):
+    lines = Path(extracted.traits_csv).read_text().splitlines()
+    column = lines[0].split(",").index("EQ")
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[column] = "40"
+        lines[i] = ",".join(cells)
+    traits = tmp_path / "traits.csv"
+    traits.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        **extracted.to_dict(), "traits_csv": str(traits),
+        "features_dir": str(extracted.resolved_features_dir()),
+    }))
+    out = tmp_path / "out"
+    features = extracted.resolved_features_dir() / "features_position.csv"
+    for stage, message in (
+            ("train", f"{features}: trait 'EQ' is 40 on every row, as {traits} gives it"),
+            ("evaluate", f"{features}: trait 'EQ' is 40 on every row, as {traits} gives it"),
+            ("report", f"{traits}: trait 'EQ' is 40 for every participant")):
+        capsys.readouterr()
+        assert main([stage, "-c", str(cfg_path), "--output-dir", str(out)]) == 1, stage
+        assert f"error: {message}" in capsys.readouterr().err, stage
+    assert not list(out.rglob("model_*.json"))
+    assert not list(out.rglob("scores.csv"))
+    assert not list(out.rglob("report.txt"))
 
 
 class TestImportanceAndReport:

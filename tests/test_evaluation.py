@@ -276,7 +276,12 @@ def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
         all_pred[val] = pred
         fold_rmse.append(rmse(y[val], pred))
         fold_r2.append(r2(y[val], pred))
-    bayes = spec.kind == "bayes_ridge"
+    diagnostics = {}
+    if spec.kind == "bayes_ridge":
+        diagnostics.update(converged_folds=sum(converged), max_iterations=max(iterations),
+                           clamped_folds=sum(clamped))
+    if normalize:
+        diagnostics.update(out_of_range=outside, max_abs_z=biggest)
     return CvResult(
         fold_rmse=tuple(fold_rmse),
         fold_r2=tuple(fold_r2),
@@ -284,11 +289,7 @@ def _separate_fit_oracle(X, Y, spec, plan, trait, normalize):
         mean_r2=float(np.mean(fold_r2)),
         pooled_rmse=rmse(y, all_pred),
         pooled_r2=r2(y, all_pred),
-        converged_folds=sum(converged) if bayes else None,
-        max_iterations=max(iterations) if bayes else None,
-        clamped_folds=sum(clamped) if bayes else None,
-        out_of_range=outside if normalize else None,
-        max_abs_z=biggest if normalize else None,
+        diagnostics=diagnostics,
     )
 
 
@@ -324,12 +325,12 @@ class TestSharedFactor:
         specs = [ModelSpec("bayes_ridge", tol=1e-9, max_iter=1000), ModelSpec("pcr", k=5)]
         bayes, pcr = cross_validate(X, Y, specs, plan)
         for trait, got in enumerate(bayes):
-            assert got.clamped_folds >= 1
+            assert got.diagnostics["clamped_folds"] >= 1
             assert got == _separate_fit_oracle(X, Y, specs[0], plan, trait, False)
-        assert [got.clamped_folds for got in pcr] == [None, None]
+        assert [got.diagnostics.get("clamped_folds") for got in pcr] == [None, None]
         # with noise and fewer features than training rows, no fold is clamped
         noisy = cross_validate(X[:, :8], Y + rng.normal(size=Y.shape), specs[:1], plan)[0]
-        assert [got.clamped_folds for got in noisy] == [0, 0]
+        assert [got.diagnostics["clamped_folds"] for got in noisy] == [0, 0]
 
     def test_one_svd_per_fold(self, monkeypatch):
         X, Y, plan = self._data()
