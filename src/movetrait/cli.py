@@ -30,6 +30,7 @@ import numpy as np
 from .evaluation import (
     INPUT_KINDS,
     MODEL_KINDS,
+    FoldPlan,
     ModelSpec,
     ScoreTable,
     cross_validate,
@@ -52,7 +53,7 @@ from .features import (
     save_feature_matrix,
 )
 from .importance import importance_from_model, importance_report
-from .mocap import Kind, derive_joints, load_take, parse_sidecar, velocity
+from .mocap import check_velocity_rate, derive_joints, load_take, parse_sidecar, velocity
 from .regression import (
     PCR_DEFAULT_COMPONENTS,
     TRAIT_NAMES,
@@ -272,13 +273,15 @@ _TAKE_IDS = ("participant_id", "stimulus_id")
 
 
 def _read_take_ids(
-    take_paths: list[Path],
+    take_paths: list[Path], cfg: PipelineConfig,
 ) -> tuple[list[dict], list[tuple[str, str]], dict[str, tuple[Path, str]]]:
-    """Every take's sidecar and (participant_id, stimulus_id), read before any take is parsed.
+    """Every take's checked sidecar and (participant_id, stimulus_id), read
+    before any take is parsed.
 
     Also returns the manifest record of each sidecar file read, by file
-    name. A missing or empty id, or a pair another take already has, is a
-    ValueError naming the take files involved.
+    name. A bad frame rate (``parse_sidecar``; with velocity extraction, one
+    at or below twice the filter cutoff), a missing or empty id, or a pair
+    another take already has, is a ValueError naming the take files involved.
     """
     sidecars, first, records = [], {}, {}
     for path in take_paths:
@@ -286,10 +289,15 @@ def _read_take_ids(
         side = {}
         if side_path.exists():
             raw, records[side_path.name] = _read_recorded(side_path)
-            side = parse_sidecar(raw, side_path)
+            side = parse_sidecar(raw, path)
         for key in _TAKE_IDS:
             if side.get(key) in (None, ""):
                 raise ValueError(f"{path}: its sidecar gives no {key}")
+        if "velocity" in cfg.extract_kinds:
+            try:
+                check_velocity_rate(side["frame_rate"])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         ids = tuple(str(side[key]) for key in _TAKE_IDS)
         if ids in first:
             raise ValueError(f"{first[ids]} and {path} are both participant {ids[0]!r}, "
@@ -328,7 +336,7 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     take_paths = sorted(takes_dir.glob("*.tsv"))
     if not take_paths:
         raise ValueError(f"no .tsv takes found in {takes_dir}")
-    sidecars, ids, sidecar_records = _read_take_ids(take_paths)
+    sidecars, ids, sidecar_records = _read_take_ids(take_paths, cfg)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         per_take = list(pool.map(_featurize_take, take_paths, sidecars, repeat(cfg)))
@@ -339,7 +347,7 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     for kind in cfg.extract_kinds:
         matrix = FeatureMatrix(
             values=np.stack([features[kind] for features, _ in per_take]),
-            rows=tuple(RowMeta(*pair, Kind(kind)) for pair in ids),
+            rows=tuple(RowMeta(*pair) for pair in ids),
         )
         path = features_dir / f"features_{kind}.csv"
         save_feature_matrix(matrix, path)
@@ -447,12 +455,30 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     return results
 
 
+def _check_fold_targets(traits: tuple[str, ...], Y: np.ndarray, participants: tuple,
+                        plan: FoldPlan, path: Path) -> None:
+    """A ValueError naming ``path``, the fold and its participants if a fold
+    has fewer than 2 validation rows or a trait's target is the same on
+    every validation row of a fold: r2 is undefined there."""
+    for f in range(plan.n_folds):
+        val = plan.assignments == f
+        names = ", ".join(dict.fromkeys(p for p, v in zip(participants, val) if v))
+        if np.count_nonzero(val) < 2:
+            raise ValueError(f"{path}: fold {f} (participants {names}) has fewer than 2 "
+                             f"validation rows")
+        for trait, y in zip(traits, Y[val].T):
+            if y.min() == y.max():
+                raise ValueError(f"{path}: trait {trait!r} is {y[0]:g} on every validation "
+                                 f"row of fold {f} (participants {names}); its r2 is undefined")
+
+
 def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
     """Cross-validated score table over input kinds x models x traits.
 
-    Each feature file is read once per base kind. Every fold plan and PCR
-    component count is checked before the first fit; then one
-    ``cross_validate`` per input kind scores all models and traits.
+    Each feature file is read once per base kind. Every fold plan, PCR
+    component count and fold's validation targets are checked before the
+    first fit; then one ``cross_validate`` per input kind scores all models
+    and traits.
     """
     start = time.perf_counter()
     table, traits_record = _require_traits(cfg)
@@ -469,6 +495,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
             plan = make_fold_plan(len(X), cfg.n_folds, cfg.fold_seed, groups)
             specs = _model_specs(cfg, cfg.model_kinds, base, plan.smallest_train_size,
                                  "the smallest training fold")
+            _check_fold_targets(cfg.traits, Y, participants, plan,
+                                inputs[f"features_{base}"][0])
             designs[base] = (X, Y, participants, plan, specs)
         _, _, participants, plan, _ = designs[base]
         shared = leaked_groups(plan, participants)

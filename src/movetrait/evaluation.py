@@ -136,18 +136,10 @@ def r2(y: np.ndarray, y_hat: np.ndarray) -> float:
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    # ties get the average of the rank positions they span
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=float)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # ties get the average of the rank positions they span: a group of count
+    # equal values ending at rank end has ranks end - count + 1 .. end
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(a: np.ndarray, b: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mocap import JointTake, Kind
+from .mocap import JointTake
 
 SIGMA_DEFAULT = 12.0
 
@@ -79,18 +79,14 @@ class RowMeta:
 
     participant_id: str
     stimulus_id: str
-    kind: Kind
 
     def to_dict(self) -> dict:
-        return {
-            "participant_id": self.participant_id,
-            "stimulus_id": self.stimulus_id,
-            "kind": Kind(self.kind).value,
-        }
+        return {"participant_id": self.participant_id, "stimulus_id": self.stimulus_id}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RowMeta":
-        return cls(d["participant_id"], d["stimulus_id"], Kind(d["kind"]))
+        """The row's ids; other entries, such as older sidecars' ``kind``, are ignored."""
+        return cls(d["participant_id"], d["stimulus_id"])
 
 
 @dataclass(frozen=True)

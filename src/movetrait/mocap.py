@@ -12,7 +12,6 @@ import io
 import json
 import math
 import mmap
-import re
 import threading
 import warnings
 from dataclasses import dataclass
@@ -152,49 +151,50 @@ DEFAULT_JOINT_RECIPES: tuple[tuple[str, tuple[int, ...]], ...] = (
 
 
 def read_sidecar(take_path: Path, metadata=None) -> dict:
-    """A take's sidecar as a dict: ``metadata`` if it is a mapping, else the
-    JSON file it names, else the take's ``.json`` sibling; ``{}`` if that
-    does not exist."""
-    if metadata is None:
-        candidate = take_path.with_suffix(".json")
-        if not candidate.exists():
-            return {}
-        metadata = candidate
-    if isinstance(metadata, (str, Path)):
-        return parse_sidecar(Path(metadata).read_bytes(), metadata)
-    return dict(metadata)
+    """A take's sidecar, checked as ``parse_sidecar`` checks it: ``metadata``
+    if it is a mapping, else the take's ``.json`` sibling, else ``{}``."""
+    side_path = take_path.with_suffix(".json")
+    if metadata is None and side_path.exists():
+        return parse_sidecar(side_path.read_bytes(), take_path)
+    return _with_frame_rate(take_path, dict(metadata or {}))
 
 
-def parse_sidecar(raw: bytes, path) -> dict:
-    """A sidecar's JSON object from the file's bytes; errors name ``path``."""
+def parse_sidecar(raw: bytes, take_path: Path) -> dict:
+    """The JSON object in the bytes of ``take_path``'s sidecar, with its
+    ``frame_rate`` checked: TakeFormatError naming the sidecar if it is not
+    a JSON object, naming the take if the rate is not a finite number > 0.
+    A missing rate falls back to 120 Hz with a warning."""
+    side_path = take_path.with_suffix(".json")
     try:
         side = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # JSON syntax or UTF-8 decoding
-        raise TakeFormatError(f"{path}: invalid sidecar JSON ({exc})") from exc
+        raise TakeFormatError(f"{side_path}: invalid sidecar JSON ({exc})") from exc
     if not isinstance(side, dict):
         raise TakeFormatError(
-            f"{path}: sidecar must be a JSON object, got {type(side).__name__}")
-    return side
+            f"{side_path}: sidecar must be a JSON object, got {type(side).__name__}")
+    return _with_frame_rate(take_path, side)
 
 
-def _frame_rate(path: Path, side: dict) -> float:
+def _with_frame_rate(take_path: Path, side: dict) -> dict:
+    value = side.get("frame_rate")
     if "frame_rate" not in side:
         warnings.warn(
-            f"{path}: sidecar omits frame_rate, assuming {DEFAULT_FRAME_RATE} Hz",
-            stacklevel=3,
+            f"{take_path}: sidecar omits frame_rate, assuming {DEFAULT_FRAME_RATE} Hz",
+            stacklevel=4,
         )
-        return DEFAULT_FRAME_RATE
-    value = side["frame_rate"]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+        value = DEFAULT_FRAME_RATE
+    elif (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value) or value <= 0):
-        raise TakeFormatError(f"{path}: frame_rate must be a finite number > 0, got {value!r}")
-    return float(value)
+        raise TakeFormatError(
+            f"{take_path}: frame_rate must be a finite number > 0, got {value!r}")
+    return {**side, "frame_rate": float(value)}
 
 
 # The exact reader needs a long double whose significand holds any uint64 and
 # whose division and multiplication round correctly: x87 extended or IEEE
 # quad. IBM double-double (nexp 11) has a wide significand but does not round
-# correctly, so it takes np.loadtxt like a plain 64-bit long double.
+# correctly, so there, as with a plain 64-bit long double, takes go to the
+# line scan.
 _EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63 and np.finfo(np.longdouble).nexp > 11
 # Lines per block. A block's arrays live in the thread's _Workspace (6.4 MiB
 # for 256 lines of 63 `%.17g` fields), reused from block to block and take to
@@ -215,7 +215,6 @@ _KEEP = np.array([[(~0 << 8 * min(max(t - 8 * i, 0), 8)) & (2**64 - 1) for t in 
 _POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))   # 1 .. 1e27, exact
 _DIVISOR = np.r_[_POW10[::-1], np.ones(27, np.longdouble)]      # by decimal exponent + 27
 _MULTIPLIER = np.r_[np.ones(27, np.longdouble), _POW10]
-_NONSPACE = re.compile(rb"\S")     # \s is the whitespace of bytes.isspace
 
 # The workspace's arrays as (names, dtype, length per byte of capacity, per
 # field of capacity). Per byte: the block with its padding, the line-end scan,
@@ -508,38 +507,32 @@ def _read_decimal(body, width: int) -> np.ndarray | None:
 
 
 def _parse_fast(raw: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """Markers and samples from the vectorized reader or one ``np.loadtxt``
-    call, or None to defer to the scan.
+    """Markers and samples from the exact vectorized reader, or None to defer
+    to the scan.
 
-    ``np.loadtxt`` runs on what ``_read_decimal`` declines, and where the long
-    double is too narrow for the reader. Only a result the line scan would
-    give bit for bit is returned: at least 2 rows, 3 columns per marker,
-    every sample finite. Everything else (bad rows, lone CR line ends,
-    ``1_000``) is left to ``_scan_take``, which accepts or rejects it with
-    file and line context. The body is read in place, not copied.
+    Only a result the line scan would give bit for bit is returned: at least
+    2 rows, every sample finite. Everything else (a CR in the header or the
+    body, blank lines, spaces, ``1_000``, bad rows) and every take on a
+    platform whose long double is too narrow (``_EXACT_LONGDOUBLE``) is
+    left to ``_scan_take``, which accepts or rejects it with file and line
+    context. The body is read in place, not copied.
     """
-    markers, start = MARKER_LABELS, 0
-    try:
-        if raw.startswith(b"#MARKERS"):
-            start = raw.find(b"\n") + 1
-            if not start:
-                return None   # a header and no body
-            header = raw[:start - 1].rstrip(b"\r")
-            if b"\r" in header:
-                return None
-            labels = header.decode("utf-8").split("\t")[1:]
-            if labels:
-                markers = tuple(labels)
-        if not _NONSPACE.search(raw, start):  # loadtxt warns on a body with no rows
-            return None
-        body = memoryview(raw)[start:]
-        data = _read_decimal(body, 3 * len(markers)) if _EXACT_LONGDOUBLE else None
-        if data is None:
-            data = np.loadtxt(io.BytesIO(body), delimiter="\t", comments=None, ndmin=2,
-                              encoding="utf-8")
-    except ValueError:
+    if not _EXACT_LONGDOUBLE:
         return None
-    if data.shape[0] < 2 or data.shape[1] != 3 * len(markers) or not np.isfinite(data).all():
+    markers, start = MARKER_LABELS, 0
+    if raw.startswith(b"#MARKERS"):
+        start = raw.find(b"\n") + 1
+        header = raw[:start - 1]
+        if not start or b"\r" in header:
+            return None   # a header and no body, or a CR line end
+        try:
+            labels = header.decode("utf-8").split("\t")[1:]
+        except UnicodeDecodeError:
+            return None
+        if labels:
+            markers = tuple(labels)
+    data = _read_decimal(memoryview(raw)[start:], 3 * len(markers))
+    if data is None or data.shape[0] < 2 or not np.isfinite(data).all():
         return None
     return markers, data
 
@@ -601,19 +594,19 @@ def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> M
 
     The file may start with a single header line ``#MARKERS<TAB>label...``;
     every other line holds 3 * marker-count decimal numbers (mm). ``metadata``
-    is a sidecar path or mapping supplying frame_rate, participant_id and
-    stimulus_id; by default the file's ``.json`` sibling is used. A missing
-    frame rate falls back to 120 Hz with a warning. ``raw`` is the file's
+    is a mapping supplying frame_rate, participant_id and stimulus_id; by
+    default the file's ``.json`` sibling is used. The sidecar is checked
+    (``parse_sidecar``) before the body is parsed. ``raw`` is the file's
     bytes when the caller has already read them; otherwise the file is read
     once here.
 
-    The bytes are parsed by an exact vectorized reader that releases the
-    GIL, or, outside its strict grammar, by one ``np.loadtxt`` call. Input
-    both refuse goes through a line scan, which accepts what it can and
+    The body is parsed by an exact vectorized reader that releases the GIL.
+    What it declines, and every take where the long double is too narrow
+    for it, goes through a line scan, which accepts what it can and
     otherwise raises TakeFormatError with file and line context on
-    malformed rows, non-finite cells or fewer than 2 frames. Invalid UTF-8, a sidecar that
-    is not a JSON object and a frame rate that is not a finite number > 0
-    raise TakeFormatError naming the file.
+    malformed rows, non-finite cells or fewer than 2 frames. Invalid
+    UTF-8, a sidecar that is not a JSON object and a frame rate that is
+    not a finite number > 0 raise TakeFormatError naming the file.
     """
     path = Path(path)
     side = read_sidecar(path, metadata)
@@ -622,7 +615,7 @@ def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> M
     markers, data = _parse_fast(raw) or _scan_take(path, raw)
     return MarkerTake(
         data=data,
-        frame_rate=_frame_rate(path, side),
+        frame_rate=side["frame_rate"],
         participant_id=str(side.get("participant_id", "")),
         stimulus_id=str(side.get("stimulus_id", "")),
         markers=markers,
@@ -847,6 +840,15 @@ def differentiate(data: np.ndarray, frame_rate: float) -> np.ndarray:
     return out
 
 
+def check_velocity_rate(frame_rate: float, cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> None:
+    """Raise ValueError unless ``frame_rate`` exceeds twice ``cutoff_hz``, as
+    ``velocity``'s low-pass filter needs."""
+    if frame_rate <= 2 * cutoff_hz:
+        raise ValueError(
+            f"frame rate {frame_rate} Hz must exceed twice the cutoff ({cutoff_hz} Hz)"
+        )
+
+
 def velocity(take: JointTake, cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> JointTake:
     """Estimate joint velocities (mm/s) from a position take.
 
@@ -860,11 +862,7 @@ def velocity(take: JointTake, cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> JointTake
         raise ValueError(
             f"velocity needs at least 7 frames for filter warm-up, got {take.frames}"
         )
-    if take.frame_rate <= 2 * cutoff_hz:
-        raise ValueError(
-            f"frame rate {take.frame_rate} Hz must exceed twice the cutoff "
-            f"({cutoff_hz} Hz)"
-        )
+    check_velocity_rate(take.frame_rate, cutoff_hz)
     b, a = butter_lowpass(cutoff_hz, take.frame_rate)
     vel = zero_phase_filter(differentiate(take.data, take.frame_rate), b, a)
     return JointTake(data=vel, frame_rate=take.frame_rate, kind=Kind.VELOCITY)

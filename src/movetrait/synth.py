@@ -16,7 +16,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Iterator
@@ -140,24 +140,7 @@ class SynthSpec:
         )
 
     def to_json(self, path: str | Path) -> None:
-        doc = {
-            "participants": self.participants,
-            "stimuli": self.stimuli,
-            "frames": self.frames,
-            "frame_rate": self.frame_rate,
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-            "trait_coupling": {
-                trait: {
-                    "markers": list(c.markers),
-                    "frequency_hz": c.frequency_hz,
-                    "amplitude_mm": list(c.amplitude_mm),
-                    "phase_gain": c.phase_gain,
-                }
-                for trait, c in self.trait_coupling.items()
-            },
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def participant_label(pidx: int) -> str:

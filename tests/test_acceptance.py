@@ -33,7 +33,6 @@ from movetrait.features import (
 )
 from movetrait.importance import FEATURE_DIM, joint_importance, minmax_normalize
 from movetrait.mocap import (
-    Kind,
     butter_lowpass,
     derive_joints,
     zero_phase_filter,
@@ -186,7 +185,7 @@ def test_c7_end_to_end_planted_signal():
         vecs, rows = [], []
         for take in iter_takes(spec, traits):
             vecs.append(extract_features(derive_joints(take)))
-            rows.append(RowMeta(take.participant_id, take.stimulus_id, Kind.POSITION))
+            rows.append(RowMeta(take.participant_id, take.stimulus_id))
         matrix = FeatureMatrix(values=np.stack(vecs), rows=tuple(rows))
         assert matrix.values.shape == (240, 1770)
         X, Y, participants = build_dataset(matrix, traits, TRAIT_NAMES, "per_stimulus")

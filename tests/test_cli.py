@@ -374,10 +374,15 @@ class TestExtract:
         ({"P001_S01": {"stimulus_id": None}}, "its sidecar gives no stimulus_id", ["P001_S01"]),
         ({"P000_S01": {"participant_id": ""}}, "its sidecar gives no participant_id",
          ["P000_S01"]),
+        ({"P001_S00": {"frame_rate": -1}}, "frame_rate must be a finite number > 0, got -1",
+         ["P001_S00"]),
+        ({"P001_S01": {"frame_rate": 30}},
+         "frame rate 30.0 Hz must exceed twice the cutoff (24.0 Hz)", ["P001_S01"]),
     ]
 
     @pytest.mark.parametrize("edits,message,named", BAD_IDS,
-                             ids=["repeated pair", "missing id", "empty id"])
+                             ids=["repeated pair", "missing id", "empty id",
+                                  "negative frame rate", "frame rate below velocity filter"])
     def test_bad_take_ids_rejected_before_any_parse(
             self, dataset_dir, tmp_path, capsys, monkeypatch, edits, message, named):
         import movetrait.mocap as mocap
@@ -851,6 +856,46 @@ def test_constant_trait_rejected_before_any_output(extracted, tmp_path, capsys):
     assert not list(out.rglob("model_*.json"))
     assert not list(out.rglob("scores.csv"))
     assert not list(out.rglob("report.txt"))
+
+
+# (EQ values by participant, config changes, message after the feature file);
+# with grouping=participant and fold_seed 0, fold 0 validates P004 and P005
+# of 20 per-stimulus rows, and fold 4 only P003 of 10 participant means
+BAD_FOLDS = [
+    ({"P004": "40", "P005": "40"}, {},
+     "trait 'EQ' is 40 on every validation row of fold 0 (participants P004, P005)"),
+    ({}, {"dataset_mode": "participant_mean", "n_folds": 6},
+     "fold 4 (participants P003) has fewer than 2 validation rows"),
+]
+
+
+@pytest.mark.parametrize("values,changes,message", BAD_FOLDS,
+                         ids=["trait constant in a fold", "one-row fold"])
+def test_bad_validation_fold_rejected_before_any_fit(
+        extracted, tmp_path, capsys, monkeypatch, values, changes, message):
+    import movetrait.cli as cli
+
+    lines = Path(extracted.traits_csv).read_text().splitlines()
+    column = lines[0].split(",").index("EQ")
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[column] = values.get(cells[0], cells[column])
+        lines[i] = ",".join(cells)
+    traits = tmp_path / "traits.csv"
+    traits.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        **extracted.to_dict(), "traits_csv": str(traits),
+        "features_dir": str(extracted.resolved_features_dir()), **changes,
+    }))
+    fits = []
+    monkeypatch.setattr(cli, "cross_validate", lambda *a, **kw: fits.append(a))
+    out = tmp_path / "out"
+    assert main(["evaluate", "-c", str(cfg_path), "--output-dir", str(out)]) == 1
+    features = extracted.resolved_features_dir() / "features_position.csv"
+    assert f"error: {features}: {message}" in capsys.readouterr().err
+    assert fits == []
+    assert not list(out.rglob("scores.*"))
 
 
 class TestImportanceAndReport:

@@ -11,6 +11,7 @@ from movetrait.features import (
     extract_features,
     gaussian_stats,
     load_feature_matrix,
+    load_feature_rows,
     lower_triangle_indices,
     pairwise_correntropy,
     save_feature_matrix,
@@ -218,7 +219,7 @@ class TestExtractAndPersistence:
         matrix = FeatureMatrix(
             values=np.stack([extract_features(joint_take(rng.normal(0, 30, size=(5, 60))))
                              for _ in range(3)]),
-            rows=tuple(RowMeta(f"P{i}", "S1", Kind.POSITION) for i in range(3)),
+            rows=tuple(RowMeta(f"P{i}", "S1") for i in range(3)),
         )
         path = tmp_path / "features.csv"
         save_feature_matrix(matrix, path)
@@ -227,7 +228,7 @@ class TestExtractAndPersistence:
         assert loaded.rows == matrix.rows
 
     def test_older_sidecar_normalization_keys_ignored(self, tmp_path):
-        rows = tuple(RowMeta(f"P{i}", "S1", Kind.VELOCITY) for i in range(2))
+        rows = tuple(RowMeta(f"P{i}", "S1") for i in range(2))
         matrix = FeatureMatrix(values=np.arange(6.0).reshape(2, 3), rows=rows)
         path = tmp_path / "features.csv"
         save_feature_matrix(matrix, path)
@@ -240,6 +241,19 @@ class TestExtractAndPersistence:
         np.testing.assert_array_equal(loaded.values, matrix.values)
         assert loaded.rows == matrix.rows
 
+    def test_older_sidecar_kind_ignored(self, tmp_path):
+        rows = tuple(RowMeta(f"P{i}", "S1") for i in range(2))
+        path = tmp_path / "features.csv"
+        save_feature_matrix(FeatureMatrix(values=np.arange(6.0).reshape(2, 3), rows=rows), path)
+        sidecar = tmp_path / "features.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        assert all(set(r) == {"participant_id", "stimulus_id"} for r in meta["rows"])
+        for r in meta["rows"]:
+            r["kind"] = "velocity"
+        sidecar.write_text(json.dumps(meta))
+        assert load_feature_rows(path) == rows
+        assert load_feature_matrix(path).rows == rows
+
     def test_row_metadata_length_enforced(self):
         with pytest.raises(ValueError, match="row metadata"):
-            FeatureMatrix(values=np.zeros((2, 3)), rows=(RowMeta("P", "S", Kind.POSITION),))
+            FeatureMatrix(values=np.zeros((2, 3)), rows=(RowMeta("P", "S"),))

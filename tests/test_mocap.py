@@ -136,19 +136,19 @@ def _rows_with(count, bad=None, seed=3):
 
 
 # (id, file bytes, outcome): "vector" when the vectorized reader's result is
-# taken, "fast" when np.loadtxt's is, "scan" when only the line scan accepts
-# the file, "error" when it is refused
+# taken, "scan" when only the line scan accepts the file, "error" when it is
+# refused
 PARSE_CASES = [
     ("plain", _tsv(_ONES), "vector"),
-    ("crlf", _tsv(_ONES, sep="\r\n", end="\r\n"), "fast"),
-    ("blank-lines", b"\n\n".join(_tsv(_ONES).split(b"\n")) + b"\n\n", "fast"),
+    ("crlf", _tsv(_ONES, sep="\r\n", end="\r\n"), "scan"),
+    ("blank-lines", b"\n\n".join(_tsv(_ONES).split(b"\n")) + b"\n\n", "scan"),
     ("no-final-newline", _tsv(_ONES, end=""), "vector"),
-    ("crlf-no-final-newline", _tsv(_ONES, sep="\r\n", end=""), "fast"),
+    ("crlf-no-final-newline", _tsv(_ONES, sep="\r\n", end=""), "scan"),
     ("rows-257-no-final-newline", _tsv(_rows_with(257), end=""), "vector"),
     ("no-header", _tsv(_ONES, header=False), "vector"),
     ("custom-header", b"#MARKERS\ta\tb\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "vector"),
     ("bare-header", b"#MARKERS\n" + _tsv(_ONES, header=False), "vector"),
-    ("leading-spaces", _tsv([[" 1.5"] * 63, ["  -2"] * 63]), "fast"),
+    ("leading-spaces", _tsv([[" 1.5"] * 63, ["  -2"] * 63]), "scan"),
     ("random-17g", _tsv(_random_rows(lambda v: "%.17g" % v, 1)), "vector"),
     ("random-repr", _tsv(_random_rows(repr, 2)), "vector"),
     ("forms", _tsv([_FORMS_ROW, _FORMS_ROW[::-1]]), "vector"),
@@ -196,7 +196,7 @@ PARSE_CASES = [
 class TestParsePaths:
     """load_take against the line scan alone, on the same bytes."""
 
-    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input with no rows
+    @pytest.mark.filterwarnings("error")  # neither parser warns
     @pytest.mark.parametrize("raw,outcome", [c[1:] for c in PARSE_CASES],
                              ids=[c[0] for c in PARSE_CASES])
     def test_matches_line_scan(self, tmp_path, monkeypatch, raw, outcome):
@@ -207,7 +207,7 @@ class TestParsePaths:
         if fast is None:
             assert outcome in ("scan", "error")
         else:
-            assert outcome == ("vector" if read and fast[1] is read[-1] else "fast")
+            assert outcome == "vector" and fast[1] is read[-1]
         path = tmp_path / "take.tsv"
         path.write_bytes(raw)
         try:
@@ -229,14 +229,15 @@ class TestParsePaths:
         take = load_take(tmp_path / "never_written.tsv", {"frame_rate": 120.0}, raw=raw)
         assert take.frames == 3
 
-    def test_narrow_long_double_takes_loadtxt(self, monkeypatch):
+    def test_narrow_long_double_takes_scan(self, tmp_path, monkeypatch):
         raw = _tsv(_random_rows(repr, 4))
         markers, expected = _parse_fast(raw)
         monkeypatch.setattr(mocap, "_EXACT_LONGDOUBLE", False)
         monkeypatch.setattr(mocap, "_read_decimal", None)   # must not be called
-        got_markers, got = _parse_fast(raw)
-        assert got_markers == markers
-        assert got.tobytes() == expected.tobytes()
+        assert _parse_fast(raw) is None
+        take = load_take(tmp_path / "take.tsv", {"frame_rate": 120.0}, raw=raw)
+        assert take.markers == markers
+        assert take.data.tobytes() == expected.tobytes()
 
 
 def _near_midpoints(rng, count):

@@ -12,7 +12,7 @@ from movetrait.features import (
     extract_features,
     gaussian_stats,
 )
-from movetrait.mocap import Kind, derive_joints, velocity
+from movetrait.mocap import derive_joints, velocity
 from movetrait.regression import (
     _HYPER_MAX,
     _HYPER_MIN,
@@ -512,7 +512,7 @@ def _feature_matrix(n_participants, n_stimuli, n_features=6, seed=0):
     values = []
     for p in range(n_participants):
         for s in range(n_stimuli):
-            rows.append(RowMeta(f"P{p:03d}", f"S{s:02d}", Kind.POSITION))
+            rows.append(RowMeta(f"P{p:03d}", f"S{s:02d}"))
             values.append(rng.normal(size=n_features))
     return FeatureMatrix(values=np.array(values), rows=tuple(rows))
 
