@@ -281,15 +281,14 @@ def _read_take_ids(
     Also returns the manifest record of each sidecar file read, by file
     name. A bad frame rate (``parse_sidecar``; with velocity extraction, one
     at or below twice the filter cutoff), a missing or empty id, or a pair
-    another take already has, is a ValueError naming the take files involved.
+    another take already has, is a ValueError naming the take files involved;
+    a missing sidecar is an OSError naming the sidecar.
     """
     sidecars, first, records = [], {}, {}
     for path in take_paths:
         side_path = path.with_suffix(".json")
-        side = {}
-        if side_path.exists():
-            raw, records[side_path.name] = _read_recorded(side_path)
-            side = parse_sidecar(raw, path)
+        raw, records[side_path.name] = _read_recorded(side_path)
+        side = parse_sidecar(raw, path)
         for key in _TAKE_IDS:
             if side.get(key) in (None, ""):
                 raise ValueError(f"{path}: its sidecar gives no {key}")

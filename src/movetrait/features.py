@@ -10,15 +10,13 @@ triangle, read row by row, is the 1770-dim feature vector of the take.
 """
 from __future__ import annotations
 
-import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .mocap import JointTake
+from .mocap import JointTake, scan_table
 
 SIGMA_DEFAULT = 12.0
 
@@ -177,51 +175,16 @@ def load_feature_matrix(csv_path: str | Path, rows: tuple[RowMeta, ...] | None =
     """Parse a feature CSV; ``rows`` are its ``load_feature_rows``, read here if not given.
 
     ``raw`` is the CSV's bytes when the caller has already read them (to
-    hash them); otherwise the file is read once here. A cell that is not a
-    finite number or a row of the wrong width is a ValueError naming
-    ``file:line`` and the cell or width; a row count that disagrees with
-    ``rows`` is a ValueError naming the CSV.
+    hash them); otherwise the file is read once here. ``mocap.scan_table``
+    parses it or raises a ValueError naming ``file:line``. A row count that
+    disagrees with ``rows`` is a ValueError naming the CSV.
     """
     if rows is None:
         rows = load_feature_rows(csv_path)
     if raw is None:
         raw = Path(csv_path).read_bytes()
-    try:
-        # decoded and split into lines as the file opened in text mode would be
-        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-        values = np.loadtxt(text, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValueError(_first_bad_line(csv_path, raw) or f"{csv_path}: {exc}") from exc
-    if not np.isfinite(values).all():
-        raise ValueError(_first_bad_line(csv_path, raw) or f"{csv_path}: non-finite value")
+    values = scan_table(csv_path, raw, ",", lambda lineno, line: line.count(",") + 1)
     try:
         return FeatureMatrix(values=values, rows=rows)
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from exc
-
-
-def _first_bad_line(csv_path: str | Path, raw: bytes) -> str | None:
-    """``file:line: problem`` for the first row ``np.loadtxt`` rejects or that
-    holds a non-finite cell, or None.
-
-    Lines are counted from 1 and read as ``np.loadtxt`` reads them: text
-    after ``#`` is dropped and empty lines are skipped.
-    """
-    width = None
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").partition("#")[0]
-            if not line:
-                continue
-            cells = line.split(",")
-            width = width or len(cells)
-            if len(cells) != width:
-                return f"{csv_path}:{lineno}: {len(cells)} cells, expected {width}"
-            for column, cell in enumerate(cells, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    return f"{csv_path}:{lineno}: unparseable value {cell!r} in column {column}"
-                if not math.isfinite(value):
-                    return f"{csv_path}:{lineno}: non-finite value {cell!r} in column {column}"
-    return None

@@ -8,12 +8,12 @@ Butterworth low-pass filter.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 import mmap
 import threading
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -537,55 +537,88 @@ def _parse_fast(raw: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
     return markers, data
 
 
-def _scan_take(path: Path, raw: bytes) -> tuple[tuple[str, ...], np.ndarray]:
-    """Line-by-line parse that names the file and line of the first bad row."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TakeFormatError(f"{path}: not valid UTF-8 ({exc})") from None
+def _lines(raw: bytes) -> Iterator[tuple[int, bytes]]:
+    """``(lineno, line)`` for each line of ``raw``, counted from 1; lines end
+    at ``\\n``, ``\\r\\n`` or ``\\r``. Lines are sliced one at a time."""
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start, lineno = 0, 1
+    while start < len(raw):
+        end = raw.find(b"\n", start)
+        if end < 0:
+            end = len(raw)
+        yield lineno, raw[start:end]
+        start, lineno = end + 1, lineno + 1
 
-    markers = MARKER_LABELS
-    rows: list[list[str]] = []
-    linenos: list[int] = []
-    # newline=None splits lines on \n, \r\n and \r, as a text-mode file does
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        line = line.rstrip("\n")
+
+def scan_table(path: str | Path, raw: bytes, sep: str, width: Callable[[int, str], int | None],
+               error: type[ValueError] = ValueError) -> np.ndarray:
+    """Rows of ``sep``-separated numbers, one per nonblank line of ``raw``,
+    or ``error`` naming the file and the first bad line.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and nothing is a comment.
+    ``width(lineno, line)`` is called on nonblank lines until it returns
+    the field count of every row from that line on; a line it returns None
+    for is a header. A field is an ASCII decimal that ``float()`` reads,
+    with any whitespace around it. The first line that is not UTF-8, has
+    the wrong width, or holds a field that does not parse or is not finite
+    raises ``error`` naming the file, the line and the fault: the field
+    count, or the first such field and its 1-based column.
+    """
+    rows: list[np.ndarray] = []
+    expected = None
+    for lineno, line in _lines(raw):
         if not line:
             continue
-        if lineno == 1 and line.startswith("#MARKERS"):
-            labels = line.split("\t")[1:]
-            if labels:
-                markers = tuple(labels)
-            continue
-        rows.append(line.split("\t"))
-        linenos.append(lineno)
-
-    expected = 3 * len(markers)
-    for parts, lineno in zip(rows, linenos):
-        if len(parts) != expected:
-            raise TakeFormatError(
-                f"{path}:{lineno}: column count mismatch "
-                f"({len(parts)} fields, expected {expected})"
-            )
-    if len(rows) < 2:
-        raise TakeFormatError(f"{path}: fewer than 2 frames")
-
-    try:
-        data = np.asarray(rows, dtype=float)
-    except ValueError:
-        for parts, lineno in zip(rows, linenos):
-            for tok in parts:
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not valid UTF-8 on line {lineno} ({exc})") from None
+        if expected is None:
+            expected = width(lineno, line)
+            if expected is None:
+                continue
+        fields = line.split(sep)
+        if len(fields) != expected:
+            raise error(f"{path}:{lineno}: column count mismatch "
+                        f"({len(fields)} fields, expected {expected})")
+        try:
+            # float() also reads "_" between digits and non-ASCII digits
+            row = np.array(fields, dtype=float) if line.isascii() and "_" not in line else None
+        except ValueError:
+            row = None
+        if row is None or not np.isfinite(row).all():
+            for column, field in enumerate(fields, start=1):
                 try:
-                    float(tok)
+                    value = float(field)
                 except ValueError:
-                    raise TakeFormatError(
-                        f"{path}:{lineno}: unparseable value {tok!r}"
-                    ) from None
-        raise
-    if not np.isfinite(data).all():
-        bad = int(np.argwhere(~np.isfinite(data).all(axis=1))[0, 0])
-        raise TakeFormatError(f"{path}:{linenos[bad]}: non-finite sample")
+                    value = None
+                if value is None or not field.strip().isascii() or "_" in field:
+                    raise error(f"{path}:{lineno}: unparseable value {field!r} "
+                                f"in column {column}")
+                if not math.isfinite(value):
+                    raise error(f"{path}:{lineno}: non-finite value {field!r} "
+                                f"in column {column}")
+            row = np.array(fields, dtype=float)
+        rows.append(row)
+    # no rows reads as shape (0, 1), as np.loadtxt(ndmin=2) reads them
+    return np.array(rows).reshape(len(rows), expected or 1)
 
+
+def _scan_take(path: Path, raw: bytes) -> tuple[tuple[str, ...], np.ndarray]:
+    """``scan_table`` on a take: a first line ``#MARKERS<TAB>label...`` names
+    the markers, and every row holds 3 values per marker."""
+    markers = MARKER_LABELS
+
+    def width(lineno: int, line: str) -> int | None:
+        nonlocal markers
+        if lineno == 1 and line.startswith("#MARKERS"):
+            markers = tuple(line.split("\t")[1:]) or markers
+            return None
+        return 3 * len(markers)
+
+    data = scan_table(path, raw, "\t", width, TakeFormatError)
+    if len(data) < 2:
+        raise TakeFormatError(f"{path}: fewer than 2 frames")
     return markers, data
 
 

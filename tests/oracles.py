@@ -1,5 +1,6 @@
 """Test oracles that no pipeline stage calls: they check the package's
 outputs from the other direction."""
+import io
 import json
 import math
 from pathlib import Path
@@ -210,3 +211,10 @@ def read_decimal(body: bytes, width: int) -> np.ndarray | None:
             return None
         start = end
     return out
+
+
+def load_feature_csv_text(raw: bytes) -> np.ndarray:
+    """The feature CSV parse that ``features.load_feature_matrix`` replaced:
+    ``np.loadtxt`` on the bytes as a text-mode UTF-8 file, where ``#`` starts
+    a comment. The bit-for-bit oracle for every file without a ``#``."""
+    return np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), delimiter=",", ndmin=2)

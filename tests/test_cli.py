@@ -367,22 +367,26 @@ class TestExtract:
         with pytest.raises(ValueError, match="not a directory"):
             cmd_extract(cfg)
 
-    # (sidecar edits by take, None deleting the entry; the message and the takes it names)
+    # (sidecar edits by take, None deleting the entry or, for the whole
+    # sidecar, the file; the message and the files it names)
     BAD_IDS = [
         ({"P001_S00": {"participant_id": "P000"}},
-         "are both participant 'P000', stimulus 'S00'", ["P000_S00", "P001_S00"]),
-        ({"P001_S01": {"stimulus_id": None}}, "its sidecar gives no stimulus_id", ["P001_S01"]),
+         "are both participant 'P000', stimulus 'S00'", ["P000_S00.tsv", "P001_S00.tsv"]),
+        ({"P001_S01": {"stimulus_id": None}}, "its sidecar gives no stimulus_id",
+         ["P001_S01.tsv"]),
         ({"P000_S01": {"participant_id": ""}}, "its sidecar gives no participant_id",
-         ["P000_S01"]),
+         ["P000_S01.tsv"]),
         ({"P001_S00": {"frame_rate": -1}}, "frame_rate must be a finite number > 0, got -1",
-         ["P001_S00"]),
+         ["P001_S00.tsv"]),
         ({"P001_S01": {"frame_rate": 30}},
-         "frame rate 30.0 Hz must exceed twice the cutoff (24.0 Hz)", ["P001_S01"]),
+         "frame rate 30.0 Hz must exceed twice the cutoff (24.0 Hz)", ["P001_S01.tsv"]),
+        ({"P000_S01": None}, "No such file or directory", ["P000_S01.json"]),
     ]
 
     @pytest.mark.parametrize("edits,message,named", BAD_IDS,
                              ids=["repeated pair", "missing id", "empty id",
-                                  "negative frame rate", "frame rate below velocity filter"])
+                                  "negative frame rate", "frame rate below velocity filter",
+                                  "missing sidecar"])
     def test_bad_take_ids_rejected_before_any_parse(
             self, dataset_dir, tmp_path, capsys, monkeypatch, edits, message, named):
         import movetrait.mocap as mocap
@@ -393,6 +397,9 @@ class TestExtract:
             (takes / src.name).write_bytes(src.read_bytes())
         for take, changes in edits.items():
             sidecar = takes / f"{take}.json"
+            if changes is None:
+                sidecar.unlink()
+                continue
             doc = json.loads(sidecar.read_text())
             for key, value in changes.items():
                 if value is None:
@@ -408,8 +415,8 @@ class TestExtract:
         assert main(["extract", "-c", str(cfg_path), "--output-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert message in err
-        for take in named:
-            assert str(takes / f"{take}.tsv") in err
+        for name in named:
+            assert str(takes / name) in err
         assert parsed == []
         assert not list(tmp_path.rglob("features_*.csv"))
 
@@ -781,6 +788,12 @@ def _nan_on_line_4(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _hash_in_last_cell_of_line_3(path):
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][:lines[2].rindex(",") + 1] + "0.04#1034290714259722"
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _drop_last_row(path):
     path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
 
@@ -794,6 +807,8 @@ class TestBadReadBackFiles:
          ":4: non-finite value 'nan' in column 1"),
         ("evaluate", "features_position.csv", _nan_on_line_4,
          ":4: non-finite value 'nan' in column 1"),
+        ("train", "features_position.csv", _hash_in_last_cell_of_line_3,
+         ":3: unparseable value '0.04#1034290714259722' in column 1770"),
         ("train", "features_position.csv", _drop_last_row,
          ": row metadata length 20 != row count 19"),
         ("evaluate", "features_position.csv.meta.json",
@@ -807,8 +822,9 @@ class TestBadReadBackFiles:
     ]
 
     @pytest.mark.parametrize("stage,name,spoil,message", BAD_FILES, ids=[
-        "non-numeric cell", "nan cell in train", "nan cell in evaluate", "row short of sidecar",
-        "truncated sidecar", "sidecar without rows", "non-JSON model", "model not an object"])
+        "non-numeric cell", "nan cell in train", "nan cell in evaluate", "hash in a cell",
+        "row short of sidecar", "truncated sidecar", "sidecar without rows", "non-JSON model",
+        "model not an object"])
     def test_bad_file_is_named_and_stage_writes_nothing(
             self, extracted, tmp_path, capsys, stage, name, spoil, message):
         features = tmp_path / "features"

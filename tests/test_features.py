@@ -19,7 +19,7 @@ from movetrait.features import (
 )
 from movetrait.mocap import JointTake, Kind, derive_joints, velocity
 from movetrait.synth import default_strong_spec, generate_take, sample_traits
-from oracles import correntropy, unvectorize_lower
+from oracles import correntropy, load_feature_csv_text, unvectorize_lower
 
 
 def joint_take(data, frame_rate=120.0, kind=Kind.POSITION):
@@ -257,3 +257,69 @@ class TestExtractAndPersistence:
     def test_row_metadata_length_enforced(self):
         with pytest.raises(ValueError, match="row metadata"):
             FeatureMatrix(values=np.zeros((2, 3)), rows=(RowMeta("P", "S"),))
+
+
+def _csv(rows, sep="\n", end="\n"):
+    return (sep.join(",".join(row) for row in rows) + end).encode()
+
+
+_CELLS = [["%.17g" % v for v in row]
+          for row in np.random.default_rng(8).uniform(0, 1, size=(4, 5)).tolist()]
+
+
+def _with(line, column, cell):
+    """``_CELLS`` with the cell at 1-based ``line`` and ``column`` replaced."""
+    rows = [list(row) for row in _CELLS]
+    rows[line - 1][column - 1] = cell
+    return rows
+
+
+# (id, file bytes, None when the file loads to the text-mode loadtxt's bits,
+# else the message right after the path)
+FEATURE_CSV_CASES = [
+    ("lf", _csv(_CELLS), None),
+    ("crlf", _csv(_CELLS, sep="\r\n", end="\r\n"), None),
+    ("lone-cr", _csv(_CELLS, sep="\r", end="\r"), None),
+    ("blank-lines", b"\n" + _csv(_CELLS, sep="\n\n", end="\n\n"), None),
+    ("crlf-blank-lines", _csv(_CELLS, sep="\r\n\r\n", end="\r\n"), None),
+    ("no-final-newline", _csv(_CELLS, end=""), None),
+    ("lone-cr-no-final-newline", _csv(_CELLS, sep="\r", end=""), None),
+    ("spaces", _csv(_with(2, 3, "  0.25 ")), None),
+    ("no-break-space", _csv(_with(2, 3, "\xa00.25")), None),
+    ("hash-in-cell", _csv(_with(3, 5, "0.04#1034290714259722")),
+     ":3: unparseable value '0.04#1034290714259722' in column 5"),
+    ("hash-line", _csv(_CELLS[:2] + [["# note"]] + _CELLS[2:]),
+     ":3: column count mismatch (1 fields, expected 5)"),
+    ("nan", _csv(_with(2, 1, "nan")), ":2: non-finite value 'nan' in column 1"),
+    ("inf-lone-cr", _csv(_with(4, 2, "-inf"), sep="\r"), ":4: non-finite value '-inf' in column 2"),
+    ("overflow", _csv(_with(1, 4, "1e999")), ":1: non-finite value '1e999' in column 4"),
+    ("short-row", _csv(_CELLS[:2] + [_CELLS[2][:4]] + _CELLS[3:]),
+     ":3: column count mismatch (4 fields, expected 5)"),
+    ("empty-cell", _csv(_with(4, 5, "")), ":4: unparseable value '' in column 5"),
+    ("underscore", _csv(_with(2, 4, "1_000")), ":2: unparseable value '1_000' in column 4"),
+    ("non-ascii-digit", _csv(_with(3, 1, "\uff11")), ":3: unparseable value '\uff11' in column 1"),
+    ("non-ascii-digit-suffix", _csv(_with(1, 2, "2.5\uff11")),
+     ":1: unparseable value '2.5\uff11' in column 2"),
+    ("not-utf8", _csv(_with(2, 2, "0.5")).replace(b",0.5,", b",0.5\xff,"),
+     ": not valid UTF-8 on line 2"),
+    ("not-utf8-crlf", _csv(_CELLS, sep="\r\n") + b"\xe9\r\n", ": not valid UTF-8 on line 5"),
+]
+
+
+class TestFeatureCsvParse:
+    """load_feature_matrix against the text-mode loadtxt loader it replaced."""
+
+    @pytest.mark.parametrize("raw,message", [c[1:] for c in FEATURE_CSV_CASES],
+                             ids=[c[0] for c in FEATURE_CSV_CASES])
+    def test_matches_text_loader_or_names_line(self, tmp_path, raw, message):
+        path = tmp_path / "features.csv"
+        path.write_bytes(raw)
+        rows = tuple(RowMeta(f"P{i}", "S1") for i in range(len(_CELLS)))
+        if message is None:
+            expected = load_feature_csv_text(raw)
+            assert expected.shape == (4, 5)
+            assert load_feature_matrix(path, rows).values.tobytes() == expected.tobytes()
+            return
+        with pytest.raises(ValueError) as got:
+            load_feature_matrix(path, rows)
+        assert str(got.value).startswith(f"{path}{message}")

@@ -75,7 +75,8 @@ class TestLoadTake:
         row = ["1.0"] * 63
         row[10] = "NaN"
         path = write_take(tmp_path, [row, ["1.0"] * 63])
-        with pytest.raises(TakeFormatError, match="non-finite sample"):
+        with pytest.raises(TakeFormatError,
+                           match=rf"{path.name}:2: non-finite value 'NaN' in column 11$"):
             load_take(path)
 
     def test_error_carries_file_and_line(self, tmp_path):
@@ -103,7 +104,16 @@ class TestLoadTake:
         row = ["1.0"] * 63
         row[5] = "abc"
         path = write_take(tmp_path, [["0.0"] * 63, row])
-        with pytest.raises(TakeFormatError, match=rf"{path.name}:3.*abc"):
+        with pytest.raises(TakeFormatError,
+                           match=rf"{path.name}:3: unparseable value 'abc' in column 6$"):
+            load_take(path)
+
+    def test_first_bad_line_named(self, tmp_path):
+        row = ["1.0"] * 63
+        row[5] = "abc"
+        path = write_take(tmp_path, [["0.0"] * 63, row, ["1.0"] * 62])
+        with pytest.raises(TakeFormatError,
+                           match=rf"{path.name}:3: unparseable value 'abc' in column 6$"):
             load_take(path)
 
 
@@ -156,7 +166,9 @@ PARSE_CASES = [
                             ["123456789012345678901234567890"] * 63]), "vector"),
     ("rows-257", _tsv(_rows_with(257)), "vector"),
     ("rows-513", _tsv(_rows_with(513)), "vector"),
-    ("underscore", _tsv([["1_000"] * 63, ["2"] * 63]), "scan"),
+    ("underscore", _tsv([["1_000"] * 63, ["2"] * 63]), "error"),
+    ("non-ascii-digit", _tsv([["1"] * 63, ["2.5\uff11"] * 63]), "error"),
+    ("no-break-space", _tsv([["\xa01.5"] * 63, ["2\xa0"] * 63]), "scan"),
     ("lone-cr", _tsv(_ONES, sep="\r", end="\r"), "scan"),
     ("lone-cr-no-final-newline", _tsv(_ONES, sep="\r", end=""), "scan"),
     ("cr-in-header", b"#MARKERS\ta\tb\r1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "scan"),
