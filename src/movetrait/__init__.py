@@ -5,8 +5,6 @@ trained PCR / Bayesian ridge regressors for scalar traits, to per-joint
 importance profiles derived from the learned weights.
 """
 from .mocap import (
-    JointTake,
-    Kind,
     MarkerTake,
     TakeFormatError,
     derive_joints,
@@ -14,7 +12,6 @@ from .mocap import (
     velocity,
 )
 from .features import (
-    FeatureMatrix,
     extract_features,
     vectorize_lower,
 )

@@ -42,8 +42,7 @@ from .evaluation import (
     TRAIT_CORRELATION_REFERENCE,
 )
 from .features import (
-    FeatureMatrix,
-    RowMeta,
+    ROW_IDS,
     apply_gaussian_stats,
     extract_features,
     gaussian_stats,
@@ -63,6 +62,7 @@ from .regression import (
     load_model,
     load_trait_table,
     predict_means,
+    read_json_object,
     save_model,
 )
 from .synth import SynthSpec, write_dataset
@@ -160,7 +160,8 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a config file; one that is not a JSON object is a ValueError naming it."""
+        return cls.from_dict(read_json_object(path, "config file"))
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -269,9 +270,6 @@ def _model_specs(cfg: PipelineConfig, kinds: tuple[str, ...], base_kind: str, n_
                       tol=cfg.bayes_tol, max_iter=cfg.bayes_max_iter) for kind in kinds]
 
 
-_TAKE_IDS = ("participant_id", "stimulus_id")
-
-
 def _read_take_ids(
     take_paths: list[Path], cfg: PipelineConfig,
 ) -> tuple[list[dict], list[tuple[str, str]], dict[str, tuple[Path, str]]]:
@@ -289,7 +287,7 @@ def _read_take_ids(
         side_path = path.with_suffix(".json")
         raw, records[side_path.name] = _read_recorded(side_path)
         side = parse_sidecar(raw, path)
-        for key in _TAKE_IDS:
+        for key in ROW_IDS:
             if side.get(key) in (None, ""):
                 raise ValueError(f"{path}: its sidecar gives no {key}")
         if "velocity" in cfg.extract_kinds:
@@ -297,7 +295,7 @@ def _read_take_ids(
                 check_velocity_rate(side["frame_rate"])
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
-        ids = tuple(str(side[key]) for key in _TAKE_IDS)
+        ids = tuple(str(side[key]) for key in ROW_IDS)
         if ids in first:
             raise ValueError(f"{first[ids]} and {path} are both participant {ids[0]!r}, "
                              f"stimulus {ids[1]!r}")
@@ -320,7 +318,7 @@ def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, 
         if "position" in cfg.extract_kinds:
             out["position"] = extract_features(joints, cfg.sigma)
         if "velocity" in cfg.extract_kinds:
-            out["velocity"] = extract_features(velocity(joints), cfg.sigma)
+            out["velocity"] = extract_features(velocity(joints, take.frame_rate), cfg.sigma)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return out, record
@@ -344,15 +342,12 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     features_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     for kind in cfg.extract_kinds:
-        matrix = FeatureMatrix(
-            values=np.stack([features[kind] for features, _ in per_take]),
-            rows=tuple(RowMeta(*pair) for pair in ids),
-        )
+        values = np.stack([features[kind] for features, _ in per_take])
         path = features_dir / f"features_{kind}.csv"
-        save_feature_matrix(matrix, path)
+        save_feature_matrix(values, path, ids)
         written[kind] = path
         log("extract", kind=kind, takes=len(take_paths),
-            rows=matrix.n_samples, cols=matrix.n_features, out=path,
+            rows=values.shape[0], cols=values.shape[1], out=path,
             seconds=time.perf_counter() - start)
 
     inputs = {path.name: record for path, (_, record) in zip(take_paths, per_take)}
@@ -376,15 +371,16 @@ def _load_design(cfg: PipelineConfig, base_kind: str, table: dict, traits_path: 
         raise ValueError(f"feature file {path} not found; run extract first")
     rows_raw, rows_record = _read_recorded(rows_path(path))
     rows = load_feature_rows(path, raw=rows_raw)
-    for meta in rows:
+    pids = [pid for pid, _ in rows]
+    for pid in pids:
         for trait in cfg.traits:
-            if trait not in table.get(meta.participant_id, {}):
-                raise ValueError(f"{path}: participant {meta.participant_id!r} has no "
+            if trait not in table.get(pid, {}):
+                raise ValueError(f"{path}: participant {pid!r} has no "
                                  f"{trait!r} value in {traits_path}")
     raw, record = _read_recorded(path)
-    matrix = load_feature_matrix(path, rows, raw=raw)
+    values = load_feature_matrix(path, rows, raw=raw)
     del raw   # not held through build_dataset's copy of the values
-    X, Y, participants = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
+    X, Y, participants = build_dataset(values, pids, table, cfg.traits, cfg.dataset_mode)
     for trait, y in zip(cfg.traits, Y.T):
         if y.min() == y.max():
             raise ValueError(f"{path}: trait {trait!r} is {y[0]:g} on every row, as "

@@ -11,14 +11,14 @@ triangle, read row by row, is the 1770-dim feature vector of the take.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .mocap import JointTake, scan_table
+from .mocap import scan_table
 
 SIGMA_DEFAULT = 12.0
+ROW_IDS = ("participant_id", "stimulus_id")   # what names a take, and so a feature row
 
 
 def pairwise_correntropy(data: np.ndarray, sigma: float = SIGMA_DEFAULT) -> np.ndarray:
@@ -71,52 +71,10 @@ def vectorize_lower(matrix: np.ndarray) -> np.ndarray:
     return matrix[rows, cols]
 
 
-@dataclass(frozen=True)
-class RowMeta:
-    """Provenance of one feature row."""
-
-    participant_id: str
-    stimulus_id: str
-
-    def to_dict(self) -> dict:
-        return {"participant_id": self.participant_id, "stimulus_id": self.stimulus_id}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RowMeta":
-        """The row's ids; other entries, such as older sidecars' ``kind``, are ignored."""
-        return cls(d["participant_id"], d["stimulus_id"])
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Stacked feature vectors, one row per take."""
-
-    values: np.ndarray
-    rows: tuple[RowMeta, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("feature matrix must be 2-D")
-        if len(self.rows) != v.shape[0]:
-            raise ValueError(
-                f"row metadata length {len(self.rows)} != row count {v.shape[0]}"
-            )
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "rows", tuple(self.rows))
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
-
-
-def extract_features(take: JointTake, sigma: float = SIGMA_DEFAULT) -> np.ndarray:
-    """Take -> correntropy matrix -> lower-triangle feature vector."""
-    return vectorize_lower(pairwise_correntropy(take.data, sigma))
+def extract_features(joints: np.ndarray, sigma: float = SIGMA_DEFAULT) -> np.ndarray:
+    """Frames x 60 joint trajectories -> correntropy matrix -> lower-triangle
+    feature vector."""
+    return vectorize_lower(pairwise_correntropy(joints, sigma))
 
 
 def gaussian_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,35 +101,41 @@ def rows_path(csv_path: str | Path) -> Path:
     return csv_path.with_suffix(csv_path.suffix + ".meta.json")
 
 
-def save_feature_matrix(matrix: FeatureMatrix, csv_path: str | Path) -> None:
-    """Write rows as CSV plus a ``.meta.json`` sidecar with row provenance."""
+def save_feature_matrix(values: np.ndarray, csv_path: str | Path,
+                        rows: list[tuple[str, str]]) -> None:
+    """Write rows as CSV plus a ``.meta.json`` sidecar with each row's
+    (participant_id, stimulus_id)."""
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(csv_path, matrix.values, fmt="%.17g", delimiter=",")
-    meta = {"rows": [r.to_dict() for r in matrix.rows]}
+    np.savetxt(csv_path, values, fmt="%.17g", delimiter=",")
+    meta = {"rows": [dict(zip(ROW_IDS, pair)) for pair in rows]}
     rows_path(csv_path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_feature_rows(csv_path: str | Path, *, raw: bytes | None = None) -> tuple[RowMeta, ...]:
-    """Row provenance from a feature CSV's ``.meta.json`` sidecar; the CSV is not read.
+def load_feature_rows(csv_path: str | Path, *,
+                      raw: bytes | None = None) -> tuple[tuple[str, str], ...]:
+    """Each row's (participant_id, stimulus_id) from a feature CSV's
+    ``.meta.json`` sidecar; the CSV is not read.
 
     ``raw`` is the sidecar's bytes when the caller has already read them (to
-    hash them); otherwise the sidecar is read once here. A sidecar that does
+    hash them); otherwise the sidecar is read once here. Other entries of a
+    row, such as older sidecars' ``kind``, are ignored. A sidecar that does
     not parse or lacks an entry is a ValueError naming it.
     """
     sidecar = rows_path(csv_path)
     if raw is None:
         raw = sidecar.read_bytes()
     try:
-        return tuple(RowMeta.from_dict(r) for r in json.loads(raw.decode("utf-8"))["rows"])
+        return tuple(tuple(r[key] for key in ROW_IDS)
+                     for r in json.loads(raw.decode("utf-8"))["rows"])
     except KeyError as exc:
         raise ValueError(f"{sidecar}: no {exc.args[0]!r} entry") from exc
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{sidecar}: {exc}") from exc
 
 
-def load_feature_matrix(csv_path: str | Path, rows: tuple[RowMeta, ...] | None = None,
-                        *, raw: bytes | None = None) -> FeatureMatrix:
+def load_feature_matrix(csv_path: str | Path, rows: tuple[tuple[str, str], ...] | None = None,
+                        *, raw: bytes | None = None) -> np.ndarray:
     """Parse a feature CSV; ``rows`` are its ``load_feature_rows``, read here if not given.
 
     ``raw`` is the CSV's bytes when the caller has already read them (to
@@ -184,7 +148,7 @@ def load_feature_matrix(csv_path: str | Path, rows: tuple[RowMeta, ...] | None =
     if raw is None:
         raw = Path(csv_path).read_bytes()
     values = scan_table(csv_path, raw, ",", lambda lineno, line: line.count(",") + 1)
-    try:
-        return FeatureMatrix(values=values, rows=rows)
-    except ValueError as exc:
-        raise ValueError(f"{csv_path}: {exc}") from exc
+    if len(rows) != len(values):
+        raise ValueError(
+            f"{csv_path}: row metadata length {len(rows)} != row count {len(values)}")
+    return values

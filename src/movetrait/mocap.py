@@ -15,7 +15,6 @@ import threading
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -39,21 +38,8 @@ MARKER_LABELS = (
 JOINT_LABELS = tuple("ABCDEFGHIJKLMNOPQRST")
 
 
-class Kind(str, Enum):
-    """Whether joint trajectories hold positions (mm) or velocities (mm/s)."""
-
-    POSITION = "position"
-    VELOCITY = "velocity"
-
-
 class TakeFormatError(ValueError):
     """Raised when a take file or its sidecar violates the format contract."""
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -71,7 +57,7 @@ class MarkerTake:
     markers: tuple[str, ...] = MARKER_LABELS
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = np.ascontiguousarray(self.data, dtype=float)
         if data.ndim != 2:
             raise ValueError("marker data must be a 2-D frames x columns matrix")
         if data.shape[1] != 3 * len(self.markers):
@@ -85,7 +71,8 @@ class MarkerTake:
             raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
         if not np.isfinite(data).all():
             raise ValueError("non-finite sample in marker data")
-        object.__setattr__(self, "data", _freeze(data))
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "markers", tuple(self.markers))
 
     @property
@@ -96,32 +83,6 @@ class MarkerTake:
     def conformant(self) -> bool:
         """True when the take lists the 21 standard marker labels in order."""
         return self.markers == MARKER_LABELS
-
-
-@dataclass(frozen=True)
-class JointTake:
-    """Derived 20-joint trajectories, frames x 60.
-
-    Column order contract: joint-major, so column i belongs to joint
-    i // 3 and coordinate i % 3 (0=X, 1=Y, 2=Z).
-    """
-
-    data: np.ndarray
-    frame_rate: float
-    kind: Kind
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[1] != 60:
-            raise ValueError("a joint take has 20 joints and 60 columns")
-        if not self.frame_rate > 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "kind", Kind(self.kind))
-
-    @property
-    def frames(self) -> int:
-        return self.data.shape[0]
 
 
 # Joint recipes as (label, source marker indices); single-source joints copy
@@ -655,11 +616,12 @@ def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> M
     )
 
 
-def derive_joints(take: MarkerTake) -> JointTake:
-    """Derive the 20-joint position trajectories from a 21-marker take.
+def derive_joints(take: MarkerTake) -> np.ndarray:
+    """Derive the 20-joint position trajectories (mm) from a 21-marker take.
 
-    The markers are read by position, so the take must list the standard
-    labels (``MARKER_LABELS``) in their order.
+    Returns frames x 60, joint-major: column i belongs to joint i // 3 and
+    coordinate i % 3 (0=X, 1=Y, 2=Z). The markers are read by position, so
+    the take must list the standard labels (``MARKER_LABELS``) in order.
 
     Single-source joints copy the marker columns bit for bit; multi-source
     joints take the per-frame, per-coordinate arithmetic mean.
@@ -684,7 +646,7 @@ def derive_joints(take: MarkerTake) -> JointTake:
         else:
             stack = np.stack([take.data[:, 3 * m:3 * m + 3] for m in sources])
             cols[:] = stack.mean(axis=0)
-    return JointTake(data=out, frame_rate=take.frame_rate, kind=Kind.POSITION)
+    return out
 
 
 def butter_lowpass(cutoff_hz: float, frame_rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -882,20 +844,18 @@ def check_velocity_rate(frame_rate: float, cutoff_hz: float = DEFAULT_CUTOFF_HZ)
         )
 
 
-def velocity(take: JointTake, cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> JointTake:
-    """Estimate joint velocities (mm/s) from a position take.
+def velocity(positions: np.ndarray, frame_rate: float,
+             cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> np.ndarray:
+    """Estimate joint velocities (mm/s) from frames x columns positions (mm).
 
     Differentiates each column and then applies the zero-phase 2nd-order
     Butterworth low-pass at ``cutoff_hz``. Requires at least 7 frames for
     the filter warm-up and a frame rate above twice the cutoff.
     """
-    if take.kind is not Kind.POSITION:
-        raise ValueError("velocity expects a position take")
-    if take.frames < 7:
+    if len(positions) < 7:
         raise ValueError(
-            f"velocity needs at least 7 frames for filter warm-up, got {take.frames}"
+            f"velocity needs at least 7 frames for filter warm-up, got {len(positions)}"
         )
-    check_velocity_rate(take.frame_rate, cutoff_hz)
-    b, a = butter_lowpass(cutoff_hz, take.frame_rate)
-    vel = zero_phase_filter(differentiate(take.data, take.frame_rate), b, a)
-    return JointTake(data=vel, frame_rate=take.frame_rate, kind=Kind.VELOCITY)
+    check_velocity_rate(frame_rate, cutoff_hz)
+    b, a = butter_lowpass(cutoff_hz, frame_rate)
+    return zero_phase_filter(differentiate(positions, frame_rate), b, a)

@@ -34,8 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureMatrix
-
 TRAIT_NAMES = ("O", "C", "E", "A", "N", "EQ", "SQ")
 
 MODEL_KINDS = ("pcr", "bayes_ridge")
@@ -270,12 +268,14 @@ class DatasetMode(str, Enum):
 
 
 def build_dataset(
-    features: FeatureMatrix,
+    values: np.ndarray,
+    participants: Sequence[str],
     trait_table: dict,
     traits: Sequence[str],
     mode: DatasetMode | str = DatasetMode.PER_STIMULUS,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Pair feature rows with the targets of the named traits.
+    """Pair feature rows, the i-th taken by ``participants[i]``, with the
+    targets of the named traits.
 
     Returns ``(X, Y, participants)``: the design, an n x len(traits) target
     matrix whose columns follow ``traits``, and each row's participant.
@@ -285,7 +285,9 @@ def build_dataset(
     """
     mode = DatasetMode(mode)
     traits = tuple(traits)
-    pids = [meta.participant_id for meta in features.rows]
+    pids = list(participants)
+    if len(pids) != len(values):
+        raise ValueError(f"{len(pids)} participants for {len(values)} feature rows")
     for pid in pids:
         for trait in traits:
             if pid not in trait_table or trait not in trait_table[pid]:
@@ -295,11 +297,11 @@ def build_dataset(
         return np.array([[trait_table[pid][t] for t in traits] for pid in order], dtype=float)
 
     if mode is DatasetMode.PER_STIMULUS:
-        return features.values.copy(), targets(pids), tuple(pids)
+        return values.copy(), targets(pids), tuple(pids)
 
     order = list(dict.fromkeys(pids))  # first-appearance order
     X = np.stack([
-        features.values[[i for i, p in enumerate(pids) if p == pid]].mean(axis=0)
+        values[[i for i, p in enumerate(pids) if p == pid]].mean(axis=0)
         for pid in order
     ])
     return X, targets(order), tuple(order)
@@ -311,7 +313,8 @@ def load_trait_table(path: str | Path, *, raw: bytes | None = None) -> dict:
     ``raw`` is the file's bytes when the caller has already read them (to
     hash them); otherwise the file is read once here. Bytes that are not
     UTF-8 are a ValueError naming the file. An empty cell leaves that trait
-    missing for its participant; any other cell must be a finite number.
+    missing for its participant; any other cell must be a finite number. A
+    participant listed twice is a ValueError naming both lines.
     """
     if raw is None:
         raw = Path(path).read_bytes()
@@ -321,6 +324,7 @@ def load_trait_table(path: str | Path, *, raw: bytes | None = None) -> dict:
         raise ValueError(f"{path}: trait table is not UTF-8 text ({exc.reason} "
                          f"at byte {exc.start})") from exc
     table: dict[str, dict[str, float]] = {}
+    first_line: dict[str, int] = {}
     # newline="" splits lines as csv expects of a file opened that way
     with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -331,6 +335,9 @@ def load_trait_table(path: str | Path, *, raw: bytes | None = None) -> dict:
             where = f"{path}:{reader.line_num}: participant {pid!r}"
             if None in row:
                 raise ValueError(f"{where}: more cells than header columns")
+            if pid in first_line:
+                raise ValueError(f"{where} is already on line {first_line[pid]}")
+            first_line[pid] = reader.line_num
             values = {}
             for column, cell in row.items():
                 if column == "participant_id" or not (cell or "").strip():
@@ -363,6 +370,20 @@ def save_model(model: LinearModel, path: str | Path, provenance: dict | None = N
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def read_json_object(path: str | Path, what: str, *, raw: bytes | None = None) -> dict:
+    """The JSON object in a file (or in its bytes ``raw``); bytes that are not
+    a JSON object are a ValueError naming the file and ``what`` it holds."""
+    if raw is None:
+        raw = Path(path).read_bytes()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSON syntax or UTF-8 decoding
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} holds a {type(doc).__name__}, not a JSON object")
+    return doc
+
+
 def load_model(path: str | Path, *, raw: bytes | None = None) -> LinearModel:
     """Read a model file; other entries are ignored.
 
@@ -370,14 +391,7 @@ def load_model(path: str | Path, *, raw: bytes | None = None) -> LinearModel:
     hash them); otherwise the file is read once here. A file that is not a
     JSON object, or lacks an entry, is a ValueError naming the file.
     """
-    if raw is None:
-        raw = Path(path).read_bytes()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: model file holds a {type(doc).__name__}, not a JSON object")
+    doc = read_json_object(path, "model file", raw=raw)
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .mocap import MARKER_LABELS, MarkerTake
-from .regression import TRAIT_NAMES
+from .regression import TRAIT_NAMES, read_json_object
 
 TRAIT_RANGES = {
     "O": (1.0, 5.0),
@@ -119,25 +119,31 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthSpec":
-        doc = json.loads(Path(path).read_text())
-        couplings = {
-            trait: TraitCoupling(
-                markers=tuple(c["markers"]),
-                frequency_hz=float(c["frequency_hz"]),
-                amplitude_mm=(float(c["amplitude_mm"][0]), float(c["amplitude_mm"][1])),
-                phase_gain=float(c.get("phase_gain", 0.0)),
+        """Read a spec file; a bad one is a ValueError naming the file."""
+        doc = read_json_object(path, "synth spec")
+        try:
+            couplings = {
+                trait: TraitCoupling(
+                    markers=tuple(c["markers"]),
+                    frequency_hz=float(c["frequency_hz"]),
+                    amplitude_mm=(float(c["amplitude_mm"][0]), float(c["amplitude_mm"][1])),
+                    phase_gain=float(c.get("phase_gain", 0.0)),
+                )
+                for trait, c in doc.get("trait_coupling", {}).items()
+            }
+            return cls(
+                participants=int(doc["participants"]),
+                stimuli=int(doc["stimuli"]),
+                frames=int(doc["frames"]),
+                frame_rate=float(doc["frame_rate"]),
+                trait_coupling=couplings,
+                noise_std=float(doc.get("noise_std", 0.0)),
+                seed=int(doc.get("seed", 0)),
             )
-            for trait, c in doc.get("trait_coupling", {}).items()
-        }
-        return cls(
-            participants=int(doc["participants"]),
-            stimuli=int(doc["stimuli"]),
-            frames=int(doc["frames"]),
-            frame_rate=float(doc["frame_rate"]),
-            trait_coupling=couplings,
-            noise_std=float(doc.get("noise_std", 0.0)),
-            seed=int(doc.get("seed", 0)),
-        )
+        except KeyError as exc:
+            raise ValueError(f"{path}: synth spec has no {exc.args[0]!r} field") from exc
+        except (ValueError, TypeError, AttributeError, IndexError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

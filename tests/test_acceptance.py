@@ -25,8 +25,6 @@ from movetrait.evaluation import (
     CvResult,
 )
 from movetrait.features import (
-    FeatureMatrix,
-    RowMeta,
     extract_features,
     pairwise_correntropy,
     vectorize_lower,
@@ -105,10 +103,10 @@ def test_c3_feature_shape_and_round_trip():
         spec = default_strong_spec(participants=1, stimuli=1, frames=50, seed=3)
         take = next(iter_takes(spec))
         joints = derive_joints(take)
-        assert joints.data.shape[1] == 60
+        assert joints.shape[1] == 60
         vec = extract_features(joints)
         assert vec.shape == (1770,)
-        k = pairwise_correntropy(joints.data)
+        k = pairwise_correntropy(joints)
         rebuilt = unvectorize_lower(vectorize_lower(k), 60)
         assert np.array_equal(rebuilt, k)
 
@@ -182,13 +180,13 @@ def test_c7_end_to_end_planted_signal():
         start = time.monotonic()
         spec = default_strong_spec()
         traits = sample_traits(spec)
-        vecs, rows = [], []
+        vecs, pids = [], []
         for take in iter_takes(spec, traits):
             vecs.append(extract_features(derive_joints(take)))
-            rows.append(RowMeta(take.participant_id, take.stimulus_id))
-        matrix = FeatureMatrix(values=np.stack(vecs), rows=tuple(rows))
-        assert matrix.values.shape == (240, 1770)
-        X, Y, participants = build_dataset(matrix, traits, TRAIT_NAMES, "per_stimulus")
+            pids.append(take.participant_id)
+        values = np.stack(vecs)
+        assert values.shape == (240, 1770)
+        X, Y, participants = build_dataset(values, pids, traits, TRAIT_NAMES, "per_stimulus")
         plan = make_fold_plan(len(X), 5, seed=0, groups=participants)
         per_trait = cross_validate(X, Y, [ModelSpec("bayes_ridge")], plan)[0]
         worst = min(res.mean_r2 for res in per_trait)

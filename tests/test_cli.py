@@ -23,7 +23,12 @@ from movetrait.cli import (
     config_hash,
     main,
 )
-from movetrait.features import apply_gaussian_stats, gaussian_stats, load_feature_matrix
+from movetrait.features import (
+    apply_gaussian_stats,
+    gaussian_stats,
+    load_feature_matrix,
+    load_feature_rows,
+)
 from movetrait.mocap import MARKER_LABELS
 from movetrait.regression import (
     build_dataset,
@@ -112,6 +117,20 @@ class TestConfig:
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown config field"):
             apply_overrides(make_config(tmp_path, tmp_path), ["nope=1"])
+
+    # (file body, message after the path): a config file that is not a JSON
+    # object fails naming the file, with no traceback
+    BAD_FILES = [
+        ("[1, 2]", "config file holds a list, not a JSON object"),
+        ("{oops", "Expecting property name enclosed in double quotes"),
+    ]
+
+    @pytest.mark.parametrize("body,message", BAD_FILES)
+    def test_bad_config_file_named(self, tmp_path, capsys, body, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(body)
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {message}")
 
     def test_config_hash_stable(self, tmp_path):
         cfg = make_config(tmp_path, tmp_path / "out")
@@ -252,15 +271,29 @@ class TestConfig:
         assert f"error: {traits}: trait table is not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_participant_named(self, dataset_dir, tmp_path, capsys):
+        lines = (dataset_dir / "traits.csv").read_text().splitlines()
+        traits = tmp_path / "traits.csv"
+        traits.write_text("\n".join(lines + [lines[1]]) + "\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(dataset_dir, None).to_dict()))
+        rc = main(["train", "-c", str(cfg_path), "--output-dir", str(tmp_path / "out"),
+                   "--set", f"traits_csv={traits}"])
+        assert rc == 1
+        pid = lines[1].split(",")[0]
+        assert (f"error: {traits}:{len(lines) + 1}: participant {pid!r} is already on line 2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
 
 class TestExtract:
     def test_rows_and_width(self, dataset_dir, tmp_path):
         cfg = make_config(dataset_dir, tmp_path)
         info = cmd_extract(cfg)
         assert info["takes"] == 20
-        matrix = load_feature_matrix(info["features"]["position"])
-        assert matrix.values.shape == (20, 1770)
-        assert matrix.rows[0].participant_id == "P000"
+        path = info["features"]["position"]
+        assert load_feature_matrix(path).shape == (20, 1770)
+        assert load_feature_rows(path)[0][0] == "P000"
 
     def test_rerun_byte_identical(self, dataset_dir, tmp_path):
         cfg = make_config(dataset_dir, tmp_path)
@@ -549,8 +582,10 @@ class TestTrain:
         })
         cmd_train(cfg)
         table = load_trait_table(cfg.traits_csv)
-        matrix = load_feature_matrix(cfg.resolved_features_dir() / "features_position.csv")
-        X, Y, _ = build_dataset(matrix, table, cfg.traits, cfg.dataset_mode)
+        path = cfg.resolved_features_dir() / "features_position.csv"
+        pids = [pid for pid, _ in load_feature_rows(path)]
+        X, Y, _ = build_dataset(load_feature_matrix(path), pids, table, cfg.traits,
+                                cfg.dataset_mode)
         X = apply_gaussian_stats(X, *gaussian_stats(X))
         for trait, y in zip(cfg.traits, Y.T):
             expected = fit_bayes_ridge(centered_svd(X), y, tol=cfg.bayes_tol,
@@ -979,6 +1014,24 @@ class TestMainEntry:
         rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")])
         assert rc == 0
         assert len(list((tmp_path / "data").glob("*.tsv"))) == 2
+
+    # (spec file body, message after the path)
+    BAD_SPECS = [
+        ('{"participants": 2}', "synth spec has no 'stimuli' field"),
+        ("[1]", "synth spec holds a list, not a JSON object"),
+        ('{"participants": 2, "stimuli": 1, "frames": "many", "frame_rate": 120}',
+         "invalid literal for int() with base 10: 'many'"),
+        ("{oops", "Expecting property name enclosed in double quotes"),
+    ]
+
+    @pytest.mark.parametrize("body,message", BAD_SPECS)
+    def test_bad_synth_spec_named(self, tmp_path, capsys, body, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(body)
+        rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec_path}: {message}")
+        assert not (tmp_path / "data").exists()
 
     def test_synth_write_error_exits_1_and_leaves_no_worker(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

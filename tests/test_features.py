@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from movetrait.features import (
-    FeatureMatrix,
-    RowMeta,
     apply_gaussian_stats,
     extract_features,
     gaussian_stats,
@@ -17,13 +15,9 @@ from movetrait.features import (
     save_feature_matrix,
     vectorize_lower,
 )
-from movetrait.mocap import JointTake, Kind, derive_joints, velocity
+from movetrait.mocap import derive_joints, velocity
 from movetrait.synth import default_strong_spec, generate_take, sample_traits
 from oracles import correntropy, load_feature_csv_text, unvectorize_lower
-
-
-def joint_take(data, frame_rate=120.0, kind=Kind.POSITION):
-    return JointTake(data=np.asarray(data, dtype=float), frame_rate=frame_rate, kind=kind)
 
 
 class TestCorrentropy:
@@ -81,7 +75,7 @@ def offset_draws(frames, count):
 def strong_spec_take(kind):
     spec = default_strong_spec(participants=1, stimuli=1, frames=4200, seed=5)
     joints = derive_joints(generate_take(spec, sample_traits(spec)["P000"], 0, 0))
-    return [(joints if kind == "position" else velocity(joints)).data]
+    return [joints if kind == "position" else velocity(joints, spec.frame_rate)]
 
 
 ORACLE_INPUTS = {
@@ -210,41 +204,37 @@ class TestGaussianNormalize:
 class TestExtractAndPersistence:
     def test_extract_is_kernel_lower_triangle(self):
         data = np.random.default_rng(0).normal(0, 30, size=(5, 60))
-        vec = extract_features(joint_take(data), sigma=7.0)
+        vec = extract_features(data, sigma=7.0)
         assert vec.shape == (1770,)
         assert vec.tobytes() == vectorize_lower(pairwise_correntropy(data, 7.0)).tobytes()
 
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        matrix = FeatureMatrix(
-            values=np.stack([extract_features(joint_take(rng.normal(0, 30, size=(5, 60))))
-                             for _ in range(3)]),
-            rows=tuple(RowMeta(f"P{i}", "S1") for i in range(3)),
-        )
+        values = np.stack([extract_features(rng.normal(0, 30, size=(5, 60))) for _ in range(3)])
+        rows = tuple((f"P{i}", "S1") for i in range(3))
         path = tmp_path / "features.csv"
-        save_feature_matrix(matrix, path)
-        loaded = load_feature_matrix(path)
-        np.testing.assert_array_equal(loaded.values, matrix.values)
-        assert loaded.rows == matrix.rows
+        save_feature_matrix(values, path, rows)
+        np.testing.assert_array_equal(load_feature_matrix(path), values)
+        assert load_feature_rows(path) == rows
 
     def test_older_sidecar_normalization_keys_ignored(self, tmp_path):
-        rows = tuple(RowMeta(f"P{i}", "S1") for i in range(2))
-        matrix = FeatureMatrix(values=np.arange(6.0).reshape(2, 3), rows=rows)
+        rows = tuple((f"P{i}", "S1") for i in range(2))
+        values = np.arange(6.0).reshape(2, 3)
         path = tmp_path / "features.csv"
-        save_feature_matrix(matrix, path)
+        save_feature_matrix(values, path, rows)
         sidecar = tmp_path / "features.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         assert set(meta) == {"rows"}
         meta.update(normalized=True, mu=[0.0, 0.0, 0.0], sigma=[1.0, 1.0, 1.0])
         sidecar.write_text(json.dumps(meta))
-        loaded = load_feature_matrix(path)
-        np.testing.assert_array_equal(loaded.values, matrix.values)
-        assert loaded.rows == matrix.rows
+        np.testing.assert_array_equal(load_feature_matrix(path), values)
+        assert load_feature_rows(path) == rows
 
     def test_older_sidecar_kind_ignored(self, tmp_path):
-        rows = tuple(RowMeta(f"P{i}", "S1") for i in range(2))
+        rows = tuple((f"P{i}", "S1") for i in range(2))
+        values = np.arange(6.0).reshape(2, 3)
         path = tmp_path / "features.csv"
-        save_feature_matrix(FeatureMatrix(values=np.arange(6.0).reshape(2, 3), rows=rows), path)
+        save_feature_matrix(values, path, rows)
         sidecar = tmp_path / "features.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         assert all(set(r) == {"participant_id", "stimulus_id"} for r in meta["rows"])
@@ -252,11 +242,14 @@ class TestExtractAndPersistence:
             r["kind"] = "velocity"
         sidecar.write_text(json.dumps(meta))
         assert load_feature_rows(path) == rows
-        assert load_feature_matrix(path).rows == rows
+        np.testing.assert_array_equal(load_feature_matrix(path), values)
 
-    def test_row_metadata_length_enforced(self):
-        with pytest.raises(ValueError, match="row metadata"):
-            FeatureMatrix(values=np.zeros((2, 3)), rows=(RowMeta("P", "S"),))
+    def test_row_metadata_length_enforced(self, tmp_path):
+        path = tmp_path / "features.csv"
+        save_feature_matrix(np.zeros((2, 3)), path, [("P0", "S"), ("P1", "S")])
+        with pytest.raises(ValueError) as got:
+            load_feature_matrix(path, (("P", "S"),))
+        assert str(got.value) == f"{path}: row metadata length 1 != row count 2"
 
 
 def _csv(rows, sep="\n", end="\n"):
@@ -314,11 +307,11 @@ class TestFeatureCsvParse:
     def test_matches_text_loader_or_names_line(self, tmp_path, raw, message):
         path = tmp_path / "features.csv"
         path.write_bytes(raw)
-        rows = tuple(RowMeta(f"P{i}", "S1") for i in range(len(_CELLS)))
+        rows = tuple((f"P{i}", "S1") for i in range(len(_CELLS)))
         if message is None:
             expected = load_feature_csv_text(raw)
             assert expected.shape == (4, 5)
-            assert load_feature_matrix(path, rows).values.tobytes() == expected.tobytes()
+            assert load_feature_matrix(path, rows).tobytes() == expected.tobytes()
             return
         with pytest.raises(ValueError) as got:
             load_feature_matrix(path, rows)

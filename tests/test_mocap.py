@@ -16,8 +16,6 @@ from movetrait import mocap
 from movetrait.mocap import (
     DEFAULT_FRAME_RATE,
     DEFAULT_JOINT_RECIPES,
-    JointTake,
-    Kind,
     MarkerTake,
     TakeFormatError,
     butter_lowpass,
@@ -445,17 +443,16 @@ class TestDeriveJoints:
         p = np.array([10.0, -5.0, 3.0])
         data = np.tile(p, (4, 21))
         joints = derive_joints(marker_take(data))
-        assert joints.kind is Kind.POSITION
-        assert joints.data.shape == (4, 60)
+        assert joints.shape == (4, 60)
         expected = np.tile(p, (4, 20))
-        np.testing.assert_array_equal(joints.data, expected)
+        np.testing.assert_array_equal(joints, expected)
 
     def test_root_is_hip_midpoint(self):
         data = np.zeros((2, 63))
         data[0, 3 * 7:3 * 7 + 3] = [0.0, 0.0, 0.0]   # LB hip
         data[0, 3 * 8:3 * 8 + 3] = [2.0, 0.0, 0.0]   # RB hip
         joints = derive_joints(marker_take(data))
-        np.testing.assert_array_equal(joints.data[0, 0:3], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(joints[0, 0:3], [1.0, 0.0, 0.0])
 
     def test_torso_matches_independent_mean(self):
         # oracle: recompute the 4-source mean with a different summation order
@@ -469,7 +466,7 @@ class TestDeriveJoints:
                 acc = 0.0
                 for m in reversed(sources):
                     acc += data[f, 3 * m + c]
-                assert joints.data[f, 3 * j_idx + c] == pytest.approx(acc / 4, abs=1e-12)
+                assert joints[f, 3 * j_idx + c] == pytest.approx(acc / 4, abs=1e-12)
 
     def test_copied_joints_bit_equal(self):
         rng = np.random.default_rng(1)
@@ -478,7 +475,7 @@ class TestDeriveJoints:
         # joint C copies L knee (marker 15)
         c_idx = JOINT_LABELS.index("C")
         np.testing.assert_array_equal(
-            joints.data[:, 3 * c_idx:3 * c_idx + 3], data[:, 3 * 15:3 * 15 + 3]
+            joints[:, 3 * c_idx:3 * c_idx + 3], data[:, 3 * 15:3 * 15 + 3]
         )
 
     def test_non_conformant_take_rejected(self):
@@ -500,17 +497,16 @@ class TestDeriveJoints:
             derive_joints(take)
         listed = MarkerTake(data=data, frame_rate=120.0, markers=list(MARKER_LABELS))
         assert listed.conformant
-        np.testing.assert_array_equal(derive_joints(listed).data,
-                                      derive_joints(marker_take(data)).data)
+        np.testing.assert_array_equal(derive_joints(listed),
+                                      derive_joints(marker_take(data)))
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
         d1 = rng.normal(size=(4, 63))
         d2 = rng.normal(size=(4, 63))
         a, b = 2.5, -1.25
-        lhs = derive_joints(marker_take(a * d1 + b * d2)).data
-        rhs = (a * derive_joints(marker_take(d1)).data
-               + b * derive_joints(marker_take(d2)).data)
+        lhs = derive_joints(marker_take(a * d1 + b * d2))
+        rhs = a * derive_joints(marker_take(d1)) + b * derive_joints(marker_take(d2))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_column_order_contract(self):
@@ -519,7 +515,7 @@ class TestDeriveJoints:
         data[:, 3 * 15 + 1] = 7.0  # L knee Y drives joint C's Y column only
         joints = derive_joints(marker_take(data))
         c_idx = JOINT_LABELS.index("C")
-        hot = np.flatnonzero(joints.data[0] != 0)
+        hot = np.flatnonzero(joints[0] != 0)
         assert list(hot) == [3 * c_idx + 1]
         assert hot[0] // 3 == c_idx and hot[0] % 3 == 1
 
@@ -533,10 +529,6 @@ class TestSkeletonMap:
         sizes = [len(s) for _, s in DEFAULT_JOINT_RECIPES]
         assert sizes.count(1) == 16
         assert sorted(s for s in sizes if s > 1) == [2, 2, 3, 4]
-
-
-def joint_take(data, frame_rate=120.0, kind=Kind.POSITION):
-    return JointTake(data=np.asarray(data, dtype=float), frame_rate=frame_rate, kind=kind)
 
 
 class TestButterworth:
@@ -604,17 +596,16 @@ class TestZeroPhaseOracle:
 class TestVelocity:
     def test_constant_position_gives_zero_velocity(self):
         data = np.full((50, 60), 123.4)
-        v = velocity(joint_take(data))
-        assert v.kind is Kind.VELOCITY
-        np.testing.assert_allclose(v.data, 0.0, atol=1e-9)
+        v = velocity(data, 120.0)
+        np.testing.assert_allclose(v, 0.0, atol=1e-9)
 
     def test_linear_ramp_recovers_slope(self):
         fs = 120.0
         slope = 37.5  # mm/s
         t = np.arange(200) / fs
         data = np.tile((slope * t)[:, None], (1, 60))
-        v = velocity(joint_take(data, frame_rate=fs))
-        interior = v.data[20:-20, :]
+        v = velocity(data, fs)
+        interior = v[20:-20, :]
         np.testing.assert_allclose(interior, slope, rtol=1e-6)
 
     @pytest.mark.parametrize(
@@ -628,7 +619,7 @@ class TestVelocity:
         t = np.arange(1200) / fs
         data = np.tile((50.0 * np.sin(2 * np.pi * freq * t))[:, None], (1, 60))
         raw = differentiate(data, fs)[100:-100, 0]
-        filt = velocity(joint_take(data, frame_rate=fs)).data[100:-100, 0]
+        filt = velocity(data, fs)[100:-100, 0]
         reduction_db = 20.0 * np.log10(
             np.sqrt(np.mean(raw**2)) / np.sqrt(np.mean(filt**2))
         )
@@ -642,22 +633,17 @@ class TestVelocity:
         fs = 120.0
         t = np.arange(120) / fs
         data = np.tile((10.0 * t)[:, None], (1, 60))
-        fwd = velocity(joint_take(data, frame_rate=fs)).data
-        rev = velocity(joint_take(data[::-1], frame_rate=fs)).data
+        fwd = velocity(data, fs)
+        rev = velocity(data[::-1], fs)
         np.testing.assert_allclose(rev[20:-20], -fwd[::-1][20:-20], atol=1e-6)
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(ValueError, match="7 frames"):
-            velocity(joint_take(np.zeros((5, 60))))
+            velocity(np.zeros((5, 60)), 120.0)
 
     def test_low_frame_rate_rejected(self):
         with pytest.raises(ValueError, match="twice the cutoff"):
-            velocity(joint_take(np.zeros((50, 60)), frame_rate=48.0))
-
-    def test_velocity_of_velocity_rejected(self):
-        v = velocity(joint_take(np.zeros((50, 60))))
-        with pytest.raises(ValueError, match="position"):
-            velocity(v)
+            velocity(np.zeros((50, 60)), 48.0)
 
 
 class TestInvariants:

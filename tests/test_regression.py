@@ -6,8 +6,6 @@ import pytest
 
 from movetrait.evaluation import make_fold_plan
 from movetrait.features import (
-    FeatureMatrix,
-    RowMeta,
     apply_gaussian_stats,
     extract_features,
     gaussian_stats,
@@ -312,8 +310,9 @@ def _synth_design(kind):
     600 frames, the shape of the benchmark's cross-validation grid."""
     takes, traits = generate(default_strong_spec(participants=40, stimuli=1,
                                                  frames=600, seed=1))
-    joints = [derive_joints(take) for take in takes]
-    X = np.stack([extract_features(j if kind == "position" else velocity(j)) for j in joints])
+    joints = [(derive_joints(take), take.frame_rate) for take in takes]
+    X = np.stack([extract_features(j if kind == "position" else velocity(j, rate))
+                  for j, rate in joints])
     Y = np.array([[traits[take.participant_id][t] for t in TRAIT_NAMES] for take in takes])
     return X, Y
 
@@ -506,22 +505,18 @@ class TestPredict:
             predict_means(object(), np.zeros((1, 4)))
 
 
-def _feature_matrix(n_participants, n_stimuli, n_features=6, seed=0):
+def _feature_rows(n_participants, n_stimuli, n_features=6, seed=0):
+    """Feature values, one row per take, and each row's participant."""
     rng = np.random.default_rng(seed)
-    rows = []
-    values = []
-    for p in range(n_participants):
-        for s in range(n_stimuli):
-            rows.append(RowMeta(f"P{p:03d}", f"S{s:02d}"))
-            values.append(rng.normal(size=n_features))
-    return FeatureMatrix(values=np.array(values), rows=tuple(rows))
+    participants = [f"P{p:03d}" for p in range(n_participants) for _ in range(n_stimuli)]
+    return rng.normal(size=(len(participants), n_features)), participants
 
 
 class TestBuildDataset:
     def test_per_stimulus_row_count(self):
-        features = _feature_matrix(58, 16)
+        values, pids = _feature_rows(58, 16)
         table = {f"P{p:03d}": {"EQ": float(p)} for p in range(58)}
-        X, Y, participants = build_dataset(features, table, ["EQ"], DatasetMode.PER_STIMULUS)
+        X, Y, participants = build_dataset(values, pids, table, ["EQ"], DatasetMode.PER_STIMULUS)
         assert X.shape[0] == 928
         assert Y.shape == (928, 1)
         assert len(participants) == 928
@@ -529,25 +524,25 @@ class TestBuildDataset:
         assert Y[0, 0] == Y[15, 0] == 0.0
 
     def test_participant_mean_row_count(self):
-        features = _feature_matrix(58, 16)
+        values, pids = _feature_rows(58, 16)
         table = {f"P{p:03d}": {"EQ": float(p)} for p in range(58)}
-        X, Y, _ = build_dataset(features, table, ["EQ"], DatasetMode.PARTICIPANT_MEAN)
+        X, Y, _ = build_dataset(values, pids, table, ["EQ"], DatasetMode.PARTICIPANT_MEAN)
         assert X.shape[0] == 58
         np.testing.assert_array_equal(Y, np.arange(58.0)[:, None])
 
     def test_participant_mean_averages_rows(self):
-        features = _feature_matrix(3, 4, seed=5)
+        values, pids = _feature_rows(3, 4, seed=5)
         table = {f"P{p:03d}": {"O": 1.0} for p in range(3)}
-        X, _, _ = build_dataset(features, table, ["O"], "participant_mean")
-        np.testing.assert_allclose(X[1], features.values[4:8].mean(axis=0), atol=1e-12)
+        X, _, _ = build_dataset(values, pids, table, ["O"], "participant_mean")
+        np.testing.assert_allclose(X[1], values[4:8].mean(axis=0), atol=1e-12)
 
     def test_several_traits_give_target_columns(self):
-        features = _feature_matrix(6, 3, seed=8)
+        values, pids = _feature_rows(6, 3, seed=8)
         table = {f"P{p:03d}": {"EQ": float(p), "SQ": 10.0 - p} for p in range(6)}
         for mode in DatasetMode:
-            X, Y, participants = build_dataset(features, table, ("SQ", "EQ"), mode)
-            X_sq, Y_sq, participants_sq = build_dataset(features, table, ["SQ"], mode)
-            _, Y_eq, _ = build_dataset(features, table, ["EQ"], mode)
+            X, Y, participants = build_dataset(values, pids, table, ("SQ", "EQ"), mode)
+            X_sq, Y_sq, participants_sq = build_dataset(values, pids, table, ["SQ"], mode)
+            _, Y_eq, _ = build_dataset(values, pids, table, ["EQ"], mode)
             assert Y.shape == (len(Y_sq), 2)
             np.testing.assert_array_equal(Y[:, :1], Y_sq)
             np.testing.assert_array_equal(Y[:, 1:], Y_eq)
@@ -555,10 +550,16 @@ class TestBuildDataset:
             assert participants == participants_sq
 
     def test_missing_participant_named_in_error(self):
-        features = _feature_matrix(3, 2)
+        values, pids = _feature_rows(3, 2)
         table = {"P000": {"EQ": 1.0}, "P001": {"EQ": 2.0}}
         with pytest.raises(ValueError, match="P002"):
-            build_dataset(features, table, ["EQ"], "per_stimulus")
+            build_dataset(values, pids, table, ["EQ"], "per_stimulus")
+
+    def test_participant_count_must_match_rows(self):
+        values, pids = _feature_rows(3, 2)
+        table = {f"P{p:03d}": {"EQ": 1.0} for p in range(3)}
+        with pytest.raises(ValueError, match="5 participants for 6 feature rows"):
+            build_dataset(values, pids[:-1], table, ["EQ"], "per_stimulus")
 
 
 class TestCenteredSvd:
@@ -685,6 +686,7 @@ class TestTraitTable:
         ("P0,1,nan\n", ":2: participant 'P0', column 'EQ': 'nan' is not a finite number"),
         ("P0,-inf,2\n", ":2: participant 'P0', column 'O': '-inf' is not a finite number"),
         ("P0,1,2,3\n", ":2: participant 'P0': more cells than header columns"),
+        ("P0,10,1\nP1,20,2\nP0,30,3\n", ":4: participant 'P0' is already on line 2"),
     ]
 
     @pytest.mark.parametrize("body,expected", CELLS)
