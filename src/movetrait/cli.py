@@ -486,12 +486,15 @@ def cmd_evaluate(cfg: PipelineConfig) -> ScoreTable:
             X, Y, participants, records = _load_design(cfg, base, table, traits_record[0],
                                                        f"features_{base}")
             inputs.update(records)
+            path = inputs[f"features_{base}"][0]
             groups = participants if cfg.grouping == "participant" else None
-            plan = make_fold_plan(len(X), cfg.n_folds, cfg.fold_seed, groups)
+            try:
+                plan = make_fold_plan(len(X), cfg.n_folds, cfg.fold_seed, groups)
+            except ValueError as exc:
+                raise ValueError(f"{path}: n_folds={cfg.n_folds}: {exc}") from exc
             specs = _model_specs(cfg, cfg.model_kinds, base, plan.smallest_train_size,
                                  "the smallest training fold")
-            _check_fold_targets(cfg.traits, Y, participants, plan,
-                                inputs[f"features_{base}"][0])
+            _check_fold_targets(cfg.traits, Y, participants, plan, path)
             designs[base] = (X, Y, participants, plan, specs)
         _, _, participants, plan, _ = designs[base]
         shared = leaked_groups(plan, participants)

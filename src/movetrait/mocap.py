@@ -15,6 +15,7 @@ import threading
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,11 @@ MARKER_LABELS = (
     "L_toe", "R_toe",
 )
 
+# The one take layout (see load_take): x, y, z of each marker, in order
+TAKE_WIDTH = 3 * len(MARKER_LABELS)
+TAKE_HEADER = "\t".join(("#MARKERS",) + MARKER_LABELS)
+_HEADERS = (b"#MARKERS", TAKE_HEADER.encode())
+
 JOINT_LABELS = tuple("ABCDEFGHIJKLMNOPQRST")
 
 
@@ -44,7 +50,7 @@ class TakeFormatError(ValueError):
 
 @dataclass(frozen=True)
 class MarkerTake:
-    """One recording: frames x (3 * markers) positions in millimeters.
+    """One recording: frames x 63 positions in millimeters.
 
     Columns are marker-major: marker0.x, marker0.y, marker0.z, marker1.x, ...
     Values are immutable after construction and safe to share across threads.
@@ -54,17 +60,11 @@ class MarkerTake:
     frame_rate: float
     participant_id: str = ""
     stimulus_id: str = ""
-    markers: tuple[str, ...] = MARKER_LABELS
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError("marker data must be a 2-D frames x columns matrix")
-        if data.shape[1] != 3 * len(self.markers):
-            raise ValueError(
-                f"column count mismatch: {data.shape[1]} columns for "
-                f"{len(self.markers)} markers (expected {3 * len(self.markers)})"
-            )
+        if data.ndim != 2 or data.shape[1] != TAKE_WIDTH:
+            raise ValueError(f"marker data must be frames x {TAKE_WIDTH}, got shape {data.shape}")
         if data.shape[0] < 2:
             raise ValueError("a take needs at least 2 frames")
         if not self.frame_rate > 0:
@@ -73,16 +73,10 @@ class MarkerTake:
             raise ValueError("non-finite sample in marker data")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "markers", tuple(self.markers))
 
     @property
     def frames(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def conformant(self) -> bool:
-        """True when the take lists the 21 standard marker labels in order."""
-        return self.markers == MARKER_LABELS
 
 
 # Joint recipes as (label, source marker indices); single-source joints copy
@@ -467,35 +461,28 @@ def _read_decimal(body, width: int) -> np.ndarray | None:
     return out.reshape(len(ends), width)
 
 
-def _parse_fast(raw: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """Markers and samples from the exact vectorized reader, or None to defer
-    to the scan.
+def _parse_fast(raw: bytes) -> np.ndarray | None:
+    """The samples from the exact vectorized reader, or None to defer to the scan.
 
-    Only a result the line scan would give bit for bit is returned: at least
-    2 rows, every sample finite. Everything else (a CR in the header or the
-    body, blank lines, spaces, ``1_000``, bad rows) and every take on a
-    platform whose long double is too narrow (``_EXACT_LONGDOUBLE``) is
-    left to ``_scan_take``, which accepts or rejects it with file and line
-    context. The body is read in place, not copied.
+    Only a result the line scan would give bit for bit is returned: no
+    header or the bytes of a bare ``#MARKERS`` or ``TAKE_HEADER`` line, then
+    at least 2 rows, every sample finite. Everything else (another header,
+    checked before the body; a CR, blank lines, spaces, ``1_000``, bad rows)
+    and every take on a platform whose long double is too narrow
+    (``_EXACT_LONGDOUBLE``) is left to ``_scan_take``, which accepts or
+    rejects it with file and line context. The body is read in place.
     """
     if not _EXACT_LONGDOUBLE:
         return None
-    markers, start = MARKER_LABELS, 0
+    start = 0
     if raw.startswith(b"#MARKERS"):
         start = raw.find(b"\n") + 1
-        header = raw[:start - 1]
-        if not start or b"\r" in header:
-            return None   # a header and no body, or a CR line end
-        try:
-            labels = header.decode("utf-8").split("\t")[1:]
-        except UnicodeDecodeError:
-            return None
-        if labels:
-            markers = tuple(labels)
-    data = _read_decimal(memoryview(raw)[start:], 3 * len(markers))
+        if not start or raw[:start - 1] not in _HEADERS:
+            return None   # no body, another header, or a CR line end
+    data = _read_decimal(memoryview(raw)[start:], TAKE_WIDTH)
     if data is None or data.shape[0] < 2 or not np.isfinite(data).all():
         return None
-    return markers, data
+    return data
 
 
 def _lines(raw: bytes) -> Iterator[tuple[int, bytes]]:
@@ -565,31 +552,36 @@ def scan_table(path: str | Path, raw: bytes, sep: str, width: Callable[[int, str
     return np.array(rows).reshape(len(rows), expected or 1)
 
 
-def _scan_take(path: Path, raw: bytes) -> tuple[tuple[str, ...], np.ndarray]:
-    """``scan_table`` on a take: a first line ``#MARKERS<TAB>label...`` names
-    the markers, and every row holds 3 values per marker."""
-    markers = MARKER_LABELS
-
+def _scan_take(path: Path, raw: bytes) -> np.ndarray:
+    """``scan_table`` on a take. A line 1 whose first field is ``#MARKERS``
+    and that is neither a bare ``#MARKERS`` nor ``TAKE_HEADER`` fails before
+    the body is read, naming the first label out of place."""
     def width(lineno: int, line: str) -> int | None:
-        nonlocal markers
-        if lineno == 1 and line.startswith("#MARKERS"):
-            markers = tuple(line.split("\t")[1:]) or markers
-            return None
-        return 3 * len(markers)
+        fields = line.split("\t")
+        if lineno > 1 or fields[0] != "#MARKERS":
+            return TAKE_WIDTH
+        if line not in ("#MARKERS", TAKE_HEADER):
+            pairs = zip_longest(fields[1:], MARKER_LABELS)
+            i, pair = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
+            got, want = ("no label" if label is None else repr(label) for label in pair)
+            raise TakeFormatError(f"{path}:1: marker {i + 1} is {got}, expected {want} (a header "
+                                  f"is a bare #MARKERS or the 21 standard labels in order)")
+        return None
 
     data = scan_table(path, raw, "\t", width, TakeFormatError)
     if len(data) < 2:
         raise TakeFormatError(f"{path}: fewer than 2 frames")
-    return markers, data
+    return data
 
 
 def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> MarkerTake:
     """Read a tab-separated take file plus its metadata sidecar.
 
-    The file may start with a single header line ``#MARKERS<TAB>label...``;
-    every other line holds 3 * marker-count decimal numbers (mm). ``metadata``
-    is a mapping supplying frame_rate, participant_id and stimulus_id; by
-    default the file's ``.json`` sibling is used. The sidecar is checked
+    The file may start with a bare ``#MARKERS`` line or ``TAKE_HEADER`` (the
+    labels of ``MARKER_LABELS`` in order), checked before the body; every
+    other line holds 63 decimal numbers (mm). ``metadata`` is a mapping
+    supplying frame_rate, participant_id and stimulus_id; by default the
+    file's ``.json`` sibling is used. The sidecar is checked
     (``parse_sidecar``) before the body is parsed. ``raw`` is the file's
     bytes when the caller has already read them; otherwise the file is read
     once here.
@@ -606,13 +598,14 @@ def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> M
     side = read_sidecar(path, metadata)
     if raw is None:
         raw = path.read_bytes()
-    markers, data = _parse_fast(raw) or _scan_take(path, raw)
+    data = _parse_fast(raw)
+    if data is None:
+        data = _scan_take(path, raw)
     return MarkerTake(
         data=data,
         frame_rate=side["frame_rate"],
         participant_id=str(side.get("participant_id", "")),
         stimulus_id=str(side.get("stimulus_id", "")),
-        markers=markers,
     )
 
 
@@ -620,23 +613,12 @@ def derive_joints(take: MarkerTake) -> np.ndarray:
     """Derive the 20-joint position trajectories (mm) from a 21-marker take.
 
     Returns frames x 60, joint-major: column i belongs to joint i // 3 and
-    coordinate i % 3 (0=X, 1=Y, 2=Z). The markers are read by position, so
-    the take must list the standard labels (``MARKER_LABELS``) in order.
+    coordinate i % 3 (0=X, 1=Y, 2=Z). The markers are read by position, in
+    ``MARKER_LABELS`` order, the one order a take may have.
 
     Single-source joints copy the marker columns bit for bit; multi-source
     joints take the per-frame, per-coordinate arithmetic mean.
     """
-    if len(take.markers) != len(MARKER_LABELS):
-        raise ValueError(
-            f"take has {len(take.markers)} markers, joint derivation needs 21"
-        )
-    if not take.conformant:
-        i = next(i for i, (got, want) in enumerate(zip(take.markers, MARKER_LABELS))
-                 if got != want)
-        raise ValueError(
-            f"marker {i + 1} is {take.markers[i]!r}, joint derivation needs "
-            f"{MARKER_LABELS[i]!r} there (the 21 standard labels in order)"
-        )
     out = np.empty((take.frames, 60), dtype=float)
     for jidx, (_, sources) in enumerate(DEFAULT_JOINT_RECIPES):
         cols = out[:, 3 * jidx:3 * jidx + 3]

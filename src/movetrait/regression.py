@@ -312,9 +312,10 @@ def load_trait_table(path: str | Path, *, raw: bytes | None = None) -> dict:
 
     ``raw`` is the file's bytes when the caller has already read them (to
     hash them); otherwise the file is read once here. Bytes that are not
-    UTF-8 are a ValueError naming the file. An empty cell leaves that trait
-    missing for its participant; any other cell must be a finite number. A
-    participant listed twice is a ValueError naming both lines.
+    UTF-8, or that start with a byte-order mark, are a ValueError naming
+    the file. An empty cell leaves that trait missing for its participant;
+    any other cell must be a finite number. A participant listed twice is a
+    ValueError naming both lines.
     """
     if raw is None:
         raw = Path(path).read_bytes()
@@ -323,6 +324,9 @@ def load_trait_table(path: str | Path, *, raw: bytes | None = None) -> dict:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: trait table is not UTF-8 text ({exc.reason} "
                          f"at byte {exc.start})") from exc
+    if text.startswith("\ufeff"):
+        raise ValueError(f"{path}: trait table starts with a UTF-8 byte-order mark; "
+                         f"save it as CSV without one")
     table: dict[str, dict[str, float]] = {}
     first_line: dict[str, int] = {}
     # newline="" splits lines as csv expects of a file opened that way

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .mocap import MARKER_LABELS, MarkerTake
+from .mocap import TAKE_HEADER, MarkerTake
 from .regression import TRAIT_NAMES, read_json_object
 
 TRAIT_RANGES = {
@@ -236,7 +236,6 @@ def generate_take(
         frame_rate=spec.frame_rate,
         participant_id=participant_label(pidx),
         stimulus_id=stimulus_label(sidx),
-        markers=MARKER_LABELS,
     )
 
 
@@ -413,8 +412,7 @@ def _write_take(spec: SynthSpec, out_dir: Path, job: tuple[int, int, dict[str, f
     pidx, sidx, traits = job
     take = generate_take(spec, traits, pidx, sidx)
     stem = f"{take.participant_id}_{take.stimulus_id}"
-    header = ("#MARKERS\t" + "\t".join(MARKER_LABELS) + "\n").encode()
-    (out_dir / f"{stem}.tsv").write_bytes(header + _format_g17(take.data))
+    (out_dir / f"{stem}.tsv").write_bytes(f"{TAKE_HEADER}\n".encode() + _format_g17(take.data))
     sidecar = {
         "frame_rate": take.frame_rate,
         "participant_id": take.participant_id,

@@ -350,7 +350,7 @@ class TestExtract:
         with pytest.raises(ValueError, match=r"P000_S00\.tsv: .*7 frames"):
             cmd_extract(cfg)
 
-    def test_joint_derivation_failure_names_take(self, dataset_dir, tmp_path):
+    def test_short_marker_header_names_take(self, dataset_dir, tmp_path):
         takes = tmp_path / "twenty"
         takes.mkdir()
         for src in sorted(dataset_dir.glob("P000_S0*")):
@@ -363,24 +363,27 @@ class TestExtract:
             + ["\t".join(r.split("\t")[:60]) for r in rows]
         ) + "\n")
         cfg = make_config(takes, tmp_path / "out")
-        with pytest.raises(ValueError, match=r"P000_S01\.tsv: take has 20 markers"):
+        with pytest.raises(ValueError, match=r"P000_S01\.tsv:1: marker 21 is no label, "
+                                             r"expected 'R_toe'"):
             cmd_extract(cfg)
 
-    def test_permuted_marker_header_rejected(self, dataset_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("sep", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_permuted_marker_header_rejected(self, dataset_dir, tmp_path, capsys, sep):
         takes = tmp_path / "takes"
         takes.mkdir()
         for src in sorted(dataset_dir.glob("P00[0-2]_S0*")):
             (takes / src.name).write_bytes(src.read_bytes())
         bad = takes / "P001_S00.tsv"
-        header, _, body = bad.read_text().partition("\n")
+        header, *rows = bad.read_text().splitlines()
         labels = header.split("\t")[1:]
         assert tuple(labels) == MARKER_LABELS
-        bad.write_text("\t".join(["#MARKERS", *labels[::-1]]) + "\n" + body)
+        rows[1] = "abc" + rows[1]   # line 3: unparseable, were the body read
+        bad.write_bytes(sep.join(["\t".join(["#MARKERS", *labels[::-1]]), *rows, ""]).encode())
         out = tmp_path / "out"
         rc = main(["extract", "--set", f"takes_dir={takes}", "--output-dir", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"{bad}: marker 1 is 'R_toe', joint derivation needs 'LF_head'" in err
+        assert f"{bad}:1: marker 1 is 'R_toe', expected 'LF_head'" in err
         assert not list(out.rglob("features_*.csv"))
 
     @pytest.mark.parametrize("workers", [0, -2])
@@ -917,11 +920,14 @@ BAD_FOLDS = [
      "trait 'EQ' is 40 on every validation row of fold 0 (participants P004, P005)"),
     ({}, {"dataset_mode": "participant_mean", "n_folds": 6},
      "fold 4 (participants P003) has fewer than 2 validation rows"),
+    ({}, {"n_folds": 12}, "n_folds=12: 10 groups cannot fill 12 folds"),
+    ({}, {"grouping": "none", "n_folds": 21}, "n_folds=21: 20 samples cannot fill 21 folds"),
 ]
 
 
 @pytest.mark.parametrize("values,changes,message", BAD_FOLDS,
-                         ids=["trait constant in a fold", "one-row fold"])
+                         ids=["trait constant in a fold", "one-row fold",
+                              "more folds than participants", "more folds than rows"])
 def test_bad_validation_fold_rejected_before_any_fit(
         extracted, tmp_path, capsys, monkeypatch, values, changes, message):
     import movetrait.cli as cli

@@ -26,6 +26,8 @@ from movetrait.mocap import (
     zero_phase_filter,
     JOINT_LABELS,
     MARKER_LABELS,
+    TAKE_HEADER,
+    TAKE_WIDTH,
     _parse_fast,
     _scan_take,
 )
@@ -62,7 +64,7 @@ class TestLoadTake:
         assert take.frames == 2
         assert take.frame_rate == 120.0
         assert take.participant_id == "P1"
-        assert take.conformant
+        assert take.data.shape == (2, TAKE_WIDTH)
 
     def test_column_count_mismatch(self, tmp_path):
         path = write_take(tmp_path, [range(62), range(62)])
@@ -114,6 +116,42 @@ class TestLoadTake:
                            match=rf"{path.name}:3: unparseable value 'abc' in column 6$"):
             load_take(path)
 
+    @pytest.mark.parametrize("labels,message", [
+        (MARKER_LABELS[:3] + MARKER_LABELS[4:5] + MARKER_LABELS[3:4] + MARKER_LABELS[5:],
+         "marker 4 is 'R_shoulder', expected 'L_shoulder'"),
+        (MARKER_LABELS[:20], "marker 21 is no label, expected 'R_toe'"),
+        (MARKER_LABELS + ("extra",), "marker 22 is 'extra', expected no label"),
+        (("a", "b", "c"), "marker 1 is 'a', expected 'LF_head'"),
+        (("",), "marker 1 is '', expected 'LF_head'"),
+    ], ids=["swapped", "short", "over-long", "custom", "empty-label"])
+    @pytest.mark.parametrize("sep", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_header_checked_before_body(self, tmp_path, monkeypatch, labels, message, sep):
+        bad = ["1.0"] * 63
+        bad[5] = "abc"   # line 3 would fail too, were the body parsed
+        path = write_take(tmp_path, [["0.0"] * 63, bad])
+        lines = path.read_text().split("\n")
+        lines[0] = "\t".join(("#MARKERS",) + labels)
+        path.write_bytes(sep.join(lines).encode())
+        monkeypatch.setattr(mocap, "_read_decimal", None)   # the body is never reached
+        with pytest.raises(TakeFormatError) as info:
+            load_take(path)
+        assert str(info.value) == (
+            f"{path}:1: {message} (a header is a bare #MARKERS or the 21 standard labels "
+            f"in order)")
+
+    def test_headers_read_alike(self, tmp_path):
+        rows = np.random.default_rng(2).normal(size=(4, 63)).tolist()
+        plain = load_take(write_take(tmp_path, rows, name="plain")).data
+        assert TAKE_HEADER == "#MARKERS\t" + "\t".join(MARKER_LABELS)
+        for name, first in [("bare", "#MARKERS\n"), ("none", "")]:
+            path = write_take(tmp_path, rows, name=name, header=False)
+            path.write_text(first + path.read_text())
+            np.testing.assert_array_equal(load_take(path).data, plain)
+
+    def test_take_width_enforced(self):
+        with pytest.raises(ValueError, match=r"marker data must be frames x 63, got shape \(3, 9\)"):
+            MarkerTake(data=np.zeros((3, 9)), frame_rate=120.0)
+
 
 def _tsv(rows, header=True, sep="\n", end="\n"):
     lines = ["#MARKERS\t" + "\t".join(MARKER_LABELS)] if header else []
@@ -154,7 +192,9 @@ PARSE_CASES = [
     ("crlf-no-final-newline", _tsv(_ONES, sep="\r\n", end=""), "scan"),
     ("rows-257-no-final-newline", _tsv(_rows_with(257), end=""), "vector"),
     ("no-header", _tsv(_ONES, header=False), "vector"),
-    ("custom-header", b"#MARKERS\ta\tb\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "vector"),
+    ("custom-header", b"#MARKERS\ta\tb\n" + _tsv(_ONES, header=False), "error"),
+    ("header-not-utf8", b"#MARKERS\t\xff\n" + _tsv(_ONES, header=False), "error"),
+    ("marker-word-prefix", b"#MARKERSX\n" + _tsv(_ONES, header=False), "error"),
     ("bare-header", b"#MARKERS\n" + _tsv(_ONES, header=False), "vector"),
     ("leading-spaces", _tsv([[" 1.5"] * 63, ["  -2"] * 63]), "scan"),
     ("random-17g", _tsv(_random_rows(lambda v: "%.17g" % v, 1)), "vector"),
@@ -169,8 +209,10 @@ PARSE_CASES = [
     ("no-break-space", _tsv([["\xa01.5"] * 63, ["2\xa0"] * 63]), "scan"),
     ("lone-cr", _tsv(_ONES, sep="\r", end="\r"), "scan"),
     ("lone-cr-no-final-newline", _tsv(_ONES, sep="\r", end=""), "scan"),
-    ("cr-in-header", b"#MARKERS\ta\tb\r1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "scan"),
-    ("cr-splits-header", b"#MARKERS\ta\tb\rc\n1\t2\t3\t4\t5\t6\n7\t8\t9\t10\t11\t12\n", "error"),
+    ("cr-in-header", (TAKE_HEADER + "\r").encode() + _tsv(_ONES, header=False), "scan"),
+    ("cr-in-bare-header", b"#MARKERS\r" + _tsv(_ONES, header=False), "scan"),
+    ("cr-in-custom-header", b"#MARKERS\ta\tb\r" + _tsv(_ONES, header=False), "error"),
+    ("cr-splits-header", _tsv(_ONES).replace(b"\tRF_head", b"\rRF_head", 1), "error"),
     ("trailing-tab", _tsv([["1"] * 63 + [""]] * 2), "error"),
     ("empty-field", _tsv([["1"] * 30 + [""] + ["1"] * 32] * 2), "error"),
     ("whitespace-line", _tsv(_ONES[:1] + [[" "]] + _ONES[:1]), "error"),
@@ -217,11 +259,11 @@ class TestParsePaths:
         if fast is None:
             assert outcome in ("scan", "error")
         else:
-            assert outcome == "vector" and fast[1] is read[-1]
+            assert outcome == "vector" and fast is read[-1]
         path = tmp_path / "take.tsv"
         path.write_bytes(raw)
         try:
-            markers, data = _scan_take(path, raw)
+            data = _scan_take(path, raw)
         except TakeFormatError as exc:
             assert outcome == "error"
             with pytest.raises(TakeFormatError) as got:
@@ -230,7 +272,6 @@ class TestParsePaths:
             return
         assert outcome != "error"
         take = load_take(path, {"frame_rate": 120.0})
-        assert take.markers == markers
         assert take.data.shape == data.shape
         assert take.data.tobytes() == data.tobytes()
 
@@ -241,12 +282,11 @@ class TestParsePaths:
 
     def test_narrow_long_double_takes_scan(self, tmp_path, monkeypatch):
         raw = _tsv(_random_rows(repr, 4))
-        markers, expected = _parse_fast(raw)
+        expected = _parse_fast(raw)
         monkeypatch.setattr(mocap, "_EXACT_LONGDOUBLE", False)
         monkeypatch.setattr(mocap, "_read_decimal", None)   # must not be called
         assert _parse_fast(raw) is None
         take = load_take(tmp_path / "take.tsv", {"frame_rate": 120.0}, raw=raw)
-        assert take.markers == markers
         assert take.data.tobytes() == expected.tobytes()
 
 
@@ -477,28 +517,6 @@ class TestDeriveJoints:
         np.testing.assert_array_equal(
             joints[:, 3 * c_idx:3 * c_idx + 3], data[:, 3 * 15:3 * 15 + 3]
         )
-
-    def test_non_conformant_take_rejected(self):
-        take = MarkerTake(
-            data=np.zeros((3, 9)), frame_rate=120.0,
-            markers=("a", "b", "c"),
-        )
-        with pytest.raises(ValueError, match="21"):
-            derive_joints(take)
-
-    def test_markers_out_of_order_rejected(self):
-        data = np.random.default_rng(2).normal(size=(4, 63))
-        swapped = list(MARKER_LABELS)
-        swapped[3], swapped[4] = swapped[4], swapped[3]
-        take = MarkerTake(data=data, frame_rate=120.0, markers=swapped)
-        assert not take.conformant
-        with pytest.raises(ValueError, match="marker 4 is 'R_shoulder', joint derivation "
-                                             "needs 'L_shoulder' there"):
-            derive_joints(take)
-        listed = MarkerTake(data=data, frame_rate=120.0, markers=list(MARKER_LABELS))
-        assert listed.conformant
-        np.testing.assert_array_equal(derive_joints(listed),
-                                      derive_joints(marker_take(data)))
 
     def test_linearity(self):
         rng = np.random.default_rng(7)

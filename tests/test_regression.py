@@ -689,6 +689,15 @@ class TestTraitTable:
         ("P0,10,1\nP1,20,2\nP0,30,3\n", ":4: participant 'P0' is already on line 2"),
     ]
 
+    def test_byte_order_mark_named(self, tmp_path):
+        # as a spreadsheet's "CSV UTF-8" export writes it
+        path = tmp_path / "traits.csv"
+        path.write_bytes(b"\xef\xbb\xbfparticipant_id,O\nP0,1\n")
+        with pytest.raises(ValueError) as info:
+            load_trait_table(path)
+        assert str(info.value) == (f"{path}: trait table starts with a UTF-8 byte-order mark; "
+                                   f"save it as CSV without one")
+
     @pytest.mark.parametrize("body,expected", CELLS)
     def test_cells(self, tmp_path, body, expected):
         path = tmp_path / "traits.csv"

@@ -96,7 +96,7 @@ class TestGenerate:
         assert takes[0].participant_id == "P000" and takes[0].stimulus_id == "S00"
         assert takes[1].stimulus_id == "S01"
         assert takes[0].frames == 120
-        assert takes[0].conformant
+        assert takes[0].data.shape == (120, 63)
 
     def test_no_coupling_no_noise_identical_across_participants(self):
         spec = SynthSpec(participants=4, stimuli=2, frames=60, frame_rate=120.0,
