@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import cli
 
 DEFAULT_SPEC = Path("docs") / "example_synth_spec.json"
@@ -51,7 +53,11 @@ class BenchRecord:
 
 
 def machine_descriptor() -> str:
-    return f"{platform.platform()} cpus={os.cpu_count()}"
+    """Platform, CPU count, numpy version and the BLAS threads of the fit
+    stages: 1, or ``unpinned`` where ``cli.one_blas_thread`` finds no setter."""
+    fit_threads = 1 if cli.blas_thread_calls() else "unpinned"
+    return (f"{platform.platform()} cpus={os.cpu_count()} numpy={np.__version__} "
+            f"fit_blas_threads={fit_threads}")
 
 
 def _time_stage(argv: list[str]) -> tuple[float, int]:

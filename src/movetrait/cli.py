@@ -10,10 +10,16 @@ sidecars, feature CSVs and their row sidecars, the trait table, model files,
 manifests give byte-identical outputs. Log lines are ``key=value`` oriented for machine
 parsing; each stage's last line carries ``seconds=``, the stage's wall time,
 which goes to stdout only and into no output file.
+
+``train`` and ``evaluate`` run every loaded OpenBLAS on one thread (see
+``one_blas_thread``), so their models and scores do not depend on the CPU
+count; each logs ``event=blas`` first.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -598,6 +604,62 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     return report_path
 
 
+# (getter, setter) symbol pairs, in the order asked of each loaded OpenBLAS:
+# numpy's 64-bit-index build, scipy's own build, a system OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def blas_thread_calls() -> list[tuple]:
+    """The (get, set) thread-count functions of every loaded OpenBLAS.
+
+    Found through ``/proc/self/maps``; none off Linux or for other BLAS builds.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    calls = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for names in _BLAS_THREAD_SYMBOLS:
+            get, set_threads = (getattr(handle, name, None) for name in names)
+            if get is not None and set_threads is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                calls.append((get, set_threads))
+                break
+    return calls
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then restore
+    each library's previous count.
+
+    A multi-threaded GEMM splits its sums by thread, so the fits' last bits
+    would follow the CPU count. Logs ``event=blas`` with ``threads=unpinned``
+    when no thread setter is found, and then changes nothing.
+    """
+    calls = blas_thread_calls()
+    previous = [get() for get, _ in calls]
+    if not calls:
+        log("blas", threads="unpinned")
+    else:
+        log("blas", threads=1, previous=",".join(map(str, previous)))
+    try:
+        for _, set_threads in calls:
+            set_threads(1)
+        yield
+    finally:
+        for (_, set_threads), n in zip(calls, previous):
+            set_threads(n)
+
+
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
     if args.set:
@@ -640,7 +702,6 @@ def main(argv=None) -> int:
         if args.command == "synth":
             cmd_synth(args.spec, args.out)
         else:
-            cfg = _load_config(args)
             handler = {
                 "extract": cmd_extract,
                 "train": cmd_train,
@@ -648,7 +709,9 @@ def main(argv=None) -> int:
                 "importance": cmd_importance,
                 "report": cmd_report,
             }[args.command]
-            handler(cfg)
+            fits = handler in (cmd_train, cmd_evaluate)
+            with one_blas_thread() if fits else contextlib.nullcontext():
+                handler(_load_config(args))
     except (ValueError, TypeError, KeyError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from movetrait import cli
 from movetrait.bench import (
     BenchRecord,
     assert_under_timeout,
@@ -27,6 +29,14 @@ def test_timeout_ceiling():
     assert_under_timeout([rec], timeout_s=10.0)
     with pytest.raises(RuntimeError, match="evaluate took 5.0s > 1.0s ceiling"):
         assert_under_timeout([rec], timeout_s=1.0)
+
+
+def test_machine_names_numpy_and_fit_threads(monkeypatch):
+    assert f" numpy={np.__version__} " in machine_descriptor()
+    monkeypatch.setattr(cli, "blas_thread_calls", lambda: [(len, len)])
+    assert machine_descriptor().endswith(" fit_blas_threads=1")
+    monkeypatch.setattr(cli, "blas_thread_calls", lambda: [])
+    assert machine_descriptor().endswith(" fit_blas_threads=unpinned")
 
 
 def test_pipeline_smoke(tmp_path):

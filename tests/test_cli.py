@@ -15,6 +15,7 @@ import pytest
 from movetrait.cli import (
     PipelineConfig,
     apply_overrides,
+    blas_thread_calls,
     cmd_evaluate,
     cmd_extract,
     cmd_importance,
@@ -884,7 +885,9 @@ class TestBadReadBackFiles:
         assert not (out / stage).exists()
 
 
-def test_constant_trait_rejected_before_any_output(extracted, tmp_path, capsys):
+def _constant_eq_config(extracted, tmp_path) -> tuple[Path, Path]:
+    """A config file over ``extracted``'s features whose trait table gives
+    every participant EQ 40, and that trait table."""
     lines = Path(extracted.traits_csv).read_text().splitlines()
     column = lines[0].split(",").index("EQ")
     for i in range(1, len(lines)):
@@ -898,6 +901,11 @@ def test_constant_trait_rejected_before_any_output(extracted, tmp_path, capsys):
         **extracted.to_dict(), "traits_csv": str(traits),
         "features_dir": str(extracted.resolved_features_dir()),
     }))
+    return cfg_path, traits
+
+
+def test_constant_trait_rejected_before_any_output(extracted, tmp_path, capsys):
+    cfg_path, traits = _constant_eq_config(extracted, tmp_path)
     out = tmp_path / "out"
     features = extracted.resolved_features_dir() / "features_position.csv"
     for stage, message in (
@@ -1116,3 +1124,128 @@ class TestMainEntry:
         assert cfg.resolved_output_dir() == tmp_path / "envroot"
         cmd_extract(cfg)
         assert (tmp_path / "envroot" / "extract" / "features_position.csv").exists()
+
+
+def _blas_threads() -> list[int]:
+    """Each loaded OpenBLAS's thread count, read through its own getter."""
+    return [get() for get, _ in blas_thread_calls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS on 2 threads for the test, then as it was."""
+    calls = blas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS thread setter in this numpy build")
+    previous = _blas_threads()
+    for _, set_threads in calls:
+        set_threads(2)
+    yield _blas_threads()
+    for (_, set_threads), n in zip(calls, previous):
+        set_threads(n)
+
+
+class TestBlasThreads:
+    """``train`` and ``evaluate`` fit on one BLAS thread and restore the count;
+    the other stages leave it alone."""
+
+    def test_fit_outputs_do_not_depend_on_thread_count(self, tmp_path):
+        # 40 participants leave 32-row training folds, large enough that a
+        # 2-thread OpenBLAS splits the fold SVDs and changes their last bits
+        # (6 of 7 models and scores.csv, without the pin)
+        data = tmp_path / "data"
+        write_dataset(default_strong_spec(participants=40, stimuli=1, frames=60, seed=1), data)
+        cfg = PipelineConfig(takes_dir=str(data), traits_csv=str(data / "traits.csv"),
+                             features_dir=str(tmp_path / "features"),
+                             pcr_components={"position": 24, "velocity": 16})
+        cmd_extract(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        src = Path(__file__).resolve().parent.parent / "src"
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            for stage in ("train", "evaluate"):
+                out = subprocess.run(
+                    [sys.executable, "-m", "movetrait.cli", stage, "-c", str(cfg_path),
+                     "--output-dir", str(tmp_path / threads)],
+                    env=env, capture_output=True, text=True, timeout=120, check=True).stdout
+                assert out.startswith("event=blas threads=1 previous="), out
+        files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*")
+                       if p.name.startswith("model_") or p.name == "scores.csv")
+        assert len(files) == 8
+        for name in files:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_fits_run_on_one_thread(self, extracted, tmp_path, monkeypatch, capsys,
+                                    two_blas_threads):
+        import movetrait.cli as cli
+        import movetrait.evaluation as evaluation
+
+        seen = []
+
+        def spy(X):
+            seen.append(_blas_threads())
+            return centered_svd(X)
+
+        monkeypatch.setattr(cli, "centered_svd", spy)
+        monkeypatch.setattr(evaluation, "centered_svd", spy)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            **extracted.to_dict(), "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir())}))
+        for stage in ("train", "evaluate"):
+            assert main([stage, "-c", str(cfg_path)]) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            previous = ",".join(map(str, two_blas_threads))
+            assert first == f"event=blas threads=1 previous={previous}"
+            assert _blas_threads() == two_blas_threads
+        assert len(seen) == 1 + 4 * 5   # train's factor and every fold of 4 inputs
+        assert all(threads == [1] * len(two_blas_threads) for threads in seen)
+        assert all(b"blas" not in path.read_bytes()
+                   for path in tmp_path.rglob("*") if path.is_file())
+
+    def test_count_restored_after_a_failed_stage(self, extracted, tmp_path, capsys,
+                                                 two_blas_threads):
+        cfg_path, _ = _constant_eq_config(extracted, tmp_path)
+        for stage in ("train", "evaluate"):
+            assert main([stage, "-c", str(cfg_path), "--output-dir", str(tmp_path)]) == 1
+            assert "trait 'EQ' is 40 on every row" in capsys.readouterr().err
+            assert _blas_threads() == two_blas_threads
+
+    def test_other_stages_leave_the_count_alone(self, dataset_dir, tmp_path, monkeypatch,
+                                                capsys, two_blas_threads):
+        import movetrait.cli as cli
+
+        cfg = make_config(dataset_dir, tmp_path, traits=("EQ", "SQ"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["extract", "-c", str(cfg_path)]) == 0
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert main(["evaluate", "-c", str(cfg_path)]) == 0
+        seen = []
+        for name in ("extract_features", "importance_from_model", "spearman"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real: (
+                seen.append((real.__name__, _blas_threads())), real(*a))[1])
+        capsys.readouterr()
+        for stage in ("extract", "importance", "report"):
+            assert main([stage, "-c", str(cfg_path)]) == 0
+            assert _blas_threads() == two_blas_threads
+        assert "event=blas" not in capsys.readouterr().out
+        assert {name for name, _ in seen} == {"extract_features", "importance_from_model",
+                                              "spearman"}
+        assert all(threads == two_blas_threads for _, threads in seen)
+
+    def test_no_setter_found_runs_unpinned(self, extracted, tmp_path, monkeypatch, capsys):
+        import movetrait.cli as cli
+
+        monkeypatch.setattr(cli, "blas_thread_calls", lambda: [])
+        before = _blas_threads()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            **extracted.to_dict(), "output_dir": str(tmp_path), "traits": ["EQ"],
+            "features_dir": str(extracted.resolved_features_dir())}))
+        for stage in ("train", "evaluate"):
+            assert main([stage, "-c", str(cfg_path)]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == "event=blas threads=unpinned"
+        assert _blas_threads() == before
