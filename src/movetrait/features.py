@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mocap import scan_table
+from .mocap import read_exact_csv, scan_table
 
 SIGMA_DEFAULT = 12.0
 ROW_IDS = ("participant_id", "stimulus_id")   # what names a take, and so a feature row
@@ -139,15 +139,21 @@ def load_feature_matrix(csv_path: str | Path, rows: tuple[tuple[str, str], ...] 
     """Parse a feature CSV; ``rows`` are its ``load_feature_rows``, read here if not given.
 
     ``raw`` is the CSV's bytes when the caller has already read them (to
-    hash them); otherwise the file is read once here. ``mocap.scan_table``
-    parses it or raises a ValueError naming ``file:line``. A row count that
-    disagrees with ``rows`` is a ValueError naming the CSV.
+    hash them); otherwise the file is read once here. The exact vectorized
+    reader (``mocap.read_exact_csv``) parses a file of equal-width rows of
+    finite plain decimals with ``\\n`` line ends, as ``save_feature_matrix``
+    writes it. Everything it declines goes to ``mocap.scan_table``, which
+    gives the same values bit for bit or raises a ValueError naming
+    ``file:line``. A row count that disagrees with ``rows`` is a ValueError
+    naming the CSV.
     """
     if rows is None:
         rows = load_feature_rows(csv_path)
     if raw is None:
         raw = Path(csv_path).read_bytes()
-    values = scan_table(csv_path, raw, ",", lambda lineno, line: line.count(",") + 1)
+    values = read_exact_csv(raw)
+    if values is None:
+        values = scan_table(csv_path, raw, ",", lambda lineno, line: line.count(",") + 1)
     if len(rows) != len(values):
         raise ValueError(
             f"{csv_path}: row metadata length {len(rows)} != row count {len(values)}")

@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -148,10 +149,10 @@ def _with_frame_rate(take_path: Path, side: dict) -> dict:
 # The exact reader needs a long double whose significand holds any uint64 and
 # whose division and multiplication round correctly: x87 extended or IEEE
 # quad. IBM double-double (nexp 11) has a wide significand but does not round
-# correctly, so there, as with a plain 64-bit long double, takes go to the
-# line scan.
+# correctly, so there, as with a plain 64-bit long double, takes and feature
+# CSVs go to the line scan.
 _EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63 and np.finfo(np.longdouble).nexp > 11
-# Lines per block. A block's arrays live in the thread's _Workspace (6.4 MiB
+# Lines per block of a take. A block's arrays live in the thread's _Workspace (6.4 MiB
 # for 256 lines of 63 `%.17g` fields), reused from block to block and take to
 # take: glibc hands freed temporaries of that size back to the kernel after
 # each block of a short take, and every block would fault them in afresh.
@@ -160,9 +161,24 @@ _EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63 and np.finfo(np.longdoub
 _BLOCK_LINES = 256
 _CHUNK = 1 << 18     # bytes scanned for line ends at a time
 _PAD = 32            # leading bytes before a block, so every 32-byte window fits
-_TAB, _NL, _DOT, _EXP, _PLUS, _MINUS = 1, 2, 3, 4, 5, 6
-_CLASS = np.zeros(256, np.uint8)   # class of each byte a field may hold besides digits
-_CLASS[[9, 10, 46, 69, 101, 43, 45]] = [_TAB, _NL, _DOT, _EXP, _EXP, _PLUS, _MINUS]
+# Lines per block of a feature CSV. A row of 1770 `%.17g` cells is about
+# 37 KB; 4-line blocks parsed a 40-row file fastest (1 and 16 lines took 1.4
+# and 1.1 times as long) in a workspace of about 3.8 MB, which lives for one
+# file.
+_CSV_BLOCK_LINES = 4
+_SEP, _NL, _DOT, _EXP, _PLUS, _MINUS = 1, 2, 3, 4, 5, 6
+
+
+def _byte_classes(sep: str) -> np.ndarray:
+    """The class of each byte a field may hold besides digits, with ``sep``
+    between fields; 0 for every byte no field may hold."""
+    table = np.zeros(256, np.uint8)
+    table[[ord(sep), 10, 46, 69, 101, 43, 45]] = [_SEP, _NL, _DOT, _EXP, _EXP, _PLUS, _MINUS]
+    return table
+
+
+_CLASS = {sep: _byte_classes(sep) for sep in "\t,"}   # by field separator
+
 # _KEEP[i, t]: mask of lane i of a 24-byte row (little-endian, 8 bytes per
 # lane) that keeps the row's bytes t..23
 _KEEP = np.array([[(~0 << 8 * min(max(t - 8 * i, 0), 8)) & (2**64 - 1) for t in range(25)]
@@ -217,17 +233,18 @@ class _Workspace:
 _LOCAL = threading.local()
 
 
-def _workspace(nbytes: int, nfields: int) -> _Workspace:
-    """This thread's workspace, first grown to at least ``nbytes`` and ``nfields``.
+def _workspace(nbytes: int, nfields: int, owner=_LOCAL) -> _Workspace:
+    """``owner.workspace``, first grown to at least ``nbytes`` and ``nfields``;
+    by default the owner is this thread's ``_LOCAL``.
 
     Byte capacity grows in steps of 64 KiB, so takes whose longest blocks
     differ by a few bytes share one mapping.
     """
-    ws = getattr(_LOCAL, "workspace", None)
+    ws = getattr(owner, "workspace", None)
     if ws is None or ws.nbytes < nbytes or ws.nfields < nfields:
         if ws is not None:
             nbytes, nfields = max(nbytes, ws.nbytes), max(nfields, ws.nfields)
-        ws = _LOCAL.workspace = _Workspace(max(-(-nbytes >> 16) << 16, _CHUNK), nfields)
+        ws = owner.workspace = _Workspace(max(-(-nbytes >> 16) << 16, _CHUNK), nfields)
     return ws
 
 
@@ -258,9 +275,11 @@ def _windows(buf: np.ndarray, starts: np.ndarray, width: int, out: np.ndarray) -
     return out
 
 
-def _read_block(ws: _Workspace, size: int, nlines: int, width: int, out: np.ndarray) -> bool:
-    """Parse ``nlines`` lines from ``ws.buf[_PAD:size]`` into the flat ``out``;
-    False on any grammar breach.
+def _read_block(ws: _Workspace, size: int, nlines: int, width: int, out: np.ndarray,
+                classes: np.ndarray) -> bool:
+    """Parse ``nlines`` lines from ``ws.buf[_PAD:size]`` into the flat ``out``,
+    with ``classes`` the ``_CLASS`` table of the field separator; False on
+    any grammar breach.
 
     Every block-sized array is a slice of ``ws``, apart from the offsets
     that ``np.flatnonzero`` returns and the gathered 32-byte windows.
@@ -274,7 +293,7 @@ def _read_block(ws: _Workspace, size: int, nlines: int, width: int, out: np.ndar
     t = len(tok)
     # mode="clip" wherever the indices are in range: take's default mode
     # copies its output first
-    cls = np.take(_CLASS, np.take(block, tok, out=ws.scratch[:t], mode="clip"),
+    cls = np.take(classes, np.take(block, tok, out=ws.scratch[:t], mode="clip"),
                   out=ws.cls[:t], mode="clip")
     if not cls.all():
         return False
@@ -309,7 +328,7 @@ def _read_block(ws: _Workspace, size: int, nlines: int, width: int, out: np.ndar
     dot, exp = pos[0::2], pos[1::2]
     signs = len(mi) - nd
 
-    lead = np.take(_CLASS, np.take(block, fs, out=ws.scratch[:n], mode="clip"),
+    lead = np.take(classes, np.take(block, fs, out=ws.scratch[:n], mode="clip"),
                    out=ws.lead[:n], mode="clip")
     neg = np.equal(lead, _MINUS, out=ws.neg[:n])
     signed = np.greater_equal(lead, _PLUS, out=ws.signed[:n])
@@ -358,7 +377,7 @@ def _read_block(ws: _Workspace, size: int, nlines: int, width: int, out: np.ndar
     ef = np.flatnonzero(has_exp)
     if len(ef):
         after = np.take(exp, ef) + 1
-        acls = np.take(_CLASS, np.take(block, after))
+        acls = np.take(classes, np.take(block, after))
         esigned = acls >= _PLUS
         signs -= np.count_nonzero(esigned)
         ends = np.take(fe, ef)
@@ -408,21 +427,26 @@ def _line_ends(raw: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _read_decimal(body, width: int) -> np.ndarray | None:
-    """Exact vectorized parse of a take body, or None for anything outside its grammar.
+def _read_decimal(body, width: int, sep: str = "\t", block_lines: int = _BLOCK_LINES,
+                  owner=_LOCAL) -> np.ndarray | None:
+    """Exact vectorized parse of a take or CSV body, or None for anything outside its grammar.
 
     Every line holds exactly ``width`` fields ``[+-]digits[.digits][(e|E)[+-]digits]``
-    (at least one mantissa digit) separated by tabs and ends with ``\\n``; the
-    last line's ``\\n`` may be missing.
-    Any other byte or shape (CR, blank lines, spaces, ``nan``, ``1_000``,
-    empty fields, short rows, a second dot or exponent) returns None.
+    (at least one mantissa digit) separated by ``sep`` (a tab or a comma)
+    and ends with ``\\n``; the last line's ``\\n`` may be missing.
+    Any other byte or shape (CR, blank lines, spaces, the other separator,
+    ``nan``, ``1_000``, empty fields, short rows, a second dot or exponent)
+    returns None.
 
-    ``body`` is ``bytes`` or a ``memoryview`` and is read in place. It is
-    parsed 256 lines at a time with numpy array operations, which release
-    the GIL, so threads parse takes in parallel. Each block is copied into
-    the thread's workspace (``_Workspace``), which holds every block-sized
-    array and is reused across blocks and takes. Each value equals
-    ``float()`` of its field bit for bit:
+    ``body`` is ``bytes`` or a ``memoryview`` and is read in place: the
+    separator is classified by table, so no byte of the body is rewritten.
+    It is parsed ``block_lines`` lines at a time (256 for takes) with numpy
+    array operations, which release the GIL, so threads parse takes in
+    parallel. Each block is copied into ``owner``'s workspace
+    (``_Workspace``), which holds every block-sized array and is reused
+    across blocks; the default owner is the thread's ``_LOCAL``, which keeps
+    it across takes too. Each value equals ``float()`` of its field bit for
+    bit:
 
     - The mantissa digits M are read 8 at a time with the SWAR step of
       Lemire, "Number Parsing at a Gigabyte per Second" (SPE 2021).
@@ -441,22 +465,24 @@ def _read_decimal(body, width: int) -> np.ndarray | None:
       ``repr`` value lies next to a float64, not on a midpoint, so these
       are rare.
     """
+    classes = _CLASS[sep]
     raw = np.frombuffer(body, np.uint8)
-    ends = _line_ends(raw, _workspace(0, 0).mask)
+    ends = _line_ends(raw, _workspace(0, 0, owner).mask)
     if not len(raw) or raw[-1] != 10:
         ends = np.append(ends, len(raw))   # a last line without its newline
-    cuts = np.r_[0, ends[_BLOCK_LINES - 1:-1:_BLOCK_LINES], ends[-1]].tolist()
+    cuts = np.r_[0, ends[block_lines - 1:-1:block_lines], ends[-1]].tolist()
     longest = max(end - start for start, end in zip(cuts, cuts[1:]))
-    ws = _workspace(_PAD + longest + 1, min(len(ends), _BLOCK_LINES) * width)
+    ws = _workspace(_PAD + longest + 1, min(len(ends), block_lines) * width, owner)
     out = np.empty(len(ends) * width)
-    for first, start, end in zip(range(0, len(ends), _BLOCK_LINES), cuts, cuts[1:]):
-        nlines = min(_BLOCK_LINES, len(ends) - first)
+    for first, start, end in zip(range(0, len(ends), block_lines), cuts, cuts[1:]):
+        nlines = min(block_lines, len(ends) - first)
         size = _PAD + end - start
         ws.buf[_PAD:size] = raw[start:end]
         if ws.buf[size - 1] != 10:             # reads like the same line with its newline
             ws.buf[size] = 10
             size += 1
-        if not _read_block(ws, size, nlines, width, out[first * width:(first + nlines) * width]):
+        if not _read_block(ws, size, nlines, width,
+                           out[first * width:(first + nlines) * width], classes):
             return None
     return out.reshape(len(ends), width)
 
@@ -481,6 +507,30 @@ def _parse_fast(raw: bytes) -> np.ndarray | None:
             return None   # no body, another header, or a CR line end
     data = _read_decimal(memoryview(raw)[start:], TAKE_WIDTH)
     if data is None or data.shape[0] < 2 or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def read_exact_csv(raw: bytes) -> np.ndarray | None:
+    """The rows of a comma-separated ``raw`` from the exact vectorized
+    reader, or None to defer to ``scan_table``.
+
+    Only a result the scan would give bit for bit is returned: every line
+    holds as many fields as the first, in the reader's grammar, and every
+    value is finite. Everything else (CR line ends, blank lines, spaces,
+    ``1_000``, ``nan``, ``#``, short rows, an overflow, an empty file) and
+    every file on a platform whose long double is too narrow
+    (``_EXACT_LONGDOUBLE``) is left to the scan, which accepts it or names
+    the file and line at fault. The body is read in place, ``_CSV_BLOCK_LINES``
+    lines at a time, in a workspace of the call's own that is unmapped on
+    return: the calling thread holds no more memory after it than before.
+    """
+    if not _EXACT_LONGDOUBLE:
+        return None
+    first_end = raw.find(b"\n")
+    width = raw.count(b",", 0, len(raw) if first_end < 0 else first_end) + 1
+    data = _read_decimal(raw, width, ",", _CSV_BLOCK_LINES, SimpleNamespace())
+    if data is None or not np.isfinite(data).all():
         return None
     return data
 
@@ -511,6 +561,10 @@ def scan_table(path: str | Path, raw: bytes, sep: str, width: Callable[[int, str
     the wrong width, or holds a field that does not parse or is not finite
     raises ``error`` naming the file, the line and the fault: the field
     count, or the first such field and its 1-based column.
+
+    Takes and feature CSVs come here for what the exact reader
+    (``_read_decimal``) declines; on every body the reader accepts, the
+    scan gives the same values bit for bit.
     """
     rows: list[np.ndarray] = []
     expected = None

@@ -193,6 +193,13 @@ def fit_bayes_ridge(factor: CenteredSvd, y: np.ndarray, tol: float = 1e-3,
     max_iter. ``factor`` is the ``centered_svd`` of the design; the target is
     centered here and the intercept is restored on the model; gamma is
     reported at the final (alpha, lambda).
+
+    The loop runs in the r coordinates of ``vh`` and forms the d-dim beta
+    only for a step whose coordinate change is small enough that the test
+    could pass; every other step provably fails it and skips the product.
+    A tested step compares the same two products as a loop that forms beta
+    on every step, so the result is bit-identical to that loop's. A
+    non-finite coordinate or beta raises FloatingPointError.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = factor.shape[0]
@@ -214,10 +221,21 @@ def fit_bayes_ridge(factor: CenteredSvd, y: np.ndarray, tol: float = 1e-3,
     alpha = min(max(1.0 / max(var_y, _HYPER_MIN), _HYPER_MIN), _HYPER_MAX)
     lam = 1.0
 
+    # A step whose coordinates move by |step|_2 >= 2 tol sqrt(d) cannot pass
+    # the test: the rows of vh are orthonormal, so max|vh.T @ step| >=
+    # |step|_2 / sqrt(d) >= 2 tol. Such a step skips the d-dim product. With
+    # r coordinates, each product rounds by at most r eps / 2 |coords|_2 <=
+    # r**1.5 eps / 2 max|coords|, so the two round by at most tol / 4 while
+    # no coordinate exceeds tol / (4 r**1.5 eps), and the skipped test would
+    # fail as computed too; past that, every step is tested.
+    r = len(s)
+    skip_from = 4.0 * tol * tol * vh.shape[1]
+    exact_to = tol / (4.0 * r**1.5 * np.finfo(float).eps)
+
     # posterior mean in the coordinates of vh, at the current lambda/alpha
     denom = eig + lam / alpha
     coords = suty / denom
-    beta = vh.T @ coords
+    beta = None   # vh.T @ coords, once a test has formed it
     converged = False
     iterations = 1
     for it in range(2, max_iter + 1):
@@ -229,16 +247,28 @@ def fit_bayes_ridge(factor: CenteredSvd, y: np.ndarray, tol: float = 1e-3,
         if rss > 0:
             alpha = float(min(max((n - gamma) / rss, _HYPER_MIN), _HYPER_MAX))
         denom = eig + lam / alpha
-        coords = suty / denom
-        new_beta = vh.T @ coords
-        if not np.isfinite(new_beta).all():
+        new_coords = suty / denom
+        if not np.isfinite(new_coords).all():
             raise FloatingPointError("non-finite intermediate in evidence maximization")
         iterations = it
+        if max(np.abs(coords).max(), np.abs(new_coords).max()) <= exact_to:
+            step = new_coords - coords
+            if step @ step >= skip_from:
+                coords, beta = new_coords, None
+                continue
+        if beta is None:
+            beta = vh.T @ coords
+        new_beta = vh.T @ new_coords
+        if not np.isfinite(new_beta).all():
+            raise FloatingPointError("non-finite intermediate in evidence maximization")
+        coords = new_coords
         if np.abs(new_beta - beta).max() < tol:
             beta = new_beta
             converged = True
             break
         beta = new_beta
+    if beta is None:
+        beta = vh.T @ coords
 
     return Evidence(
         model=LinearModel(kind="bayes_ridge", weights=beta, x_mean=factor.mean, intercept=y_mean),

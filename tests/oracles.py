@@ -12,6 +12,7 @@ from movetrait.mocap import (
     _BLOCK_LINES, _CLASS, _DIVISOR, _EXP, _KEEP, _MINUS, _MULTIPLIER, _NL, _PAD, _PLUS,
     MARKER_LABELS,
 )
+from movetrait.regression import _HYPER_MAX, _HYPER_MIN, Evidence, LinearModel
 from movetrait.synth import iter_takes, sample_traits, write_trait_table
 
 
@@ -102,12 +103,15 @@ def _windows_alloc(buf: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(rows.view("<u8").reshape(len(ends), width // 8).T)
 
 
+_TABBED = _CLASS["\t"]   # byte classes with tabs between fields
+
+
 def read_block(buf: np.ndarray, nlines: int, width: int, out: np.ndarray) -> bool:
     """Parse ``nlines`` lines from ``buf[_PAD:]`` into ``out``; False on any grammar breach."""
     block = buf[_PAD:]
     n = nlines * width
     tok = np.flatnonzero((block - 48) >= 10)   # every byte that is not a digit
-    cls = np.take(_CLASS, np.take(block, tok))
+    cls = np.take(_TABBED, np.take(block, tok))
     if not cls.all():
         return False
     sep = cls <= _NL
@@ -134,7 +138,7 @@ def read_block(buf: np.ndarray, nlines: int, width: int, out: np.ndarray) -> boo
     exp[field[is_exp]] = at[is_exp]
     signs = len(mi) - len(field)
 
-    lead = np.take(_CLASS, np.take(block, fs))
+    lead = np.take(_TABBED, np.take(block, fs))
     neg = lead == _MINUS
     signed = neg | (lead == _PLUS)
     has_exp = exp >= 0
@@ -161,7 +165,7 @@ def read_block(buf: np.ndarray, nlines: int, width: int, out: np.ndarray) -> boo
     ef = np.flatnonzero(has_exp)
     if len(ef):
         after = np.take(exp, ef) + 1
-        acls = np.take(_CLASS, np.take(block, after))
+        acls = np.take(_TABBED, np.take(block, after))
         esigned = acls >= _PLUS
         signs -= np.count_nonzero(esigned)
         elen = np.take(fe, ef) - after - esigned
@@ -218,3 +222,50 @@ def load_feature_csv_text(raw: bytes) -> np.ndarray:
     ``np.loadtxt`` on the bytes as a text-mode UTF-8 file, where ``#`` starts
     a comment. The bit-for-bit oracle for every file without a ``#``."""
     return np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), delimiter=",", ndmin=2)
+
+
+def fit_bayes_ridge_every_step(factor, y, tol=1e-3, max_iter=300) -> Evidence:
+    """The evidence loop that forms the d-dim beta on every step, as
+    ``regression.fit_bayes_ridge`` did before it skipped the steps that
+    cannot converge: its bit-for-bit oracle."""
+    y = np.asarray(y, dtype=float).ravel()
+    n = factor.shape[0]
+    s, vh = factor.s, factor.vh
+    y_mean = float(y.mean())
+    yc = y - y_mean
+    eig = s**2
+    uty = factor.u.T @ yc
+    suty = s * uty
+    rss_outside = float(yc @ yc - uty @ uty)
+    var_y = float(yc @ yc) / n
+    alpha = min(max(1.0 / max(var_y, _HYPER_MIN), _HYPER_MIN), _HYPER_MAX)
+    lam = 1.0
+
+    denom = eig + lam / alpha
+    coords = suty / denom
+    beta = vh.T @ coords
+    converged = False
+    iterations = 1
+    for it in range(2, max_iter + 1):
+        gamma = (eig / denom).sum()
+        rss = ((uty - s * coords) ** 2).sum() + rss_outside
+        bnorm = coords @ coords
+        if bnorm > 0:
+            lam = float(min(max(gamma / bnorm, _HYPER_MIN), _HYPER_MAX))
+        if rss > 0:
+            alpha = float(min(max((n - gamma) / rss, _HYPER_MIN), _HYPER_MAX))
+        denom = eig + lam / alpha
+        coords = suty / denom
+        new_beta = vh.T @ coords
+        if not np.isfinite(new_beta).all():
+            raise FloatingPointError("non-finite intermediate in evidence maximization")
+        iterations = it
+        if np.abs(new_beta - beta).max() < tol:
+            beta = new_beta
+            converged = True
+            break
+        beta = new_beta
+    return Evidence(
+        model=LinearModel(kind="bayes_ridge", weights=beta, x_mean=factor.mean, intercept=y_mean),
+        alpha=alpha, lambda_=lam, gamma=float((eig / denom).sum()), converged=converged,
+        iterations=iterations)

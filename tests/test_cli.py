@@ -29,8 +29,9 @@ from movetrait.features import (
     gaussian_stats,
     load_feature_matrix,
     load_feature_rows,
+    rows_path,
 )
-from movetrait.mocap import MARKER_LABELS
+from movetrait.mocap import MARKER_LABELS, read_exact_csv, scan_table
 from movetrait.regression import (
     build_dataset,
     centered_svd,
@@ -883,6 +884,56 @@ class TestBadReadBackFiles:
         assert main([stage, "-c", str(cfg_path), "--output-dir", str(out)]) == 1
         assert f"error: {bad}{message}" in capsys.readouterr().err
         assert not (out / stage).exists()
+
+
+def _scan_csv(path, raw):
+    return scan_table(path, raw, ",", lambda lineno, line: line.count(",") + 1)
+
+
+class TestFeatureReadTiers:
+    """The feature CSVs of a real extract through the exact reader and through
+    the line scan alone."""
+
+    @pytest.mark.parametrize("kind", ["position", "velocity"])
+    def test_reader_matches_scan(self, extracted, kind):
+        path = extracted.resolved_features_dir() / f"features_{kind}.csv"
+        raw = path.read_bytes()
+        fast = read_exact_csv(raw)
+        assert fast is not None and fast.shape == (20, 1770)
+        assert fast.tobytes() == _scan_csv(path, raw).tobytes()
+        assert load_feature_matrix(path).tobytes() == fast.tobytes()
+
+    @pytest.mark.parametrize("spoil", [
+        _replace_cell, _nan_on_line_4, _hash_in_last_cell_of_line_3, _drop_last_row,
+        lambda p: p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))],
+        ids=["non-numeric cell", "nan cell", "hash in a cell", "row short of sidecar", "crlf"])
+    def test_damage_ends_as_the_scan_does(self, extracted, tmp_path, spoil):
+        """Each ``TestBadReadBackFiles`` damage to a cell is declined by the
+        reader and fails with the scan's exact message; a dropped row reads
+        alike through both and fails on the row count; CRLF line ends go
+        to the scan and load the same values."""
+        src = extracted.resolved_features_dir() / "features_position.csv"
+        path = tmp_path / src.name
+        for original, copy in ((src, path), (rows_path(src), rows_path(path))):
+            copy.write_bytes(original.read_bytes())
+        spoil(path)
+        raw = path.read_bytes()
+        try:
+            expected = _scan_csv(path, raw)
+        except ValueError as exc:
+            assert read_exact_csv(raw) is None
+            with pytest.raises(ValueError) as got:
+                load_feature_matrix(path)
+            assert str(got.value) == str(exc)
+            return
+        fast = read_exact_csv(raw)
+        if b"\r" in raw:
+            assert fast is None
+            assert load_feature_matrix(path).tobytes() == expected.tobytes()
+        else:
+            assert fast.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError, match=r": row metadata length 20 != row count 19$"):
+                load_feature_matrix(path)
 
 
 def _constant_eq_config(extracted, tmp_path) -> tuple[Path, Path]:

@@ -1,9 +1,12 @@
 import json
 import math
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from movetrait import mocap
 from movetrait.features import (
     apply_gaussian_stats,
     extract_features,
@@ -15,7 +18,7 @@ from movetrait.features import (
     save_feature_matrix,
     vectorize_lower,
 )
-from movetrait.mocap import derive_joints, velocity
+from movetrait.mocap import derive_joints, read_exact_csv, scan_table, velocity
 from movetrait.synth import default_strong_spec, generate_take, sample_traits
 from oracles import correntropy, load_feature_csv_text, unvectorize_lower
 
@@ -316,3 +319,77 @@ class TestFeatureCsvParse:
         with pytest.raises(ValueError) as got:
             load_feature_matrix(path, rows)
         assert str(got.value).startswith(f"{path}{message}")
+
+
+# FEATURE_CSV_CASES that the exact reader takes; the line scan reads the rest
+_EXACT_READER_CASES = {"lf", "no-final-newline"}
+
+
+class TestFeatureReadTiers:
+    """load_feature_matrix's exact reader against the line scan alone."""
+
+    @pytest.mark.parametrize("case,raw", [c[:2] for c in FEATURE_CSV_CASES],
+                             ids=[c[0] for c in FEATURE_CSV_CASES])
+    def test_same_values_or_message_as_the_scan(self, tmp_path, case, raw):
+        path = tmp_path / "features.csv"
+        path.write_bytes(raw)
+        rows = tuple((f"P{i}", "S1") for i in range(len(_CELLS)))
+        assert (read_exact_csv(raw) is not None) == (case in _EXACT_READER_CASES)
+        try:
+            expected = scan_table(path, raw, ",", lambda lineno, line: line.count(",") + 1)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_feature_matrix(path, rows)
+            assert str(got.value) == str(exc)
+            return
+        assert load_feature_matrix(path, rows).tobytes() == expected.tobytes()
+
+    def test_narrow_long_double_takes_scan(self, tmp_path, monkeypatch):
+        raw = _csv(_CELLS)
+        expected = read_exact_csv(raw)
+        monkeypatch.setattr(mocap, "_EXACT_LONGDOUBLE", False)
+        monkeypatch.setattr(mocap, "_read_decimal", None)   # must not be called
+        assert read_exact_csv(raw) is None
+        path = tmp_path / "features.csv"
+        path.write_bytes(raw)
+        rows = tuple((f"P{i}", "S1") for i in range(len(_CELLS)))
+        assert load_feature_matrix(path, rows).tobytes() == expected.tobytes()
+
+    def test_load_leaves_no_workspace_on_the_thread(self, tmp_path, monkeypatch):
+        """A 9 x 1770 file parses in blocks of 4, 4 and 1 lines, in a workspace
+        that is gone when the load returns. A thread that had none still has
+        none, and a thread's take workspace stays as it was."""
+        values = np.random.default_rng(9).uniform(0, 1, size=(9, 1770))
+        path = tmp_path / "features.csv"
+        save_feature_matrix(values, path, [(f"P{i}", "S1") for i in range(9)])
+        made, blocks = [], []
+        read_block = mocap._read_block
+
+        class Recorded(mocap._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        def spy(ws, size, nlines, *rest):
+            blocks.append(nlines)
+            return read_block(ws, size, nlines, *rest)
+
+        def load(take_first):
+            if take_first:
+                mocap._read_decimal(b"1\t2\n", 2)
+            before = getattr(mocap._LOCAL, "workspace", None)
+            made.clear()
+            blocks.clear()
+            got = load_feature_matrix(path)
+            return (got, before, getattr(mocap._LOCAL, "workspace", None),
+                    len(made), [ref() for ref in made])
+
+        monkeypatch.setattr(mocap, "_Workspace", Recorded)
+        monkeypatch.setattr(mocap, "_read_block", spy)
+        for take_first in (False, True):
+            with ThreadPoolExecutor(1) as pool:
+                got, before, after, count, alive = pool.submit(load, take_first).result(60)
+            assert got.tobytes() == values.tobytes()
+            assert blocks == [4, 4, 1]
+            assert after is before and (before is None) != take_first
+            assert count and alive == [None] * count

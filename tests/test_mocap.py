@@ -441,6 +441,46 @@ def test_second_parse_on_a_worker_faults_in_no_block_pages():
     assert faults < 100
 
 
+@pytest.mark.parametrize("lines", [1, 4, 5, 300])
+def test_comma_separator_matches_tab(lines):
+    """A body with commas between fields, read in 4-line blocks, gives the
+    tab body's values bit for bit; each separator is a foreign byte in the
+    other's body."""
+    body = _oracle_body(lines, 63, 30 + lines)
+    tabbed = mocap._read_decimal(body, 63)
+    commas = body.replace(b"\t", b",")
+    got = mocap._read_decimal(commas, 63, ",", 4)
+    assert got.shape == tabbed.shape == (lines, 63)
+    assert got.tobytes() == tabbed.tobytes()
+    assert mocap._read_decimal(commas, 63) is None
+    assert mocap._read_decimal(body, 63, ",", 4) is None
+
+
+def test_takes_parse_in_256_line_blocks():
+    """A 600-line take parses in blocks of 256, 256 and 88 lines, into the
+    thread's workspace of 6 745 088 bytes (about 6.4 MiB), as before feature
+    CSVs shared the reader."""
+    values = np.random.default_rng(17).normal(0, 500, size=(600, 63))
+    body = ("\n".join("\t".join("%.17g" % v for v in row) for row in values.tolist())
+            + "\n").encode()
+    blocks = []
+    read_block = mocap._read_block
+
+    def parse():
+        mocap._read_decimal(body, 63)
+        ws = mocap._LOCAL.workspace
+        return ws.nfields, len(ws.buf.base)
+
+    def spy(ws, size, nlines, *rest):
+        blocks.append(nlines)
+        return read_block(ws, size, nlines, *rest)
+
+    with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(1) as pool:
+        patch.setattr(mocap, "_read_block", spy)
+        assert pool.submit(parse).result(60) == (256 * 63, 6_745_088)
+    assert blocks == [256, 256, 88]
+
+
 # (id, sidecar bytes, take bytes, message): each message names the file at fault
 BAD_INPUTS = [
     ("take-not-utf8", b'{"frame_rate": 120}', _tsv(_ONES) + b"\xff\n",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from functools import cache
 
@@ -29,6 +30,7 @@ from movetrait.regression import (
     save_model,
 )
 from movetrait.synth import default_strong_spec, generate
+from oracles import fit_bayes_ridge_every_step
 
 
 class TestFitPca:
@@ -474,6 +476,101 @@ class TestTallSideFactor:
                 mu, sd = gaussian_stats(xtr)
                 xtr, xva = apply_gaussian_stats(xtr, mu, sd), apply_gaussian_stats(xva, mu, sd)
             self.check(xtr, Y[train].T, xva, k)
+
+
+class _CountedVh(np.ndarray):
+    """A factor's ``vh`` that counts its transposes, one per d-dim product
+    ``vh.T @ coords`` of the evidence loop."""
+
+    products = 0
+
+    @property
+    def T(self):
+        _CountedVh.products += 1
+        return super().T.view(np.ndarray)
+
+
+class TestEvidenceSkip:
+    """``fit_bayes_ridge``, which skips the d-dim product on steps that
+    cannot converge, against the loop that forms it on every step
+    (``oracles.fit_bayes_ridge_every_step``): the same Evidence bit for bit."""
+
+    @staticmethod
+    def assert_same(factor, y, **kw):
+        """The fit, after checking it against the oracle, and the number of
+        d-dim products it formed."""
+        _CountedVh.products = 0
+        fit = fit_bayes_ridge(dataclasses.replace(factor, vh=factor.vh.view(_CountedVh)), y, **kw)
+        products = _CountedVh.products
+        ref = fit_bayes_ridge_every_step(factor, y, **kw)
+        assert type(fit.model.weights) is np.ndarray
+        assert fit.model.weights.tobytes() == ref.model.weights.tobytes()
+        assert fit.model.intercept == ref.model.intercept
+        assert (fit.alpha, fit.lambda_, fit.gamma, fit.converged, fit.iterations) == (
+            ref.alpha, ref.lambda_, ref.gamma, ref.converged, ref.iterations)
+        assert products <= fit.iterations
+        return fit, products
+
+    @pytest.mark.parametrize("name", list(_tall_side_blocks()))
+    def test_tall_side_blocks(self, name):
+        X, y, _ = _tall_side_blocks()[name]
+        self.assert_same(centered_svd(X), y)
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    @pytest.mark.parametrize("kind", ["position", "velocity"])
+    def test_folds_of_a_synth_dataset(self, kind, standardized):
+        X, Y = _synth_design(kind)
+        iterations = products = clamped = 0
+        for train, _ in _synth_folds(len(X)):
+            xtr = X[train]
+            if standardized:
+                xtr = apply_gaussian_stats(xtr, *gaussian_stats(xtr))
+            factor = centered_svd(xtr)
+            for y in Y[train].T:
+                fit, formed = self.assert_same(factor, y)
+                iterations += fit.iterations
+                products += formed
+                clamped += fit.alpha == _HYPER_MAX
+        assert products < iterations   # some steps skip the product
+        if kind == "position" and not standardized:
+            assert clamped   # some folds interpolate: alpha ends on the clamp
+
+    def test_constant_target(self):
+        factor = centered_svd(_fold_block(np.random.default_rng(420), 32, False))
+        fit, _ = self.assert_same(factor, np.full(32, 4.2))
+        assert fit.converged
+
+    def test_iteration_cap_without_tolerance(self):
+        rng = np.random.default_rng(421)
+        X = rng.normal(size=(40, 10))
+        fit, _ = self.assert_same(centered_svd(X), rng.normal(size=40), tol=0.0, max_iter=3)
+        assert not fit.converged and fit.iterations == 3
+
+    def test_tall_planted_design(self):
+        # the design of acceptance criterion c4 (b): 200 x 5, noiseless
+        rng = np.random.default_rng(999)
+        X = rng.normal(size=(200, 5))
+        fit, _ = self.assert_same(centered_svd(X), X @ rng.normal(size=5))
+        assert fit.converged
+
+    def test_large_coordinates_test_every_step(self):
+        # coordinates past tol / (4 r**1.5 eps), where rounding in the d-dim
+        # products could reach tol: no step skips them
+        rng = np.random.default_rng(422)
+        X = _fold_block(rng, 32, False)
+        fit, products = self.assert_same(centered_svd(X), 1e12 * rng.normal(size=32),
+                                         max_iter=40)
+        assert fit.iterations > 2 and products == fit.iterations
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_target_raises(self):
+        rng = np.random.default_rng(423)
+        factor = centered_svd(_fold_block(rng, 32, False))
+        y = 1.5e308 * np.tanh(rng.normal(size=32))
+        with pytest.raises(FloatingPointError, match="non-finite intermediate"):
+            fit_bayes_ridge_every_step(factor, y)
+        with pytest.raises(FloatingPointError, match="non-finite intermediate"):
+            fit_bayes_ridge(factor, y)
 
 
 class TestPredict:
