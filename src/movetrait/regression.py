@@ -27,12 +27,15 @@ import csv
 import io
 import json
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from .mocap import format_g17
 
 TRAIT_NAMES = ("O", "C", "E", "A", "N", "EQ", "SQ")
 
@@ -388,20 +391,35 @@ def load_trait_table(path: str | Path, *, raw: bytes | None = None) -> dict:
 
 
 def save_model(model: LinearModel, path: str | Path, provenance: dict | None = None) -> None:
-    """Serialize a model to JSON: its kind, weights, x_mean, intercept and provenance."""
+    """Write a model file: a JSON object with the keys ``intercept``,
+    ``kind``, ``provenance`` (when given), ``weights`` and ``x_mean``, sorted.
+
+    The first three are written by ``json.dumps(indent=2)``, one provenance
+    key per line. ``weights`` and ``x_mean`` take one line each, written
+    together by ``format_g17`` with commas, except that ``-0`` (which JSON
+    reads as the integer 0) is written ``-0.0``. Seventeen significant
+    digits name one binary64 value, so every value reloads bit for bit. A
+    weight, mean or intercept that is not finite, which JSON cannot hold,
+    is a ValueError naming the file, and nothing is written.
+    """
     if not isinstance(model, LinearModel):
         raise TypeError(f"unknown model type {type(model).__name__}")
-    doc = {
-        "kind": model.kind,
-        "intercept": model.intercept,
-        "weights": model.weights.tolist(),
-        "x_mean": model.x_mean.tolist(),
-    }
+    path = Path(path)
+    for name in ("weights", "x_mean", "intercept"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ValueError(f"{path}: the {model.kind} model's {name} is not all finite")
+    doc = {"intercept": model.intercept, "kind": model.kind}
     if provenance is not None:
         doc["provenance"] = provenance
-    path = Path(path)
+    head = json.dumps(doc, indent=2, sort_keys=True)[:-2].encode()   # without its "\n}"
+    values = np.array([model.weights, model.x_mean], dtype=float)
+    rows = format_g17(values, ",")
+    if (np.signbit(values) & (values == 0)).any():   # rare; the search costs more than the format
+        rows = re.sub(rb"(?<![^,\n])-0(?![^,\n])", b"-0.0", rows)
+    weights, x_mean, _ = rows.split(b"\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_bytes(head + b',\n  "weights": [' + weights
+                     + b'],\n  "x_mean": [' + x_mean + b"]\n}\n")
 
 
 def read_json_object(path: str | Path, what: str, *, raw: bytes | None = None) -> dict:

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .mocap import TAKE_HEADER, MarkerTake
+from .mocap import TAKE_HEADER, MarkerTake, format_g17
 from .regression import TRAIT_NAMES, read_json_object
 
 TRAIT_RANGES = {
@@ -262,157 +262,12 @@ def write_trait_table(traits: dict[str, dict[str, float]], path: str | Path) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# The %.17g take writer. 256 rows keep its temporaries at a few MB per pool
-# worker, as in the take reader; its tables are built with numpy at import.
-_BLOCK_ROWS = 256
-_U64 = np.uint64
-_LOW32 = _U64(0xFFFFFFFF)
-_POW5 = 5 ** np.arange(21, dtype=np.uint64)    # 5**k for k = 16 - X, X in -4..16
-_SHIFTS = np.arange(64, dtype=np.uint64)
-_LOW_BITS = (_U64(1) << _SHIFTS) - _U64(1)      # remainder mask of a right shift by s
-# half of 2**s, against which the remainder (plus the quotient's parity) is
-# compared; for s = 0 nothing may round, so 2**63, which no sum reaches
-_HALF = np.r_[_U64(2**63), _U64(1) << _SHIFTS[:-1]]
-_QUAD = np.arange(10000)
-# _ASCII4[q]: the four digits of q, most significant in the low byte
-_ASCII4 = sum((48 + _QUAD // 10 ** (3 - j) % 10).astype(np.uint64) << _U64(8 * j)
-              for j in range(4))
-# _ZEROS4[q]: trailing decimal zeros of q written with four digits
-_ZEROS4 = np.select([_QUAD % 10 ** j == 0 for j in (4, 3, 2, 1)], [4, 3, 2, 1], 0)
-_BYTE = np.arange(24)
-# _KEEP[t]: the three little-endian words of a 24-byte field that keep its bytes 0..t-1
-_KEEP = np.where(_BYTE < np.arange(25)[:, None], 255, 0).astype(np.uint8).view("<u8")
-# _MARKS[21 * sign + X + 4]: the sign, the "0.000" prefix (X < 0) and the
-# dot (X >= 0) of a field, the bytes its digits leave free
-_SIGN = np.arange(2)[:, None, None]
-_EXP10 = np.arange(-4, 17)[None, :, None]
-_MARKS = np.select(
-    [(_SIGN == 1) & (_BYTE == 0),
-     _BYTE == _SIGN + np.maximum(_EXP10, 0) + 1,
-     (_EXP10 < 0) & (_BYTE >= _SIGN) & (_BYTE <= _SIGN - _EXP10)],
-    [ord("-"), ord("."), ord("0")], 0,
-).astype(np.uint8).view("<u8").reshape(42, 3)
-
-
-def _digits17(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """round_half_even(m * 2**e * 10**(16 - x)), exactly, for m < 2**53 and
-    16 - x in 0..20.
-
-    m * 5**k (k = 16 - x) is held in two words, since 5**20 < 2**47 makes
-    it less than 2**100, and shifted right by s = -(e + k) bits, which is
-    below 64 for the values the writer gives it (or shifted left by -s).
-    """
-    k = 16 - x
-    p5 = np.take(_POW5, k)
-    ml, mh = m & _LOW32, m >> _U64(32)
-    pl, ph = p5 & _LOW32, p5 >> _U64(32)
-    t = ml * pl
-    u = (t >> _U64(32)) + ml * ph + mh * pl
-    lo = (t & _LOW32) | (u << _U64(32))
-    hi = mh * ph + (u >> _U64(32))
-    s = -(e + k)
-    right = np.maximum(s, 0).astype(np.uint64)
-    left = np.maximum(-s, 0).astype(np.uint64)
-    # hi << (64 - right) in two steps, so right = 0 shifts by 64 as zero
-    d = ((lo >> right) | ((hi << (_U64(63) - right)) << _U64(1))) << left
-    d += ((lo & np.take(_LOW_BITS, right)) + (d & _U64(1))) > np.take(_HALF, right)
-    return d
-
-
-def _shift_down(words: tuple, nbytes: np.ndarray) -> tuple:
-    """A 24-byte field moved ``nbytes`` (1..7) bytes towards byte 0."""
-    w0, w1, w2 = words
-    down = nbytes * _U64(8)
-    up = _U64(64) - down
-    return (w0 >> down) | (w1 << up), (w1 >> down) | (w2 << up), w2 >> down
-
-
-def _format_g17(data: np.ndarray) -> bytes:
-    """The bytes of ``"\\t".join("%.17g" % v for v in row) + "\\n"`` for every
-    row of a 2-D float64 array.
-
-    Rows are formatted 256 at a time with numpy array operations. A value
-    with 1e-4 <= |v| < 1e17 is written in fixed notation, as %g does for a
-    decimal exponent X in -4..16:
-
-    - Its 17 significant digits D are computed exactly (``_digits17``),
-      rounded half to even as a correctly rounded printf does (Steele &
-      White, "How to Print Floating-Point Numbers Accurately", PLDI 1990).
-      X starts from ``floor(log10(|v|))``; where that is one off, or the
-      rounding carried D to 10**17, D falls outside [10**16, 10**17) and is
-      computed once more with X moved by one.
-    - Each field is built in three little-endian uint64 words: 4-digit
-      table lookups write the digits into bytes 7..23, two byte shifts
-      move the digits before and after the dot into place, a table adds
-      the sign, dot or "0.000" prefix, and a mask sets the bytes after the
-      last kept digit (trailing zeros of the fraction, and a dot with no
-      fraction after it) to null.
-    - A fourth word holds the tab or newline, and one boolean compress of
-      all bytes against 0 drops the nulls.
-
-    Zero, |v| < 1e-4, |v| >= 1e17 and non-finite values are formatted by
-    ``"%.17g" %`` and copied into their field (at most 24 bytes).
-    """
-    cols = data.shape[1]
-    separators = np.full(cols, ord("\t"), np.uint64)
-    separators[-1] = ord("\n")
-    chunks = []
-    for first in range(0, len(data), _BLOCK_ROWS):
-        v = data[first:first + _BLOCK_ROWS].ravel()
-        av = np.abs(v)
-        fixed = (av >= 1e-4) & (av < 1e17)
-        av = np.where(fixed, av, 1.0)   # the other fields are overwritten below
-        bits = av.view(np.uint64)
-        m = (bits & _U64(2**52 - 1)) | _U64(2**52)
-        e = (bits >> _U64(52)).astype(np.int64) - 1075
-        x = np.clip(np.floor(np.log10(av)).astype(np.int64), -4, 16)
-        d = _digits17(m, e, x)
-        off = (d >= _U64(10**17)).astype(np.int64) - (d < _U64(10**16))
-        redo = np.flatnonzero(off)
-        if len(redo):
-            x[redo] += off[redo]
-            d[redo] = _digits17(m[redo], e[redo], x[redo])
-
-        top, low8 = np.divmod(d, _U64(10**8))
-        lead, high8 = np.divmod(top, _U64(10**8))
-        q1, q2 = np.divmod(high8, _U64(10**4))
-        q3, q4 = np.divmod(low8, _U64(10**4))
-        digits = ((lead + _U64(48)) << _U64(56),
-                  np.take(_ASCII4, q1) | (np.take(_ASCII4, q2) << _U64(32)),
-                  np.take(_ASCII4, q3) | (np.take(_ASCII4, q4) << _U64(32)))
-        zeros = np.take(_ZEROS4, q4) + (q4 == 0) * (np.take(_ZEROS4, q3) + (q3 == 0) * (
-            np.take(_ZEROS4, q2) + (q2 == 0) * np.take(_ZEROS4, q1)))
-
-        sign = np.signbit(v).astype(np.int64)
-        below_one = np.minimum(x, 0)
-        dot = np.where(x >= 0, sign + x + 1, 0)   # 0: no digit goes before the mark bytes
-        frac = 16 - x                              # fraction digits before trimming
-        trim = np.minimum(zeros, frac)
-        length = sign + 18 - below_one - trim - (trim == frac)
-        # the digits start at byte `sign`, or after the dot or the "0.000" prefix
-        head = _shift_down(digits, (7 - sign).astype(np.uint64))
-        tail = _shift_down(digits, (6 - sign + below_one).astype(np.uint64))
-        before, after = np.take(_KEEP, dot, axis=0), ~np.take(_KEEP, dot + 1, axis=0)
-        keep = np.take(_KEEP, length, axis=0)
-        marks = np.take(_MARKS, 21 * sign + x + 4, axis=0)
-        out = np.empty((len(v), 4), "<u8")   # byte 0 of a field is its first character
-        for i in range(3):
-            out[:, i] = ((head[i] & before[:, i]) | (tail[i] & after[:, i])
-                         | marks[:, i]) & keep[:, i]
-        out[:, 3] = np.resize(separators, len(v))
-        for i in np.flatnonzero(~fixed):
-            out[i, :3] = np.frombuffer((b"%.17g" % v[i]).ljust(24, b"\0"), "<u8")
-        raw = out.view(np.uint8).ravel()
-        chunks.append(np.compress(raw != 0, raw).tobytes())
-    return b"".join(chunks)
-
-
 def _write_take(spec: SynthSpec, out_dir: Path, job: tuple[int, int, dict[str, float]]) -> None:
     """Generate one take and write its .tsv and .json; runs in a pool worker."""
     pidx, sidx, traits = job
     take = generate_take(spec, traits, pidx, sidx)
     stem = f"{take.participant_id}_{take.stimulus_id}"
-    (out_dir / f"{stem}.tsv").write_bytes(f"{TAKE_HEADER}\n".encode() + _format_g17(take.data))
+    (out_dir / f"{stem}.tsv").write_bytes(f"{TAKE_HEADER}\n".encode() + format_g17(take.data))
     sidecar = {
         "frame_rate": take.frame_rate,
         "participant_id": take.participant_id,

@@ -813,10 +813,15 @@ class TestModelPersistence:
         """A saved and reloaded model equals the in-memory one, field by field,
         and both kinds write the same entries."""
         rng = np.random.default_rng(42)
-        X = rng.normal(size=(30, 7)) + 3.0
+        X = rng.normal(size=(30, 16)) + 3.0
         y = X[:, 0] - 0.5 * X[:, 2] + rng.normal(scale=0.1, size=30)
         f = centered_svd(X)
         model = fit_bayes_ridge(f, y).model if kind == "bayes_ridge" else fit_pcr(f, y, k=4)
+        # edge values, which the writer formats apart from its fixed-notation fields
+        edges = np.array([5e-324, -0.0, 1e-300, np.nextafter(1e-4, 0), 1e-4,
+                          np.nextafter(1e16, np.inf), np.nextafter(1e17, 0), 1e17, -1e22])
+        model = dataclasses.replace(model, weights=np.r_[edges, model.weights[9:]],
+                                    x_mean=np.r_[model.x_mean[:7], -edges])
         path = tmp_path / "model.json"
         save_model(model, path, provenance={"config_sha256": "abc"})
         loaded = load_model(path)
@@ -826,13 +831,28 @@ class TestModelPersistence:
         assert expected.keys() == got.keys()
         for name, value in expected.items():
             if isinstance(value, np.ndarray):
-                np.testing.assert_array_equal(got[name], value, err_msg=name)
+                assert got[name].dtype == value.dtype, name
+                assert got[name].tobytes() == value.tobytes(), name   # -0.0 too
             else:
                 assert got[name] == value, name
-        rows = rng.normal(size=(10, 7)) + 3.0
+        rows = rng.normal(size=(10, 16)) + 3.0
         np.testing.assert_array_equal(predict_means(loaded, rows), predict_means(model, rows))
-        doc = json.loads(path.read_text())
+
+        def no_constant(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=no_constant)
         assert set(doc) == {"kind", "weights", "x_mean", "intercept", "provenance"}
+
+    @pytest.mark.parametrize("field", ["weights", "x_mean", "intercept"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_naming_the_file(self, tmp_path, field, bad):
+        model = LinearModel("pcr", np.ones(3), np.zeros(3), 0.5)
+        value = bad if field == "intercept" else np.r_[getattr(model, field)[:2], bad]
+        path = tmp_path / "model_O.json"
+        with pytest.raises(ValueError, match=rf"model_O\.json: .*{field} is not all finite"):
+            save_model(dataclasses.replace(model, **{field: value}), path)
+        assert not path.exists()
 
     def test_former_bayes_file_loads(self, tmp_path):
         # a Bayesian-ridge file in the former layout, with its evidence fit and factor

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from movetrait.mocap import MARKER_LABELS, load_take
+from movetrait.mocap import MARKER_LABELS, format_g17, load_take
 from movetrait.regression import TRAIT_NAMES, load_trait_table
 from movetrait.synth import (
     SynthSpec,
@@ -18,7 +18,6 @@ from movetrait.synth import (
     planted_amplitude,
     sample_traits,
     write_dataset,
-    _format_g17,
 )
 
 from oracles import write_dataset_serial
@@ -218,8 +217,32 @@ def _format_case(name):
                                   "non_finite", "one_value"])
 def test_format_g17_matches_percent_format(case):
     data = _format_case(case)
-    expected = "".join("\t".join("%.17g" % v for v in row) + "\n" for row in data.tolist())
-    assert _format_g17(data) == expected.encode()
+    assert format_g17(data) == _g17_join(data, "\t")
+
+
+def _g17_join(data, sep):
+    return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in data.tolist()).encode()
+
+
+def _separator_case(name):
+    rng = np.random.default_rng(21)
+    if name == "model_row":
+        # one row as wide as a model file's weights, down to values below 1e-4
+        return (rng.normal(size=1770) * 10.0 ** rng.uniform(-8, 2, 1770))[None, :]
+    special = np.array([0.0, -0.0, 1e-5, 9.9999999999999991e-05, 5e-324, 1e17, -1e300,
+                        np.nan, np.inf, -np.inf])
+    if name == "fallback_only":
+        return rng.permutation(np.resize(special, 120)).reshape(12, 10)
+    # fixed-notation values with every fallback kind scattered among them
+    fixed = rng.choice([-1.0, 1.0], 590) * 10.0 ** rng.uniform(-4, 17, 590)
+    return rng.permutation(np.r_[fixed, special]).reshape(40, 15)
+
+
+@pytest.mark.parametrize("sep", [",", "\t"])
+@pytest.mark.parametrize("case", ["model_row", "mixed", "fallback_only"])
+def test_format_g17_separator_matches_percent_format(case, sep):
+    data = _separator_case(case)
+    assert format_g17(data, sep) == _g17_join(data, sep)
 
 
 def _digests(directory):
