@@ -600,11 +600,10 @@ def _shift_down(words: tuple, nbytes: np.ndarray) -> tuple:
     return (w0 >> down) | (w1 << up), (w1 >> down) | (w2 << up), w2 >> down
 
 
-def format_g17(data: np.ndarray, sep: str = "\t", end: str = "\n") -> bytes:
-    """The bytes of ``sep.join("%.17g" % v for v in row) + end`` for every
-    row of a 2-D float64 array; ``sep`` and ``end`` are one ASCII character
-    each, not NUL. Takes are written with a tab and a newline, model files
-    with a comma.
+def format_g17(data: np.ndarray, sep: str = "\t") -> bytes:
+    """The bytes of ``sep.join("%.17g" % v for v in row) + "\\n"`` for every
+    row of a 2-D float64 array; ``sep`` is one ASCII character, not NUL.
+    Takes are written with a tab, model files with a comma.
 
     Rows are formatted 256 at a time with numpy array operations. A value
     with 1e-4 <= |v| < 1e17 is written in fixed notation, as %g does for a
@@ -622,7 +621,7 @@ def format_g17(data: np.ndarray, sep: str = "\t", end: str = "\n") -> bytes:
       the sign, dot or "0.000" prefix, and a mask sets the bytes after the
       last kept digit (trailing zeros of the fraction, and a dot with no
       fraction after it) to null.
-    - A fourth word holds ``sep`` or ``end``, and one boolean compress of
+    - A fourth word holds ``sep`` or the newline, and one boolean compress of
       all bytes against 0 drops the nulls.
 
     Zero, |v| < 1e-4, |v| >= 1e17 and non-finite values are formatted
@@ -631,7 +630,7 @@ def format_g17(data: np.ndarray, sep: str = "\t", end: str = "\n") -> bytes:
     spaces become the nulls the compress drops.
     """
     separators = np.full(data.shape[1], ord(sep), np.uint64)
-    separators[-1] = ord(end)
+    separators[-1] = ord("\n")
     chunks = []
     for first in range(0, len(data), _BLOCK_LINES):
         v = data[first:first + _BLOCK_LINES].ravel()

@@ -180,8 +180,8 @@ class TestWriteDataset:
 
 def _format_case(name):
     """A 2-D float64 block; the 1-D cases become one column, with both signs."""
+    rng = np.random.default_rng(19)
     if name == "random":
-        rng = np.random.default_rng(19)
         signs = rng.choice([-1.0, 1.0], 300_000)
         return (signs * 10.0 ** rng.uniform(-320, 300, 300_000)).reshape(3000, 100)
     if name == "random_fixed":
@@ -193,6 +193,17 @@ def _format_case(name):
         return np.r_[spread, -spread, decimals, dyadic].reshape(-1, 50)
     if name == "one_value":
         return np.array([[-1234.5]])
+    if name == "model_row":
+        # one row as wide as a model file's weights, down to values below 1e-4
+        return (rng.normal(size=1770) * 10.0 ** rng.uniform(-8, 2, 1770))[None, :]
+    special = np.array([0.0, -0.0, 1e-5, 9.9999999999999991e-05, 5e-324, 1e17, -1e300,
+                        np.nan, np.inf, -np.inf])
+    if name == "fallback_only":
+        return rng.permutation(np.resize(special, 120)).reshape(12, 10)
+    if name == "mixed":
+        # fixed-notation values with every fallback kind scattered among them
+        fixed = rng.choice([-1.0, 1.0], 590) * 10.0 ** rng.uniform(-4, 17, 590)
+        return rng.permutation(np.r_[fixed, special]).reshape(40, 15)
     fixed_powers = np.array([float(f"1e{n}") for n in range(-4, 18)])
     # float("1e-14") lies below 10**-14 and its 17th digit rounds up to "1e-14"
     all_powers = np.array([float(f"1e{n}") for n in range(-323, 309)])
@@ -214,35 +225,13 @@ def _format_case(name):
 
 @pytest.mark.parametrize("case", ["random", "random_fixed", "zeros", "subnormals", "near_1e-4",
                                   "powers_of_ten", "round_up_to_power", "dyadic_ties",
-                                  "non_finite", "one_value"])
+                                  "non_finite", "one_value", "model_row", "mixed",
+                                  "fallback_only"])
 def test_format_g17_matches_percent_format(case):
     data = _format_case(case)
-    assert format_g17(data) == _g17_join(data, "\t")
-
-
-def _g17_join(data, sep):
-    return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in data.tolist()).encode()
-
-
-def _separator_case(name):
-    rng = np.random.default_rng(21)
-    if name == "model_row":
-        # one row as wide as a model file's weights, down to values below 1e-4
-        return (rng.normal(size=1770) * 10.0 ** rng.uniform(-8, 2, 1770))[None, :]
-    special = np.array([0.0, -0.0, 1e-5, 9.9999999999999991e-05, 5e-324, 1e17, -1e300,
-                        np.nan, np.inf, -np.inf])
-    if name == "fallback_only":
-        return rng.permutation(np.resize(special, 120)).reshape(12, 10)
-    # fixed-notation values with every fallback kind scattered among them
-    fixed = rng.choice([-1.0, 1.0], 590) * 10.0 ** rng.uniform(-4, 17, 590)
-    return rng.permutation(np.r_[fixed, special]).reshape(40, 15)
-
-
-@pytest.mark.parametrize("sep", [",", "\t"])
-@pytest.mark.parametrize("case", ["model_row", "mixed", "fallback_only"])
-def test_format_g17_separator_matches_percent_format(case, sep):
-    data = _separator_case(case)
-    assert format_g17(data, sep) == _g17_join(data, sep)
+    for sep in "\t,":   # takes and model files
+        expected = "".join(sep.join("%.17g" % v for v in row) + "\n" for row in data.tolist())
+        assert format_g17(data, sep) == expected.encode()
 
 
 def _digests(directory):
