@@ -3,16 +3,17 @@
 ``python -m movetrait.bench``, run from the repository root, generates the
 dataset of ``docs/example_synth_spec.json`` and runs extract, train,
 evaluate, importance and report on it through ``cli.main``, as the command
-line would, several times over. It writes each stage's median wall time
-and median count of minor page faults, with the machine line, to
-``docs/benchmarks.{csv,md}``. The faults are this process's, its threads
-included (``getrusage``); synth's pool workers are processes of their own
-and are not counted.
+line would, five times over. It writes each stage's median, fastest and
+slowest wall time and median count of minor page faults, with the machine
+line, to ``docs/benchmarks.{csv,md}``. The faults are this process's, its
+threads included (``getrusage``); synth's pool workers are processes of
+their own and are not counted.
 
-Times are medians over at least 3 repetitions to resist scheduler noise.
-Nothing here asserts an absolute duration beyond a configurable timeout
-ceiling. Per-layer timings (parse, kernel, fits, ...) come from
-``perfbench/run.py --trace 1``.
+Times are medians over at least 3 repetitions to resist scheduler noise;
+the min and max next to each median show how far one run can stray, so a
+before/after gap inside both ranges shows nothing. Nothing here asserts an
+absolute duration beyond a configurable timeout ceiling. Per-layer timings
+(parse, kernel, fits, ...) come from ``perfbench/run.py --trace 1``.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ from . import cli
 
 DEFAULT_SPEC = Path("docs") / "example_synth_spec.json"
 DEFAULT_TIMEOUT_S = 120.0
+# 3 repetitions read one stage 19 % apart on identical trees
+DEFAULT_REPETITIONS = 5
 STAGES = ("synth", "extract", "train", "evaluate", "importance", "report")
 # The frozen spec's 64-row training folds cannot take the default k of 243 or 137
 PCR_COMPONENTS = {"position": 24, "velocity": 16}
@@ -43,6 +46,8 @@ PCR_COMPONENTS = {"position": 24, "velocity": 16}
 class BenchRecord:
     stage: str
     seconds: float       # median wall time
+    min_seconds: float
+    max_seconds: float
     minor_faults: int    # median minor page faults
     repetitions: int
     machine: str
@@ -78,10 +83,10 @@ def _time_stage(argv: list[str]) -> tuple[float, int]:
     return seconds, faults
 
 
-def bench_pipeline(spec_path: str | Path = DEFAULT_SPEC, repetitions: int = 3,
+def bench_pipeline(spec_path: str | Path = DEFAULT_SPEC, repetitions: int = DEFAULT_REPETITIONS,
                    timeout_s: float = DEFAULT_TIMEOUT_S) -> list[BenchRecord]:
-    """Median wall time and minor faults of each pipeline stage over
-    ``repetitions`` full runs.
+    """Median, min and max wall time and median minor faults of each
+    pipeline stage over ``repetitions`` full runs.
 
     The config is the ``PipelineConfig`` defaults (the full 4 x 2 x 7 grid)
     with only the paths and the PCR component counts set. Every repetition
@@ -100,9 +105,12 @@ def bench_pipeline(spec_path: str | Path = DEFAULT_SPEC, repetitions: int = 3,
             for stage in STAGES[1:]:
                 runs[stage].append(_time_stage([stage, "-c", str(config)]))
     machine = machine_descriptor()
-    records = [BenchRecord(stage, statistics.median(t for t, _ in stage_runs),
-                           statistics.median_low(f for _, f in stage_runs), repetitions, machine)
-               for stage, stage_runs in runs.items()]
+    records = []
+    for stage, stage_runs in runs.items():
+        times = [t for t, _ in stage_runs]
+        records.append(BenchRecord(
+            stage, statistics.median(times), min(times), max(times),
+            statistics.median_low(f for _, f in stage_runs), repetitions, machine))
     assert_under_timeout(records, timeout_s)
     return records
 
@@ -114,9 +122,11 @@ def assert_under_timeout(records: list[BenchRecord], timeout_s: float) -> None:
 
 
 def records_csv(records: list[BenchRecord]) -> str:
-    lines = ["stage,median_seconds,median_minor_faults,repetitions,machine"]
+    lines = ["stage,median_seconds,min_seconds,max_seconds,median_minor_faults,"
+             "repetitions,machine"]
     for r in records:
-        lines.append(f"{r.stage},{r.seconds:.6f},{r.minor_faults},{r.repetitions},\"{r.machine}\"")
+        lines.append(f"{r.stage},{r.seconds:.6f},{r.min_seconds:.6f},{r.max_seconds:.6f},"
+                     f"{r.minor_faults},{r.repetitions},\"{r.machine}\"")
     return "\n".join(lines) + "\n"
 
 
@@ -126,11 +136,12 @@ def records_markdown(records: list[BenchRecord]) -> str:
         "",
         f"Machine: {records[0].machine if records else 'n/a'}",
         "",
-        "| stage | median (s) | median minor faults | reps |",
-        "|---|---|---|---|",
+        "| stage | median (s) | min (s) | max (s) | median minor faults | reps |",
+        "|---|---|---|---|---|---|",
     ]
     for r in records:
-        lines.append(f"| {r.stage} | {r.seconds:.4f} | {r.minor_faults} | {r.repetitions} |")
+        lines.append(f"| {r.stage} | {r.seconds:.4f} | {r.min_seconds:.4f} | "
+                     f"{r.max_seconds:.4f} | {r.minor_faults} | {r.repetitions} |")
     return "\n".join(lines) + "\n"
 
 
@@ -142,6 +153,7 @@ def main(out_dir: str | Path = "docs") -> int:
     (out / "benchmarks.md").write_text(records_markdown(records))
     for r in records:
         print(f"event=bench stage={r.stage} median_s={r.seconds:.4f} "
+              f"min_s={r.min_seconds:.4f} max_s={r.max_seconds:.4f} "
               f"minor_faults={r.minor_faults}")
     return 0
 

@@ -313,18 +313,26 @@ def _read_take_ids(
 def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, tuple]:
     """One take's feature vectors by kind and the take's manifest record.
 
-    The file is read once: the same bytes are parsed and hashed.
+    The file is read once: the same bytes are parsed and hashed. Each
+    layer's input is dropped once the next layer has returned (the bytes
+    after parsing, the samples after ``derive_joints``, the joints after
+    ``velocity``), so a worker never holds a take's samples, joints and
+    velocities at once.
     """
     raw, record = _read_recorded(path)
     take = load_take(path, metadata=side, raw=raw)  # its TakeFormatErrors carry file:line
-    del raw   # not held through the velocity filter and the kernel
+    del raw
+    frame_rate = take.frame_rate
     out = {}
     try:
         joints = derive_joints(take)
+        del take
         if "position" in cfg.extract_kinds:
             out["position"] = extract_features(joints, cfg.sigma)
         if "velocity" in cfg.extract_kinds:
-            out["velocity"] = extract_features(velocity(joints, take.frame_rate), cfg.sigma)
+            moving = velocity(joints, frame_rate)
+            del joints
+            out["velocity"] = extract_features(moving, cfg.sigma)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return out, record

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mocap import read_exact_csv, scan_table
+from .mocap import _CSV_BLOCK_LINES, format_g17, read_exact_csv, scan_table
 
 SIGMA_DEFAULT = 12.0
 ROW_IDS = ("participant_id", "stimulus_id")   # what names a take, and so a feature row
@@ -104,10 +104,19 @@ def rows_path(csv_path: str | Path) -> Path:
 def save_feature_matrix(values: np.ndarray, csv_path: str | Path,
                         rows: list[tuple[str, str]]) -> None:
     """Write rows as CSV plus a ``.meta.json`` sidecar with each row's
-    (participant_id, stimulus_id)."""
+    (participant_id, stimulus_id).
+
+    Every value is written as ``%.17g``, with ``,`` between cells and ``\\n``
+    after each row, by ``mocap.format_g17``. Each ``_CSV_BLOCK_LINES`` rows
+    are formatted and written before the next are, so no more than one
+    block's text is held at a time.
+    """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(csv_path, values, fmt="%.17g", delimiter=",")
+    values = np.asarray(values, dtype=float)
+    with open(csv_path, "wb") as out:
+        for first in range(0, len(values), _CSV_BLOCK_LINES):
+            out.write(format_g17(values[first:first + _CSV_BLOCK_LINES], ","))
     meta = {"rows": [dict(zip(ROW_IDS, pair)) for pair in rows]}
     rows_path(csv_path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 

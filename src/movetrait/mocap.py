@@ -161,10 +161,11 @@ _EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63 and np.finfo(np.longdoub
 _BLOCK_LINES = 256
 _CHUNK = 1 << 18     # bytes scanned for line ends at a time
 _PAD = 32            # leading bytes before a block, so every 32-byte window fits
-# Lines per block of a feature CSV. A row of 1770 `%.17g` cells is about
-# 37 KB; 4-line blocks parsed a 40-row file fastest (1 and 16 lines took 1.4
-# and 1.1 times as long) in a workspace of about 3.8 MB, which lives for one
-# file.
+# Lines per block of a feature CSV, read or written. A row of 1770 `%.17g`
+# cells is about 37 KB; 4-line blocks parsed a 40-row file fastest (1 and 16
+# lines took 1.4 and 1.1 times as long) in a workspace of about 3.8 MB, which
+# lives for one file. `features.save_feature_matrix` formats and writes one
+# such block at a time: the writer's temporaries take about 1 MB per row.
 _CSV_BLOCK_LINES = 4
 _SEP, _NL, _DOT, _EXP, _PLUS, _MINUS = 1, 2, 3, 4, 5, 6
 
@@ -535,9 +536,10 @@ def read_exact_csv(raw: bytes) -> np.ndarray | None:
     return data
 
 
-# The %.17g writer of takes and model files. It formats _BLOCK_LINES rows at
-# a time, which keeps its temporaries at a few MB per pool worker, as in the
-# take reader; its tables are built with numpy at import.
+# The %.17g writer of takes, feature CSVs and model files. It formats
+# _BLOCK_LINES rows at a time, which keeps its temporaries at a few MB per
+# pool worker, as in the take reader; its tables are built with numpy at
+# import.
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
 _POW5 = 5 ** np.arange(21, dtype=np.uint64)    # 5**k for k = 16 - X, X in -4..16

@@ -224,6 +224,15 @@ def load_feature_csv_text(raw: bytes) -> np.ndarray:
     return np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), delimiter=",", ndmin=2)
 
 
+def save_feature_csv_text(values: np.ndarray) -> bytes:
+    """The feature CSV write that ``features.save_feature_matrix`` replaced:
+    the bytes ``np.savetxt(fmt="%.17g", delimiter=",")`` writes for a 2-D
+    array."""
+    out = io.BytesIO()
+    np.savetxt(out, values, fmt="%.17g", delimiter=",")
+    return out.getvalue()
+
+
 def fit_bayes_ridge_every_step(factor, y, tol=1e-3, max_iter=300) -> Evidence:
     """The evidence loop that forms the d-dim beta on every step, as
     ``regression.fit_bayes_ridge`` did before it skipped the steps that

@@ -7,11 +7,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from movetrait import cli
 from movetrait.cli import (
     PipelineConfig,
     apply_overrides,
@@ -307,9 +309,40 @@ class TestExtract:
     def test_workers_do_not_change_output(self, dataset_dir, tmp_path):
         cfg1 = make_config(dataset_dir, tmp_path / "w1", workers=1)
         cfg2 = make_config(dataset_dir, tmp_path / "w4", workers=4)
-        p1 = cmd_extract(cfg1)["features"]["position"]
-        p2 = cmd_extract(cfg2)["features"]["position"]
-        assert p1.read_bytes() == p2.read_bytes()
+        written1 = cmd_extract(cfg1)["features"]
+        written2 = cmd_extract(cfg2)["features"]
+        assert sorted(written1) == sorted(written2) == ["position", "velocity"]
+        for kind, path in written1.items():
+            assert path.read_bytes() == written2[kind].read_bytes(), kind
+
+    def test_take_arrays_dropped_once_used(self, dataset_dir, tmp_path, monkeypatch):
+        """The take is gone when velocity runs, and the joints are gone when
+        the velocity kernel runs: a worker never holds all three."""
+        made, gone = {}, []   # weak references to what each layer returned last
+
+        def dropped(name):
+            return made[name]() is None
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                if name == "velocity":
+                    gone.append(("take at velocity", dropped("load_take")))
+                elif name == "extract_features" and "velocity" in made:
+                    gone.append(("joints at velocity kernel", dropped("derive_joints")))
+                got = real(*args, **kwargs)
+                made[name] = weakref.ref(got)
+                return got
+            monkeypatch.setattr(cli, name, call)
+
+        for name in ("load_take", "derive_joints", "velocity", "extract_features"):
+            spy(name)
+        path = dataset_dir / "P000_S00.tsv"
+        side = json.loads(path.with_suffix(".json").read_text())
+        out, _ = cli._featurize_take(path, side, make_config(dataset_dir, tmp_path))
+        assert sorted(out) == ["position", "velocity"]
+        assert gone == [("take at velocity", True), ("joints at velocity kernel", True)]
 
     def test_each_take_read_once(self, dataset_dir, tmp_path, monkeypatch):
         opened = []

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from movetrait import mocap
+from movetrait import features, mocap
 from movetrait.features import (
     apply_gaussian_stats,
     extract_features,
@@ -20,7 +20,12 @@ from movetrait.features import (
 )
 from movetrait.mocap import derive_joints, read_exact_csv, scan_table, velocity
 from movetrait.synth import default_strong_spec, generate_take, sample_traits
-from oracles import correntropy, load_feature_csv_text, unvectorize_lower
+from oracles import (
+    correntropy,
+    load_feature_csv_text,
+    save_feature_csv_text,
+    unvectorize_lower,
+)
 
 
 class TestCorrentropy:
@@ -253,6 +258,46 @@ class TestExtractAndPersistence:
         with pytest.raises(ValueError) as got:
             load_feature_matrix(path, (("P", "S"),))
         assert str(got.value) == f"{path}: row metadata length 1 != row count 2"
+
+
+def kernel_like_block(rows, cols, seed):
+    """Values a feature file holds: uniform in (0, 1], with exact 1.0, the
+    neighbours of 1e-4 (where %g leaves fixed notation) and tiny values down
+    to subnormals spread over the block."""
+    rng = np.random.default_rng(seed)
+    values = 1.0 - rng.uniform(0, 1, size=rows * cols)
+    edge = np.array([1.0, np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), 1e-5,
+                     math.exp(-40), 1e-300, np.finfo(float).tiny, 2.5e-310, 5e-324])
+    at = rng.choice(values.size, size=min(values.size, 4 * len(edge)), replace=False)
+    values[at] = np.resize(edge, len(at))
+    return values.reshape(rows, cols)
+
+
+class TestFeatureWrite:
+    """save_feature_matrix against the np.savetxt writer it replaced."""
+
+    @pytest.mark.parametrize("shape", [(9, 1770), (1, 1770), (9, 1)])
+    def test_same_bytes_as_savetxt(self, tmp_path, shape):
+        values = kernel_like_block(*shape, seed=shape[0] + shape[1])
+        path = tmp_path / "features.csv"
+        save_feature_matrix(values, path, [(f"P{i}", "S1") for i in range(shape[0])])
+        assert path.read_bytes() == save_feature_csv_text(values)
+        assert load_feature_matrix(path).tobytes() == values.tobytes()
+
+    def test_written_in_blocks_of_4_rows(self, tmp_path, monkeypatch):
+        values = kernel_like_block(9, 1770, seed=1)
+        blocks = []
+        format_g17 = mocap.format_g17
+
+        def spy(data, sep):
+            blocks.append(data.shape)
+            return format_g17(data, sep)
+
+        monkeypatch.setattr(features, "format_g17", spy)
+        path = tmp_path / "features.csv"
+        save_feature_matrix(values, path, [(f"P{i}", "S1") for i in range(9)])
+        assert blocks == [(4, 1770), (4, 1770), (1, 1770)]
+        assert path.read_bytes() == save_feature_csv_text(values)
 
 
 def _csv(rows, sep="\n", end="\n"):
