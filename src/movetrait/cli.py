@@ -58,7 +58,8 @@ from .features import (
     save_feature_matrix,
 )
 from .importance import importance_from_model, importance_report
-from .mocap import check_velocity_rate, derive_joints, load_take, parse_sidecar, velocity
+from .mocap import (check_take_header, check_velocity_rate, derive_joints, load_take,
+                    parse_sidecar, velocity)
 from .regression import (
     PCR_DEFAULT_COMPONENTS,
     TRAIT_NAMES,
@@ -279,14 +280,14 @@ def _model_specs(cfg: PipelineConfig, kinds: tuple[str, ...], base_kind: str, n_
 def _read_take_ids(
     take_paths: list[Path], cfg: PipelineConfig,
 ) -> tuple[list[dict], list[tuple[str, str]], dict[str, tuple[Path, str]]]:
-    """Every take's checked sidecar and (participant_id, stimulus_id), read
-    before any take is parsed.
+    """Every take's checked sidecar and (participant_id, stimulus_id), read,
+    with each take's header (``check_take_header``), before any take is parsed.
 
     Also returns the manifest record of each sidecar file read, by file
     name. A bad frame rate (``parse_sidecar``; with velocity extraction, one
-    at or below twice the filter cutoff), a missing or empty id, or a pair
-    another take already has, is a ValueError naming the take files involved;
-    a missing sidecar is an OSError naming the sidecar.
+    at or below twice the filter cutoff), a missing or empty id, a pair
+    another take already has, or a bad header is a ValueError naming the take
+    files involved; a missing sidecar is an OSError naming the sidecar.
     """
     sidecars, first, records = [], {}, {}
     for path in take_paths:
@@ -306,6 +307,7 @@ def _read_take_ids(
             raise ValueError(f"{first[ids]} and {path} are both participant {ids[0]!r}, "
                              f"stimulus {ids[1]!r}")
         first[ids] = path
+        check_take_header(path)
         sidecars.append(side)
     return sidecars, list(first), records
 

@@ -8,6 +8,7 @@ Butterworth low-pass filter.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
@@ -15,6 +16,7 @@ import threading
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
@@ -757,23 +759,38 @@ def scan_table(path: str | Path, raw: bytes, sep: str, width: Callable[[int, str
     return np.array(rows).reshape(len(rows), expected or 1)
 
 
-def _scan_take(path: Path, raw: bytes) -> np.ndarray:
-    """``scan_table`` on a take. A line 1 whose first field is ``#MARKERS``
-    and that is neither a bare ``#MARKERS`` nor ``TAKE_HEADER`` fails before
-    the body is read, naming the first label out of place."""
-    def width(lineno: int, line: str) -> int | None:
-        fields = line.split("\t")
-        if lineno > 1 or fields[0] != "#MARKERS":
-            return TAKE_WIDTH
-        if line not in ("#MARKERS", TAKE_HEADER):
-            pairs = zip_longest(fields[1:], MARKER_LABELS)
-            i, pair = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
-            got, want = ("no label" if label is None else repr(label) for label in pair)
-            raise TakeFormatError(f"{path}:1: marker {i + 1} is {got}, expected {want} (a header "
-                                  f"is a bare #MARKERS or the 21 standard labels in order)")
-        return None
+def _take_width(path: Path, lineno: int, line: str) -> int | None:
+    """``scan_table``'s ``width`` for a take: None for a header (a line 1 whose
+    first field is ``#MARKERS``), else ``TAKE_WIDTH``; a bad header fails."""
+    fields = line.split("\t")
+    if lineno > 1 or fields[0] != "#MARKERS":
+        return TAKE_WIDTH
+    if line not in ("#MARKERS", TAKE_HEADER):
+        pairs = zip_longest(fields[1:], MARKER_LABELS)
+        i, pair = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
+        got, want = ("no label" if label is None else repr(label) for label in pair)
+        raise TakeFormatError(f"{path}:1: marker {i + 1} is {got}, expected {want} (a header "
+                              f"is a bare #MARKERS or the 21 standard labels in order)")
+    return None
 
-    data = scan_table(path, raw, "\t", width, TakeFormatError)
+
+def check_take_header(path: Path) -> None:
+    """Check a take's line 1 as ``_scan_take`` does, from a bounded read of
+    the file's head, so a bad header fails before any body is read. Only a
+    line 1 that starts as a header and is longer than any good one is read
+    to its end, to name its fault; one that is not UTF-8 is left to the scan."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(TAKE_HEADER) + 3)   # the longest header, CR LF and a byte
+        line, end, _ = head.replace(b"\r", b"\n").partition(b"\n")
+        if not end and line.startswith(b"#MARKERS\t"):
+            line = (head + fh.read()).replace(b"\r", b"\n").partition(b"\n")[0]
+    with contextlib.suppress(UnicodeDecodeError):
+        _take_width(path, 1, line.decode("utf-8"))
+
+
+def _scan_take(path: Path, raw: bytes) -> np.ndarray:
+    """``scan_table`` on a take; a bad header fails before the body is read."""
+    data = scan_table(path, raw, "\t", partial(_take_width, path), TakeFormatError)
     if len(data) < 2:
         raise TakeFormatError(f"{path}: fewer than 2 frames")
     return data

@@ -1,9 +1,10 @@
 """Trait regressors: principal component regression and Bayesian ridge.
 
 Both map one feature matrix to one scalar trait, and both are the same
-linear predictor ``(x - x_mean) @ w + y_mean``. With the centered design
-factored as ``u @ diag(s) @ vh``, each weight vector is a filter on that
-SVD, ``w = vh.T @ (phi(s) * (u.T @ (y - y_mean)))``:
+linear predictor ``x @ w + b``. With the centered design factored as
+``u @ diag(s) @ vh``, each weight vector is a filter on that SVD,
+``w = vh.T @ (phi(s) * (u.T @ (y - y_mean)))``, and the training means
+fold into the intercept, ``b = y_mean - x_mean @ w``:
 
 - PCR keeps the top k singular values, ``phi(s) = 1/s``, which is least
   squares on the top-k principal scores;
@@ -111,11 +112,11 @@ class PcaBasis:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """``(x - x_mean) @ weights + intercept`` on the d features; ``kind`` names its fit."""
+    """``x @ weights + intercept`` on the d features, the training means
+    folded into the intercept; ``kind`` names its fit."""
 
     kind: str            # one of MODEL_KINDS
     weights: np.ndarray  # length d
-    x_mean: np.ndarray
     intercept: float
 
     @property
@@ -166,7 +167,7 @@ def fit_pcr(factor: CenteredSvd, y: np.ndarray, k: int) -> LinearModel:
 
     The scores are ``u[:, :k] * s[:k]``, so the weights on the d features
     are ``vh[:k].T @ (u[:, :k].T @ (y - y_mean) / s[:k])`` and the
-    intercept is ``y_mean``.
+    intercept is ``y_mean - mean @ weights``.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != factor.shape[0]:
@@ -177,7 +178,7 @@ def fit_pcr(factor: CenteredSvd, y: np.ndarray, k: int) -> LinearModel:
         raise ValueError("degenerate principal scores: a selected component has zero variance")
     y_mean = float(y.mean())
     weights = factor.vh[:k].T @ (factor.u[:, :k].T @ (y - y_mean) / s)
-    return LinearModel(kind="pcr", weights=weights, x_mean=factor.mean, intercept=y_mean)
+    return LinearModel("pcr", weights, float(y_mean - factor.mean @ weights))
 
 
 def fit_bayes_ridge(factor: CenteredSvd, y: np.ndarray, tol: float = 1e-3,
@@ -194,8 +195,8 @@ def fit_bayes_ridge(factor: CenteredSvd, y: np.ndarray, tol: float = 1e-3,
     The loop starts from alpha = 1/var(y), clamped, and lambda = 1, and stops
     when max |delta beta| < tol, or reports converged=False after
     max_iter. ``factor`` is the ``centered_svd`` of the design; the target is
-    centered here and the intercept is restored on the model; gamma is
-    reported at the final (alpha, lambda).
+    centered here, and the model's intercept folds both means back in; gamma
+    is reported at the final (alpha, lambda).
 
     The loop runs in the r coordinates of ``vh`` and forms the d-dim beta
     only for a step whose coordinate change is small enough that the test
@@ -274,7 +275,7 @@ def fit_bayes_ridge(factor: CenteredSvd, y: np.ndarray, tol: float = 1e-3,
         beta = vh.T @ coords
 
     return Evidence(
-        model=LinearModel(kind="bayes_ridge", weights=beta, x_mean=factor.mean, intercept=y_mean),
+        model=LinearModel("bayes_ridge", beta, float(y_mean - factor.mean @ beta)),
         alpha=alpha,
         lambda_=lam,
         gamma=float((eig / denom).sum()),
@@ -290,7 +291,7 @@ def predict_means(model: LinearModel, X) -> np.ndarray:
         raise TypeError(f"unknown model type {type(model).__name__}")
     if X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
-    return (X - model.x_mean) @ model.weights + model.intercept
+    return X @ model.weights + model.intercept
 
 
 class DatasetMode(str, Enum):
@@ -392,34 +393,32 @@ def load_trait_table(path: str | Path, *, raw: bytes | None = None) -> dict:
 
 def save_model(model: LinearModel, path: str | Path, provenance: dict | None = None) -> None:
     """Write a model file: a JSON object with the keys ``intercept``,
-    ``kind``, ``provenance`` (when given), ``weights`` and ``x_mean``, sorted.
+    ``kind``, ``provenance`` (when given) and ``weights``, sorted.
 
     The first three are written by ``json.dumps(indent=2)``, one provenance
-    key per line. ``weights`` and ``x_mean`` take one line each, written
-    together by ``format_g17`` with commas, except that ``-0`` (which JSON
-    reads as the integer 0) is written ``-0.0``. Seventeen significant
-    digits name one binary64 value, so every value reloads bit for bit. A
-    weight, mean or intercept that is not finite, which JSON cannot hold,
-    is a ValueError naming the file, and nothing is written.
+    key per line. ``weights`` takes one line, written by ``format_g17``
+    with commas, except that ``-0`` (which JSON reads as the integer 0) is
+    written ``-0.0``. Seventeen significant digits name one binary64 value,
+    so every value reloads bit for bit. A weight or intercept that is not
+    finite, which JSON cannot hold, is a ValueError naming the file, and
+    nothing is written.
     """
     if not isinstance(model, LinearModel):
         raise TypeError(f"unknown model type {type(model).__name__}")
     path = Path(path)
-    for name in ("weights", "x_mean", "intercept"):
+    for name in ("weights", "intercept"):
         if not np.isfinite(getattr(model, name)).all():
             raise ValueError(f"{path}: the {model.kind} model's {name} is not all finite")
     doc = {"intercept": model.intercept, "kind": model.kind}
     if provenance is not None:
         doc["provenance"] = provenance
     head = json.dumps(doc, indent=2, sort_keys=True)[:-2].encode()   # without its "\n}"
-    values = np.array([model.weights, model.x_mean], dtype=float)
-    rows = format_g17(values, ",")
-    if (np.signbit(values) & (values == 0)).any():   # rare; the search costs more than the format
-        rows = re.sub(rb"(?<![^,\n])-0(?![^,\n])", b"-0.0", rows)
-    weights, x_mean, _ = rows.split(b"\n")
+    weights = np.asarray(model.weights, dtype=float)
+    row = format_g17(weights[None, :], ",")[:-1]
+    if (np.signbit(weights) & (weights == 0)).any():   # rare; the search costs more than the format
+        row = re.sub(rb"(?<![^,])-0(?![^,])", b"-0.0", row)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(head + b',\n  "weights": [' + weights
-                     + b'],\n  "x_mean": [' + x_mean + b"]\n}\n")
+    path.write_bytes(head + b',\n  "weights": [' + row + b"]\n}\n")
 
 
 def read_json_object(path: str | Path, what: str, *, raw: bytes | None = None) -> dict:
@@ -441,17 +440,22 @@ def load_model(path: str | Path, *, raw: bytes | None = None) -> LinearModel:
 
     ``raw`` is the file's bytes when the caller has already read them (to
     hash them); otherwise the file is read once here. A file that is not a
-    JSON object, or lacks an entry, is a ValueError naming the file.
+    JSON object, lacks an entry, or holds the ``x_mean`` or ``basis`` of a
+    former layout (whose intercept or weights mean something else) is a
+    ValueError naming the file.
     """
     doc = read_json_object(path, "model file", raw=raw)
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
+    former = sorted(doc.keys() & {"x_mean", "basis"})
+    if former:
+        raise ValueError(f"{path}: a model file of a former layout (it holds {former[0]!r}); "
+                         f"run train again")
     try:
         return LinearModel(
             kind=kind,
             weights=np.asarray(doc["weights"], dtype=float),
-            x_mean=np.asarray(doc["x_mean"], dtype=float),
             intercept=float(doc["intercept"]),
         )
     except KeyError as exc:

@@ -275,6 +275,15 @@ def fit_bayes_ridge_every_step(factor, y, tol=1e-3, max_iter=300) -> Evidence:
             break
         beta = new_beta
     return Evidence(
-        model=LinearModel(kind="bayes_ridge", weights=beta, x_mean=factor.mean, intercept=y_mean),
+        model=LinearModel(kind="bayes_ridge", weights=beta,
+                          intercept=float(y_mean - factor.mean @ beta)),
         alpha=alpha, lambda_=lam, gamma=float((eig / denom).sum()), converged=converged,
         iterations=iterations)
+
+
+def predict_centered(x_mean: np.ndarray, weights: np.ndarray, y_mean: float,
+                     X: np.ndarray) -> np.ndarray:
+    """The linear predictor before the training means were folded into the
+    intercept, ``(X - x_mean) @ weights + y_mean``: the oracle for
+    ``regression.predict_means`` on a fitted model."""
+    return (np.atleast_2d(X) - x_mean) @ weights + y_mean

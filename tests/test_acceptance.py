@@ -280,4 +280,4 @@ def test_model_files_are_valid_json(tmp_path):
             (cfg.resolved_output_dir() / "train" / "model_EQ.json").read_text()
         )
         assert doc["kind"] == "bayes_ridge"
-        assert set(doc) == {"kind", "weights", "x_mean", "intercept", "provenance"}
+        assert set(doc) == {"kind", "weights", "intercept", "provenance"}

@@ -33,7 +33,13 @@ from movetrait.features import (
     load_feature_rows,
     rows_path,
 )
-from movetrait.mocap import MARKER_LABELS, read_exact_csv, scan_table
+from movetrait.mocap import (
+    MARKER_LABELS,
+    check_take_header,
+    load_take,
+    read_exact_csv,
+    scan_table,
+)
 from movetrait.regression import (
     build_dataset,
     centered_svd,
@@ -345,7 +351,9 @@ class TestExtract:
         assert gone == [("take at velocity", True), ("joints at velocity kernel", True)]
 
     def test_each_take_read_once(self, dataset_dir, tmp_path, monkeypatch):
-        opened = []
+        """Each take is read once in full, apart from the bounded read of its
+        head that checks its header first."""
+        opened, peeked = [], []
         real_open = io.open
 
         def counting_open(file, *args, **kwargs):
@@ -353,15 +361,21 @@ class TestExtract:
                 opened.append(Path(file).name)
             return real_open(file, *args, **kwargs)
 
+        def counting_peek(path):
+            peeked.append(path.name)
+            return check_take_header(path)
+
         monkeypatch.setattr(io, "open", counting_open)  # Path.open goes through io.open
         monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(cli, "check_take_header", counting_peek)
         cfg = make_config(dataset_dir, tmp_path)
         cmd_extract(cfg)
         monkeypatch.undo()
         takes = sorted(p.name for p in dataset_dir.glob("P*_S*.tsv"))
         sidecars = sorted(p.name for p in dataset_dir.glob("P*_S*.json"))
         assert len(sidecars) == len(takes) == 20
-        assert sorted(opened) == sorted(takes + sidecars)
+        assert sorted(peeked) == takes
+        assert sorted(opened) == sorted(takes + peeked + sidecars)
         manifest = json.loads((cfg.resolved_features_dir() / "manifest.json").read_text())
         assert sorted(manifest["inputs"]) == sorted(takes + sidecars)
         for name in takes + sidecars:
@@ -420,6 +434,43 @@ class TestExtract:
         err = capsys.readouterr().err
         assert f"{bad}:1: marker 1 is 'R_toe', expected 'LF_head'" in err
         assert not list(out.rglob("features_*.csv"))
+
+    # (line end, header labels from the standard ones, the fault named); a
+    # header longer than any good one is read past the bounded peek
+    LAST_TAKE_HEADERS = [
+        ("\n", lambda labels: [labels[1], labels[0], *labels[2:]],
+         "marker 1 is 'RF_head', expected 'LF_head'"),
+        ("\r", lambda labels: labels[:20], "marker 21 is no label, expected 'R_toe'"),
+        ("\r\n", lambda labels: ["x" * 300, *labels[1:]],
+         f"marker 1 is '{'x' * 300}', expected 'LF_head'"),
+    ]
+
+    @pytest.mark.parametrize("sep, labels, fault", LAST_TAKE_HEADERS,
+                             ids=["swapped", "short cr", "long crlf"])
+    def test_bad_header_on_last_take_fails_before_any_featurizing(
+            self, dataset_dir, tmp_path, capsys, monkeypatch, sep, labels, fault):
+        takes = tmp_path / "takes"
+        takes.mkdir()
+        for src in sorted(dataset_dir.glob("P00[0-2]_S0*")):
+            (takes / src.name).write_bytes(src.read_bytes())
+        bad = sorted(takes.glob("*.tsv"))[-1]
+        header, *rows = bad.read_text().splitlines()
+        bad.write_bytes(sep.join(["\t".join(["#MARKERS", *labels(list(MARKER_LABELS))]),
+                                  *rows, ""]).encode())
+        calls = []
+        real = cli.extract_features
+        monkeypatch.setattr(cli, "extract_features", lambda *a: calls.append(a) or real(*a))
+        out = tmp_path / "out"
+        rc = main(["extract", "--set", f"takes_dir={takes}", "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:1: {fault} (a header is a bare #MARKERS" in err
+        assert calls == []
+        assert not list(out.rglob("features_*.csv"))
+        # the full parse names the same fault
+        with pytest.raises(ValueError) as info:
+            load_take(bad)
+        assert str(info.value) in err
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_bad_workers_rejected_before_any_take_is_read(
@@ -510,20 +561,28 @@ class TestTrain:
         logged = capsys.readouterr().out
         assert "event=train" in logged and "train_r2=" in logged
 
-    def test_each_input_hashed_once(self, dataset_dir, tmp_path):
+    def test_each_input_hashed_once(self, dataset_dir, tmp_path, monkeypatch):
         # every stage opens each file it reads once, and its manifest lists
-        # exactly those files, hashed from the bytes that were parsed
+        # exactly those files, hashed from the bytes that were parsed;
+        # extract also opens each take once before, to check its header
         cfg = make_config(dataset_dir, tmp_path / "out", traits=("EQ", "SQ"))
         stages = {"extract": cmd_extract, "train": cmd_train, "evaluate": cmd_evaluate,
                   "importance": cmd_importance, "report": cmd_report}
+        peeked = []
+        monkeypatch.setattr(cli, "check_take_header",
+                            lambda path: peeked.append(path) or check_take_header(path))
         for stage, command in stages.items():
             existing = [p for root in (dataset_dir, tmp_path / "out")
                         for p in root.rglob("*") if p.is_file()]
+            peeked.clear()
             with contextlib.ExitStack() as stack:
                 opens = {p: stack.enter_context(_opens_of(p)) for p in existing}
                 command(cfg)
             opened = {p: modes for p, modes in opens.items() if modes}
-            assert all(len(modes) == 1 for modes in opened.values()), (stage, opened)
+            assert sorted(peeked) == (sorted(dataset_dir.glob("*.tsv")) if stage == "extract"
+                                      else []), stage
+            assert all(len(modes) == 1 + peeked.count(p) for p, modes in opened.items()), (
+                stage, opened)
             out_dir = cfg.resolved_features_dir() if stage == "extract" else tmp_path / "out" / stage
             manifest = json.loads((out_dir / "manifest.json").read_text())["inputs"]
             assert {Path(entry["path"]) for entry in manifest.values()} == set(opened), stage
@@ -1071,6 +1130,23 @@ class TestImportanceAndReport:
             assert len(doc["weights"]) == 1770
             assert "basis" not in doc
             assert (tmp_path / "importance" / f"importance_{trait}.csv").exists()
+
+    def test_centered_model_file_fails_importance(self, extracted, tmp_path, capsys):
+        # a model file from before the training means folded into the intercept
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            **extracted.to_dict(), "output_dir": str(tmp_path),
+            "features_dir": str(extracted.resolved_features_dir()),
+        }))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        path = tmp_path / "train" / "model_N.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "x_mean": [0.0] * len(doc["weights"])}))
+        capsys.readouterr()
+        assert main(["importance", "-c", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: a model file of a former layout (it holds 'x_mean'); run train again" in err
+        assert not (tmp_path / "importance").exists()
 
     def test_report_contains_spearman_and_reference(self, extracted):
         cfg = PipelineConfig.from_dict({**extracted.to_dict(), "traits": ["EQ"]})

@@ -30,6 +30,7 @@ from movetrait.mocap import (
     TAKE_WIDTH,
     _parse_fast,
     _scan_take,
+    check_take_header,
 )
 import oracles
 from oracles import filter_magnitude_squared
@@ -262,6 +263,11 @@ class TestParsePaths:
             assert outcome == "vector" and fast is read[-1]
         path = tmp_path / "take.tsv"
         path.write_bytes(raw)
+        try:   # extract's header check names what the scan names on line 1
+            check_take_header(path)
+            header_fault = None
+        except TakeFormatError as exc:
+            header_fault = str(exc)
         try:
             data = _scan_take(path, raw)
         except TakeFormatError as exc:
@@ -269,11 +275,31 @@ class TestParsePaths:
             with pytest.raises(TakeFormatError) as got:
                 load_take(path, {"frame_rate": 120.0})
             assert str(got.value) == str(exc)
+            assert header_fault == (str(exc) if f"{path}:1: marker" in str(exc) else None)
             return
-        assert outcome != "error"
+        assert outcome != "error" and header_fault is None
         take = load_take(path, {"frame_rate": 120.0})
         assert take.data.shape == data.shape
         assert take.data.tobytes() == data.tobytes()
+
+    def test_header_check_reads_a_bounded_head(self, tmp_path, monkeypatch):
+        read = []
+        real_open = open
+
+        def counting_open(*args):
+            fh = real_open(*args)
+            real_read = fh.read
+            fh.read = lambda *a: read.append(real_read(*a)) or read[-1]
+            return fh
+
+        monkeypatch.setattr(mocap, "open", counting_open, raising=False)
+        path = tmp_path / "take.tsv"
+        body = _tsv(_rows_with(257), header=False)
+        for head in (TAKE_HEADER.encode() + b"\r\n", b"#MARKERS\n", b""):
+            read.clear()
+            path.write_bytes(head + body)
+            check_take_header(path)
+            assert sum(map(len, read)) == len(TAKE_HEADER) + 3
 
     def test_raw_bytes_used_instead_of_reading(self, tmp_path):
         raw = _tsv(_ONES)

@@ -15,6 +15,7 @@ from movetrait.mocap import derive_joints, velocity
 from movetrait.regression import (
     _HYPER_MAX,
     _HYPER_MIN,
+    MODEL_KINDS,
     TRAIT_NAMES,
     CenteredSvd,
     DatasetMode,
@@ -30,7 +31,7 @@ from movetrait.regression import (
     save_model,
 )
 from movetrait.synth import default_strong_spec, generate
-from oracles import fit_bayes_ridge_every_step
+from oracles import fit_bayes_ridge_every_step, predict_centered
 
 
 class TestFitPca:
@@ -478,6 +479,45 @@ class TestTallSideFactor:
             self.check(xtr, Y[train].T, xva, k)
 
 
+class TestInterceptFold:
+    """A model is ``x @ weights + intercept``, with the training means folded
+    into the intercept. Its predictions agree with the centered predictor
+    ``(x - x_mean) @ weights + y_mean`` (``oracles.predict_centered``) to
+    1e-10 of max(1, max|y|), on the training rows and on held-out rows."""
+
+    @staticmethod
+    def check(factor, y, rows, k):
+        """Both fits of one fold against the centered predictor; whether the
+        Bayesian-ridge alpha ended on its upper clamp."""
+        bound = 1e-10 * max(1.0, float(np.abs(y).max()))
+        fit = fit_bayes_ridge(factor, y)
+        for model in (fit_pcr(factor, y, k), fit.model):
+            want = predict_centered(factor.mean, model.weights, float(y.mean()), rows)
+            assert np.abs(predict_means(model, rows) - want).max() <= bound, model.kind
+        return fit.alpha == _HYPER_MAX
+
+    @pytest.mark.parametrize("name", ["32x1770", "32x1770 standardized"])
+    def test_cv_sized_blocks(self, name):
+        X, y, X_val = _tall_side_blocks()[name]
+        self.check(centered_svd(X), y, np.vstack([X, X_val]), k=16)
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    @pytest.mark.parametrize("kind, k", [("position", 24), ("velocity", 16)])
+    def test_folds_of_a_synth_dataset(self, kind, k, standardized):
+        X, Y = _synth_design(kind)
+        clamped = 0
+        for train, val in _synth_folds(len(X)):
+            xtr, xva = X[train], X[val]
+            if standardized:
+                mu, sd = gaussian_stats(xtr)
+                xtr, xva = apply_gaussian_stats(xtr, mu, sd), apply_gaussian_stats(xva, mu, sd)
+            factor = centered_svd(xtr)
+            for y in Y[train].T:
+                clamped += self.check(factor, y, np.vstack([xtr, xva]), k)
+        if kind == "position" and not standardized:
+            assert clamped   # some folds interpolate: alpha ends on the 1e12 clamp
+
+
 class _CountedVh(np.ndarray):
     """A factor's ``vh`` that counts its transposes, one per d-dim product
     ``vh.T @ coords`` of the evidence loop."""
@@ -574,13 +614,13 @@ class TestEvidenceSkip:
 
 
 class TestPredict:
-    def test_mean_at_training_center_is_intercept(self):
+    def test_mean_at_training_center_is_target_mean(self):
         rng = np.random.default_rng(30)
         X = rng.normal(size=(50, 5))
         y = X @ np.ones(5) + rng.normal(scale=0.1, size=50)
         model = fit_bayes_ridge(centered_svd(X), y).model
         mean = predict_means(model, X.mean(axis=0)[None, :])[0]
-        assert mean == pytest.approx(model.intercept, abs=1e-9)
+        assert mean == pytest.approx(y.mean(), abs=1e-9)
 
     def test_pcr_prediction_matches_fit(self):
         rng = np.random.default_rng(32)
@@ -696,15 +736,14 @@ class TestCenteredSvd:
     def test_pcr_from_factor_identical(self):
         X, y = self._data()
         a, b = fit_pcr(centered_svd(X), y, k=5), fit_pcr(self._worn(X, y), y, k=5)
-        assert vars(a).keys() == vars(b).keys() == {"kind", "weights", "x_mean", "intercept"}
+        assert vars(a).keys() == vars(b).keys() == {"kind", "weights", "intercept"}
         for name, value in vars(a).items():
             np.testing.assert_array_equal(getattr(b, name), value, err_msg=name)
 
     def test_bayes_from_factor_identical(self):
         X, y = self._data()
         a, b = fit_bayes_ridge(centered_svd(X), y), fit_bayes_ridge(self._worn(X, y), y)
-        for field in ("weights", "x_mean"):
-            np.testing.assert_array_equal(getattr(a.model, field), getattr(b.model, field))
+        np.testing.assert_array_equal(a.model.weights, b.model.weights)
         assert (a.alpha, a.lambda_, a.gamma, a.model.intercept, a.converged, a.iterations) == (
             b.alpha, b.lambda_, b.gamma, b.model.intercept, b.converged, b.iterations)
 
@@ -813,15 +852,15 @@ class TestModelPersistence:
         """A saved and reloaded model equals the in-memory one, field by field,
         and both kinds write the same entries."""
         rng = np.random.default_rng(42)
-        X = rng.normal(size=(30, 16)) + 3.0
+        X = rng.normal(size=(30, 20)) + 3.0
         y = X[:, 0] - 0.5 * X[:, 2] + rng.normal(scale=0.1, size=30)
         f = centered_svd(X)
         model = fit_bayes_ridge(f, y).model if kind == "bayes_ridge" else fit_pcr(f, y, k=4)
-        # edge values, which the writer formats apart from its fixed-notation fields
+        # edge values of both signs, which the writer formats apart from its
+        # fixed-notation fields
         edges = np.array([5e-324, -0.0, 1e-300, np.nextafter(1e-4, 0), 1e-4,
                           np.nextafter(1e16, np.inf), np.nextafter(1e17, 0), 1e17, -1e22])
-        model = dataclasses.replace(model, weights=np.r_[edges, model.weights[9:]],
-                                    x_mean=np.r_[model.x_mean[:7], -edges])
+        model = dataclasses.replace(model, weights=np.r_[edges, -edges, model.weights[18:]])
         path = tmp_path / "model.json"
         save_model(model, path, provenance={"config_sha256": "abc"})
         loaded = load_model(path)
@@ -835,27 +874,28 @@ class TestModelPersistence:
                 assert got[name].tobytes() == value.tobytes(), name   # -0.0 too
             else:
                 assert got[name] == value, name
-        rows = rng.normal(size=(10, 16)) + 3.0
+        rows = rng.normal(size=(10, 20)) + 3.0
         np.testing.assert_array_equal(predict_means(loaded, rows), predict_means(model, rows))
 
         def no_constant(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
         doc = json.loads(path.read_text(), parse_constant=no_constant)
-        assert set(doc) == {"kind", "weights", "x_mean", "intercept", "provenance"}
+        assert set(doc) == {"kind", "weights", "intercept", "provenance"}
 
-    @pytest.mark.parametrize("field", ["weights", "x_mean", "intercept"])
+    @pytest.mark.parametrize("field", ["weights", "intercept"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected_naming_the_file(self, tmp_path, field, bad):
-        model = LinearModel("pcr", np.ones(3), np.zeros(3), 0.5)
+        model = LinearModel("pcr", np.ones(3), 0.5)
         value = bad if field == "intercept" else np.r_[getattr(model, field)[:2], bad]
         path = tmp_path / "model_O.json"
         with pytest.raises(ValueError, match=rf"model_O\.json: .*{field} is not all finite"):
             save_model(dataclasses.replace(model, **{field: value}), path)
         assert not path.exists()
 
-    def test_former_bayes_file_loads(self, tmp_path):
-        # a Bayesian-ridge file in the former layout, with its evidence fit and factor
+    def test_evidence_fit_entries_ignored(self, tmp_path):
+        # a Bayesian-ridge file with the evidence fit and factor that a
+        # former layout also held
         rng = np.random.default_rng(43)
         X = rng.normal(size=(30, 5))
         fit = fit_bayes_ridge(centered_svd(X), X[:, 1] + rng.normal(scale=0.1, size=30))
@@ -876,5 +916,17 @@ class TestModelPersistence:
         path = tmp_path / "model_O.json"
         path.write_text(json.dumps({"kind": "pcr", "intercept": 1.0, "weights": [0.5],
                                     "basis": {"mean": [0.0], "components": [[1.0]]}}))
-        with pytest.raises(ValueError, match=r"model_O\.json: pcr model file has no 'x_mean'"):
+        with pytest.raises(ValueError, match=r"model_O\.json: a model file of a former layout "
+                                             r"\(it holds 'basis'\); run train again"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_centered_file_rejected_naming_the_file(self, tmp_path, kind):
+        # the layout before the training means folded into the intercept: its
+        # intercept is the target mean, for rows centered on x_mean
+        path = tmp_path / "model_O.json"
+        path.write_text(json.dumps({"kind": kind, "intercept": 1.0, "weights": [0.5, 2.0],
+                                    "x_mean": [0.0, 1.0]}))
+        with pytest.raises(ValueError, match=r"model_O\.json: a model file of a former layout "
+                                             r"\(it holds 'x_mean'\); run train again"):
             load_model(path)
