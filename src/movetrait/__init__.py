@@ -5,7 +5,6 @@ trained PCR / Bayesian ridge regressors for scalar traits, to per-joint
 importance profiles derived from the learned weights.
 """
 from .mocap import (
-    MarkerTake,
     TakeFormatError,
     derive_joints,
     load_take,
@@ -43,6 +42,6 @@ from .importance import (
     minmax_normalize,
     reduce_to_groups,
 )
-from .synth import SynthSpec, TraitCoupling, generate, iter_takes, sample_traits
+from .synth import SynthSpec, TraitCoupling, iter_takes, sample_traits
 
 __version__ = "0.1.0"

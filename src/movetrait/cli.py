@@ -202,13 +202,9 @@ def apply_overrides(cfg: PipelineConfig, overrides: list[str]) -> PipelineConfig
 
 
 def log(event: str, **kv) -> None:
-    parts = [f"event={event}"]
-    for k, v in kv.items():
-        if isinstance(v, float):
-            parts.append(f"{k}={v:.6g}")
-        else:
-            parts.append(f"{k}={v}")
-    print(" ".join(parts))
+    """One ``event=<event> key=value ...`` line on stdout; every value is
+    written with ``str``, so a logged float reads back as the same float."""
+    print(" ".join([f"event={event}"] + [f"{k}={v}" for k, v in kv.items()]))
 
 
 # No stage calls this: each hashes the bytes it parsed (``_read_recorded``).
@@ -313,7 +309,9 @@ def _read_take_ids(
 
 
 def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, tuple]:
-    """One take's feature vectors by kind and the take's manifest record.
+    """One take's feature vectors by kind and the take's manifest record;
+    ``side`` is the take's sidecar as ``_read_take_ids`` checked it, and
+    gives the frame rate.
 
     The file is read once: the same bytes are parsed and hashed. Each
     layer's input is dropped once the next layer has returned (the bytes
@@ -322,17 +320,16 @@ def _featurize_take(path: Path, side: dict, cfg: PipelineConfig) -> tuple[dict, 
     velocities at once.
     """
     raw, record = _read_recorded(path)
-    take = load_take(path, metadata=side, raw=raw)  # its TakeFormatErrors carry file:line
+    markers = load_take(path, raw=raw)  # its TakeFormatErrors carry file:line
     del raw
-    frame_rate = take.frame_rate
     out = {}
     try:
-        joints = derive_joints(take)
-        del take
+        joints = derive_joints(markers)
+        del markers
         if "position" in cfg.extract_kinds:
             out["position"] = extract_features(joints, cfg.sigma)
         if "velocity" in cfg.extract_kinds:
-            moving = velocity(joints, frame_rate)
+            moving = velocity(joints, side["frame_rate"])
             del joints
             out["velocity"] = extract_features(moving, cfg.sigma)
     except ValueError as exc:

@@ -8,14 +8,12 @@ Butterworth low-pass filter.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import mmap
 import threading
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
@@ -51,37 +49,6 @@ class TakeFormatError(ValueError):
     """Raised when a take file or its sidecar violates the format contract."""
 
 
-@dataclass(frozen=True)
-class MarkerTake:
-    """One recording: frames x 63 positions in millimeters.
-
-    Columns are marker-major: marker0.x, marker0.y, marker0.z, marker1.x, ...
-    Values are immutable after construction and safe to share across threads.
-    """
-
-    data: np.ndarray
-    frame_rate: float
-    participant_id: str = ""
-    stimulus_id: str = ""
-
-    def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[1] != TAKE_WIDTH:
-            raise ValueError(f"marker data must be frames x {TAKE_WIDTH}, got shape {data.shape}")
-        if data.shape[0] < 2:
-            raise ValueError("a take needs at least 2 frames")
-        if not self.frame_rate > 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
-        if not np.isfinite(data).all():
-            raise ValueError("non-finite sample in marker data")
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-
-    @property
-    def frames(self) -> int:
-        return self.data.shape[0]
-
-
 # Joint recipes as (label, source marker indices); single-source joints copy
 # the marker column, multi-source joints average them.
 DEFAULT_JOINT_RECIPES: tuple[tuple[str, tuple[int, ...]], ...] = (
@@ -108,20 +75,13 @@ DEFAULT_JOINT_RECIPES: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-def read_sidecar(take_path: Path, metadata=None) -> dict:
-    """A take's sidecar, checked as ``parse_sidecar`` checks it: ``metadata``
-    if it is a mapping, else the take's ``.json`` sibling, else ``{}``."""
-    side_path = take_path.with_suffix(".json")
-    if metadata is None and side_path.exists():
-        return parse_sidecar(side_path.read_bytes(), take_path)
-    return _with_frame_rate(take_path, dict(metadata or {}))
-
-
 def parse_sidecar(raw: bytes, take_path: Path) -> dict:
-    """The JSON object in the bytes of ``take_path``'s sidecar, with its
-    ``frame_rate`` checked: TakeFormatError naming the sidecar if it is not
-    a JSON object, naming the take if the rate is not a finite number > 0.
-    A missing rate falls back to 120 Hz with a warning."""
+    """The JSON object in the bytes of ``take_path``'s sidecar (its ``.json``
+    sibling), with its ``frame_rate`` checked and made a float: TakeFormatError
+    naming the sidecar if it is not a JSON object, naming the take if the
+    rate is not a finite number > 0. A missing rate falls back to 120 Hz with
+    a warning that points at the caller. A take's rate and ids come from
+    here alone: ``load_take`` reads only the take file."""
     side_path = take_path.with_suffix(".json")
     try:
         side = json.loads(raw.decode("utf-8"))
@@ -130,15 +90,11 @@ def parse_sidecar(raw: bytes, take_path: Path) -> dict:
     if not isinstance(side, dict):
         raise TakeFormatError(
             f"{side_path}: sidecar must be a JSON object, got {type(side).__name__}")
-    return _with_frame_rate(take_path, side)
-
-
-def _with_frame_rate(take_path: Path, side: dict) -> dict:
     value = side.get("frame_rate")
     if "frame_rate" not in side:
         warnings.warn(
             f"{take_path}: sidecar omits frame_rate, assuming {DEFAULT_FRAME_RATE} Hz",
-            stacklevel=4,
+            stacklevel=2,
         )
         value = DEFAULT_FRAME_RATE
     elif (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -701,6 +657,14 @@ def _lines(raw: bytes) -> Iterator[tuple[int, bytes]]:
         start, lineno = end + 1, lineno + 1
 
 
+def _decode_line(path: str | Path, lineno: int, line: bytes, error: type[ValueError]) -> str:
+    """``line`` decoded as UTF-8, or ``error`` naming the file and the line."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 on line {lineno} ({exc})") from None
+
+
 def scan_table(path: str | Path, raw: bytes, sep: str, width: Callable[[int, str], int | None],
                error: type[ValueError] = ValueError) -> np.ndarray:
     """Rows of ``sep``-separated numbers, one per nonblank line of ``raw``,
@@ -724,10 +688,7 @@ def scan_table(path: str | Path, raw: bytes, sep: str, width: Callable[[int, str
     for lineno, line in _lines(raw):
         if not line:
             continue
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise error(f"{path}: not valid UTF-8 on line {lineno} ({exc})") from None
+        line = _decode_line(path, lineno, line, error)
         if expected is None:
             expected = width(lineno, line)
             if expected is None:
@@ -776,16 +737,20 @@ def _take_width(path: Path, lineno: int, line: str) -> int | None:
 
 def check_take_header(path: Path) -> None:
     """Check a take's line 1 as ``_scan_take`` does, from a bounded read of
-    the file's head, so a bad header fails before any body is read. Only a
-    line 1 that starts as a header and is longer than any good one is read
-    to its end, to name its fault; one that is not UTF-8 is left to the scan."""
+    the file's head, so a bad header, or a line 1 that is not UTF-8, fails
+    before any body is read. Only a line 1 that starts as a header and is
+    longer than any good one is read to its end, to name its fault; any
+    other line 1 that runs past the head is left to the parse, so no
+    character cut at the head's end is judged."""
+    peek = len(TAKE_HEADER) + 3   # the longest header, CR LF and a byte
     with open(path, "rb") as fh:
-        head = fh.read(len(TAKE_HEADER) + 3)   # the longest header, CR LF and a byte
+        head = fh.read(peek)
         line, end, _ = head.replace(b"\r", b"\n").partition(b"\n")
-        if not end and line.startswith(b"#MARKERS\t"):
+        if not end and len(head) == peek:
+            if not line.startswith(b"#MARKERS\t"):
+                return
             line = (head + fh.read()).replace(b"\r", b"\n").partition(b"\n")[0]
-    with contextlib.suppress(UnicodeDecodeError):
-        _take_width(path, 1, line.decode("utf-8"))
+    _take_width(path, 1, _decode_line(path, 1, line, TakeFormatError))
 
 
 def _scan_take(path: Path, raw: bytes) -> np.ndarray:
@@ -796,59 +761,52 @@ def _scan_take(path: Path, raw: bytes) -> np.ndarray:
     return data
 
 
-def load_take(path: str | Path, metadata=None, *, raw: bytes | None = None) -> MarkerTake:
-    """Read a tab-separated take file plus its metadata sidecar.
+def load_take(path: str | Path, *, raw: bytes | None = None) -> np.ndarray:
+    """The samples of a tab-separated take file: frames x 63 float64
+    positions (mm), marker-major (marker0.x, marker0.y, marker0.z,
+    marker1.x, ...), at least 2 frames, every sample finite.
 
     The file may start with a bare ``#MARKERS`` line or ``TAKE_HEADER`` (the
     labels of ``MARKER_LABELS`` in order), checked before the body; every
-    other line holds 63 decimal numbers (mm). ``metadata`` is a mapping
-    supplying frame_rate, participant_id and stimulus_id; by default the
-    file's ``.json`` sibling is used. The sidecar is checked
-    (``parse_sidecar``) before the body is parsed. ``raw`` is the file's
-    bytes when the caller has already read them; otherwise the file is read
-    once here.
+    other line holds 63 decimal numbers. ``raw`` is the file's bytes when
+    the caller has already read them; otherwise the file is read once here.
+    The take's frame rate and ids live in its sidecar (``parse_sidecar``).
 
     The body is parsed by an exact vectorized reader that releases the GIL.
     What it declines, and every take where the long double is too narrow
     for it, goes through a line scan, which accepts what it can and
-    otherwise raises TakeFormatError with file and line context on
-    malformed rows, non-finite cells or fewer than 2 frames. Invalid
-    UTF-8, a sidecar that is not a JSON object and a frame rate that is
-    not a finite number > 0 raise TakeFormatError naming the file.
+    otherwise raises TakeFormatError with file and line context on invalid
+    UTF-8, malformed rows, non-finite cells or fewer than 2 frames.
     """
     path = Path(path)
-    side = read_sidecar(path, metadata)
     if raw is None:
         raw = path.read_bytes()
     data = _parse_fast(raw)
-    if data is None:
-        data = _scan_take(path, raw)
-    return MarkerTake(
-        data=data,
-        frame_rate=side["frame_rate"],
-        participant_id=str(side.get("participant_id", "")),
-        stimulus_id=str(side.get("stimulus_id", "")),
-    )
+    return _scan_take(path, raw) if data is None else data
 
 
-def derive_joints(take: MarkerTake) -> np.ndarray:
-    """Derive the 20-joint position trajectories (mm) from a 21-marker take.
+def derive_joints(markers: np.ndarray) -> np.ndarray:
+    """Derive the 20-joint position trajectories (mm) from the frames x 63
+    samples of a 21-marker take (``load_take``).
 
     Returns frames x 60, joint-major: column i belongs to joint i // 3 and
     coordinate i % 3 (0=X, 1=Y, 2=Z). The markers are read by position, in
-    ``MARKER_LABELS`` order, the one order a take may have.
+    ``MARKER_LABELS`` order, the one order a take may have; any other width
+    is a ValueError.
 
     Single-source joints copy the marker columns bit for bit; multi-source
     joints take the per-frame, per-coordinate arithmetic mean.
     """
-    out = np.empty((take.frames, 60), dtype=float)
+    if markers.ndim != 2 or markers.shape[1] != TAKE_WIDTH:
+        raise ValueError(f"marker data must be frames x {TAKE_WIDTH}, got shape {markers.shape}")
+    out = np.empty((len(markers), 60), dtype=float)
     for jidx, (_, sources) in enumerate(DEFAULT_JOINT_RECIPES):
         cols = out[:, 3 * jidx:3 * jidx + 3]
         if len(sources) == 1:
             m = sources[0]
-            cols[:] = take.data[:, 3 * m:3 * m + 3]
+            cols[:] = markers[:, 3 * m:3 * m + 3]
         else:
-            stack = np.stack([take.data[:, 3 * m:3 * m + 3] for m in sources])
+            stack = np.stack([markers[:, 3 * m:3 * m + 3] for m in sources])
             cols[:] = stack.mean(axis=0)
     return out
 

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .mocap import TAKE_HEADER, MarkerTake, format_g17
+from .mocap import TAKE_HEADER, format_g17
 from .regression import TRAIT_NAMES, read_json_object
 
 TRAIT_RANGES = {
@@ -102,8 +102,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.participants <= 0 or self.stimuli <= 0 or self.frames <= 0:
-            raise ValueError("participants, stimuli and frames must be positive")
+        if self.participants <= 0 or self.stimuli <= 0:
+            raise ValueError("participants and stimuli must be positive")
+        if self.frames < 2:
+            raise ValueError(f"frames must be at least 2, got {self.frames}")
         if self.frame_rate <= 0:
             raise ValueError("frame_rate must be positive")
         if self.noise_std < 0:
@@ -196,8 +198,9 @@ def generate_take(
     traits: dict[str, float],
     pidx: int,
     sidx: int,
-) -> MarkerTake:
-    """One participant's take for one stimulus.
+) -> np.ndarray:
+    """One participant's take for one stimulus: frames x 63 positions (mm),
+    as ``mocap.load_take`` reads them back.
 
     Trait-independent parts (template, sway, base phases) depend only on
     the stimulus, so participants with identical traits and zero noise move
@@ -231,28 +234,20 @@ def generate_take(
         rng = np.random.default_rng([spec.seed, _ROLE_NOISE, pidx, sidx])
         pos += rng.normal(0.0, spec.noise_std, size=pos.shape)
 
-    return MarkerTake(
-        data=pos,
-        frame_rate=spec.frame_rate,
-        participant_id=participant_label(pidx),
-        stimulus_id=stimulus_label(sidx),
-    )
+    if not np.isfinite(pos).all():
+        stem = f"{participant_label(pidx)}_{stimulus_label(sidx)}"
+        raise ValueError(f"non-finite sample in take {stem}")
+    return pos
 
 
-def iter_takes(spec: SynthSpec, traits=None) -> Iterator[MarkerTake]:
-    """Lazily yield all takes, participant-major; use for large specs."""
+def iter_takes(spec: SynthSpec, traits=None) -> Iterator[tuple[str, str, np.ndarray]]:
+    """Lazily yield ``(participant_id, stimulus_id, samples)`` for every take,
+    participant-major; ``traits`` defaults to ``sample_traits(spec)``."""
     traits = traits if traits is not None else sample_traits(spec)
     for pidx in range(spec.participants):
-        row = traits[participant_label(pidx)]
+        pid = participant_label(pidx)
         for sidx in range(spec.stimuli):
-            yield generate_take(spec, row, pidx, sidx)
-
-
-def generate(spec: SynthSpec) -> tuple[list[MarkerTake], dict[str, dict[str, float]]]:
-    """All takes plus the trait table. Holds everything in memory; for
-    desk-scale specs prefer iter_takes."""
-    traits = sample_traits(spec)
-    return list(iter_takes(spec, traits)), traits
+            yield pid, stimulus_label(sidx), generate_take(spec, traits[pid], pidx, sidx)
 
 
 def write_trait_table(traits: dict[str, dict[str, float]], path: str | Path) -> None:
@@ -265,15 +260,11 @@ def write_trait_table(traits: dict[str, dict[str, float]], path: str | Path) -> 
 def _write_take(spec: SynthSpec, out_dir: Path, job: tuple[int, int, dict[str, float]]) -> None:
     """Generate one take and write its .tsv and .json; runs in a pool worker."""
     pidx, sidx, traits = job
-    take = generate_take(spec, traits, pidx, sidx)
-    stem = f"{take.participant_id}_{take.stimulus_id}"
-    (out_dir / f"{stem}.tsv").write_bytes(f"{TAKE_HEADER}\n".encode() + format_g17(take.data))
-    sidecar = {
-        "frame_rate": take.frame_rate,
-        "participant_id": take.participant_id,
-        "stimulus_id": take.stimulus_id,
-    }
-    (out_dir / f"{stem}.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    pid, sid = participant_label(pidx), stimulus_label(sidx)
+    data = generate_take(spec, traits, pidx, sidx)
+    (out_dir / f"{pid}_{sid}.tsv").write_bytes(f"{TAKE_HEADER}\n".encode() + format_g17(data))
+    sidecar = {"frame_rate": spec.frame_rate, "participant_id": pid, "stimulus_id": sid}
+    (out_dir / f"{pid}_{sid}.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def write_dataset(spec: SynthSpec, out_dir: str | Path) -> dict:

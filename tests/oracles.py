@@ -64,16 +64,16 @@ def write_dataset_serial(spec, out_dir) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     traits = sample_traits(spec)
     header = "#MARKERS\t" + "\t".join(MARKER_LABELS)
-    for take in iter_takes(spec, traits):
-        stem = f"{take.participant_id}_{take.stimulus_id}"
-        row_format = "\t".join(["%.17g"] * take.data.shape[1])
+    for pid, sid, data in iter_takes(spec, traits):
+        stem = f"{pid}_{sid}"
+        row_format = "\t".join(["%.17g"] * data.shape[1])
         rows = [header]
-        rows.extend(row_format % tuple(frame) for frame in take.data.tolist())
+        rows.extend(row_format % tuple(frame) for frame in data.tolist())
         (out_dir / f"{stem}.tsv").write_text("\n".join(rows) + "\n")
         sidecar = {
-            "frame_rate": take.frame_rate,
-            "participant_id": take.participant_id,
-            "stimulus_id": take.stimulus_id,
+            "frame_rate": spec.frame_rate,
+            "participant_id": pid,
+            "stimulus_id": sid,
         }
         (out_dir / f"{stem}.json").write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n"

@@ -101,8 +101,8 @@ def test_c2_kernel_matches_scalar_oracle():
 def test_c3_feature_shape_and_round_trip():
     with criterion("feature-shape"):
         spec = default_strong_spec(participants=1, stimuli=1, frames=50, seed=3)
-        take = next(iter_takes(spec))
-        joints = derive_joints(take)
+        _, _, markers = next(iter_takes(spec))
+        joints = derive_joints(markers)
         assert joints.shape[1] == 60
         vec = extract_features(joints)
         assert vec.shape == (1770,)
@@ -181,9 +181,9 @@ def test_c7_end_to_end_planted_signal():
         spec = default_strong_spec()
         traits = sample_traits(spec)
         vecs, pids = [], []
-        for take in iter_takes(spec, traits):
-            vecs.append(extract_features(derive_joints(take)))
-            pids.append(take.participant_id)
+        for pid, _, markers in iter_takes(spec, traits):
+            vecs.append(extract_features(derive_joints(markers)))
+            pids.append(pid)
         values = np.stack(vecs)
         assert values.shape == (240, 1770)
         X, Y, participants = build_dataset(values, pids, traits, TRAIT_NAMES, "per_stimulus")

@@ -35,6 +35,7 @@ from movetrait.features import (
 )
 from movetrait.mocap import (
     MARKER_LABELS,
+    TAKE_HEADER,
     check_take_header,
     load_take,
     read_exact_csv,
@@ -472,6 +473,32 @@ class TestExtract:
             load_take(bad)
         assert str(info.value) in err
 
+    @pytest.mark.parametrize("header", [
+        TAKE_HEADER.encode().replace(b"LF_head", b"LF_\xffhead"),
+        b"#MARKERS\t" + b"x" * 300 + b"\xff",   # read past the bounded peek
+    ], ids=["standard", "long"])
+    def test_non_utf8_header_on_last_take_fails_before_any_featurizing(
+            self, dataset_dir, tmp_path, capsys, monkeypatch, header):
+        takes = tmp_path / "takes"
+        takes.mkdir()
+        for src in sorted(dataset_dir.glob("P00[0-2]_S0*")):
+            (takes / src.name).write_bytes(src.read_bytes())
+        bad = sorted(takes.glob("*.tsv"))[-1]
+        bad.write_bytes(header + b"\n" + bad.read_bytes().partition(b"\n")[2])
+        calls = []
+        monkeypatch.setattr(cli, "extract_features", lambda *a: calls.append(a))
+        out = tmp_path / "out"
+        rc = main(["extract", "--set", f"takes_dir={takes}", "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not valid UTF-8 on line 1 (" in err
+        assert calls == []
+        assert not list(out.rglob("features_*.csv"))
+        # the full parse names the same fault
+        with pytest.raises(ValueError) as info:
+            load_take(bad)
+        assert f"error: {info.value}\n" == err
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_bad_workers_rejected_before_any_take_is_read(
             self, dataset_dir, tmp_path, monkeypatch, workers):
@@ -560,6 +587,10 @@ class TestTrain:
             assert info["train_r2"] >= 0.99  # planted coupling, n << d
         logged = capsys.readouterr().out
         assert "event=train" in logged and "train_r2=" in logged
+        for line in logged.splitlines():
+            kv = dict(part.split("=", 1) for part in line.split())
+            if kv["event"] == "train":   # the logged value reads back bit for bit
+                assert float(kv["train_r2"]) == results[kv["trait"]]["train_r2"]
 
     def test_each_input_hashed_once(self, dataset_dir, tmp_path, monkeypatch):
         # every stage opens each file it reads once, and its manifest lists

@@ -16,7 +16,6 @@ from movetrait import mocap
 from movetrait.mocap import (
     DEFAULT_FRAME_RATE,
     DEFAULT_JOINT_RECIPES,
-    MarkerTake,
     TakeFormatError,
     butter_lowpass,
     derive_joints,
@@ -31,13 +30,13 @@ from movetrait.mocap import (
     _parse_fast,
     _scan_take,
     check_take_header,
+    parse_sidecar,
 )
 import oracles
 from oracles import filter_magnitude_squared
 
 
-def write_take(tmp_path, rows, frame_rate=120.0, name="take", header=True,
-               sidecar=True):
+def write_take(tmp_path, rows, frame_rate=120.0, name="take", header=True):
     lines = []
     if header:
         lines.append("#MARKERS\t" + "\t".join(MARKER_LABELS))
@@ -45,27 +44,23 @@ def write_take(tmp_path, rows, frame_rate=120.0, name="take", header=True,
         lines.append("\t".join(str(v) for v in row))
     path = tmp_path / f"{name}.tsv"
     path.write_text("\n".join(lines) + "\n")
-    if sidecar:
-        path.with_suffix(".json").write_text(json.dumps({
-            "frame_rate": frame_rate,
-            "participant_id": "P1",
-            "stimulus_id": "S1",
-        }))
+    path.with_suffix(".json").write_text(json.dumps({
+        "frame_rate": frame_rate,
+        "participant_id": "P1",
+        "stimulus_id": "S1",
+    }))
     return path
-
-
-def marker_take(data, frame_rate=120.0):
-    return MarkerTake(data=np.asarray(data, dtype=float), frame_rate=frame_rate)
 
 
 class TestLoadTake:
     def test_minimal_two_frame_file(self, tmp_path):
         path = write_take(tmp_path, [range(63), range(63)])
-        take = load_take(path)
-        assert take.frames == 2
-        assert take.frame_rate == 120.0
-        assert take.participant_id == "P1"
-        assert take.data.shape == (2, TAKE_WIDTH)
+        data = load_take(path)
+        side = parse_sidecar(path.with_suffix(".json").read_bytes(), path)
+        assert len(data) == 2
+        assert side["frame_rate"] == 120.0
+        assert side["participant_id"] == "P1"
+        assert data.shape == (2, TAKE_WIDTH)
 
     def test_column_count_mismatch(self, tmp_path):
         path = write_take(tmp_path, [range(62), range(62)])
@@ -93,13 +88,16 @@ class TestLoadTake:
     def test_nonpositive_frame_rate_rejected(self, tmp_path):
         path = write_take(tmp_path, [range(63), range(63)], frame_rate=0.0)
         with pytest.raises(TakeFormatError, match="frame_rate"):
-            load_take(path)
+            parse_sidecar(path.with_suffix(".json").read_bytes(), path)
 
-    def test_missing_frame_rate_defaults_with_warning(self, tmp_path):
-        path = write_take(tmp_path, [range(63), range(63)], sidecar=False)
-        with pytest.warns(UserWarning, match="assuming"):
-            take = load_take(path)
-        assert take.frame_rate == DEFAULT_FRAME_RATE
+    def test_omitted_frame_rate_defaults_with_warning(self, tmp_path):
+        path = tmp_path / "take.tsv"
+        with pytest.warns(UserWarning, match="assuming") as caught:
+            side = parse_sidecar(b'{"participant_id": "P1"}', path)
+        assert side == {"participant_id": "P1", "frame_rate": DEFAULT_FRAME_RATE}
+        assert str(caught[0].message) == (
+            f"{path}: sidecar omits frame_rate, assuming {DEFAULT_FRAME_RATE} Hz")
+        assert caught[0].filename == __file__   # the warning points at the caller
 
     def test_unparseable_token_names_line(self, tmp_path):
         row = ["1.0"] * 63
@@ -142,16 +140,16 @@ class TestLoadTake:
 
     def test_headers_read_alike(self, tmp_path):
         rows = np.random.default_rng(2).normal(size=(4, 63)).tolist()
-        plain = load_take(write_take(tmp_path, rows, name="plain")).data
+        plain = load_take(write_take(tmp_path, rows, name="plain"))
         assert TAKE_HEADER == "#MARKERS\t" + "\t".join(MARKER_LABELS)
         for name, first in [("bare", "#MARKERS\n"), ("none", "")]:
             path = write_take(tmp_path, rows, name=name, header=False)
             path.write_text(first + path.read_text())
-            np.testing.assert_array_equal(load_take(path).data, plain)
+            np.testing.assert_array_equal(load_take(path), plain)
 
     def test_take_width_enforced(self):
         with pytest.raises(ValueError, match=r"marker data must be frames x 63, got shape \(3, 9\)"):
-            MarkerTake(data=np.zeros((3, 9)), frame_rate=120.0)
+            derive_joints(np.zeros((3, 9)))
 
 
 def _tsv(rows, header=True, sep="\n", end="\n"):
@@ -169,6 +167,9 @@ def _random_rows(fmt, seed):
 
 
 _ONES = [["1.5"] * 63] * 3
+_PEEK = len(TAKE_HEADER) + 3   # the bytes check_take_header reads first
+# a line 1 with no header, where those bytes end inside a 2-byte character
+_CUT_ROW = [" " * ((_PEEK - 1) % 2) + "\xa0" * ((_PEEK + 1) // 2) + "1.5"] + ["1.5"] * 62
 _FORMS = ["-0", "+1", "1.", ".5", "1E5", "-1.5e-3", "2e+2", "007", "-0.0e0"]
 _FORMS_ROW = (_FORMS * 7)[:63]
 
@@ -208,6 +209,7 @@ PARSE_CASES = [
     ("underscore", _tsv([["1_000"] * 63, ["2"] * 63]), "error"),
     ("non-ascii-digit", _tsv([["1"] * 63, ["2.5\uff11"] * 63]), "error"),
     ("no-break-space", _tsv([["\xa01.5"] * 63, ["2\xa0"] * 63]), "scan"),
+    ("character-cut-by-header-check", _tsv([_CUT_ROW, _ONES[0]], header=False), "scan"),
     ("lone-cr", _tsv(_ONES, sep="\r", end="\r"), "scan"),
     ("lone-cr-no-final-newline", _tsv(_ONES, sep="\r", end=""), "scan"),
     ("cr-in-header", (TAKE_HEADER + "\r").encode() + _tsv(_ONES, header=False), "scan"),
@@ -273,14 +275,15 @@ class TestParsePaths:
         except TakeFormatError as exc:
             assert outcome == "error"
             with pytest.raises(TakeFormatError) as got:
-                load_take(path, {"frame_rate": 120.0})
+                load_take(path)
             assert str(got.value) == str(exc)
-            assert header_fault == (str(exc) if f"{path}:1: marker" in str(exc) else None)
+            on_line_1 = (f"{path}:1: marker", f"{path}: not valid UTF-8 on line 1 ")
+            assert header_fault == (str(exc) if str(exc).startswith(on_line_1) else None)
             return
         assert outcome != "error" and header_fault is None
-        take = load_take(path, {"frame_rate": 120.0})
-        assert take.data.shape == data.shape
-        assert take.data.tobytes() == data.tobytes()
+        take = load_take(path)
+        assert take.shape == data.shape
+        assert take.tobytes() == data.tobytes()
 
     def test_header_check_reads_a_bounded_head(self, tmp_path, monkeypatch):
         read = []
@@ -303,8 +306,8 @@ class TestParsePaths:
 
     def test_raw_bytes_used_instead_of_reading(self, tmp_path):
         raw = _tsv(_ONES)
-        take = load_take(tmp_path / "never_written.tsv", {"frame_rate": 120.0}, raw=raw)
-        assert take.frames == 3
+        take = load_take(tmp_path / "never_written.tsv", raw=raw)
+        assert len(take) == 3
 
     def test_narrow_long_double_takes_scan(self, tmp_path, monkeypatch):
         raw = _tsv(_random_rows(repr, 4))
@@ -312,8 +315,8 @@ class TestParsePaths:
         monkeypatch.setattr(mocap, "_EXACT_LONGDOUBLE", False)
         monkeypatch.setattr(mocap, "_read_decimal", None)   # must not be called
         assert _parse_fast(raw) is None
-        take = load_take(tmp_path / "take.tsv", {"frame_rate": 120.0}, raw=raw)
-        assert take.data.tobytes() == expected.tobytes()
+        take = load_take(tmp_path / "take.tsv", raw=raw)
+        assert take.tobytes() == expected.tobytes()
 
 
 def _near_midpoints(rng, count):
@@ -539,8 +542,8 @@ BAD_INPUTS = [
 def test_bad_input_names_file(tmp_path, sidecar, raw, message):
     path = tmp_path / "take.tsv"
     path.write_bytes(raw)
-    path.with_suffix(".json").write_bytes(sidecar)
-    with pytest.raises(TakeFormatError, match=message):
+    with pytest.raises(TakeFormatError, match=message):   # in extract's order
+        parse_sidecar(sidecar, path)
         load_take(path)
 
 
@@ -548,7 +551,7 @@ class TestDeriveJoints:
     def test_all_markers_at_one_point(self):
         p = np.array([10.0, -5.0, 3.0])
         data = np.tile(p, (4, 21))
-        joints = derive_joints(marker_take(data))
+        joints = derive_joints(data)
         assert joints.shape == (4, 60)
         expected = np.tile(p, (4, 20))
         np.testing.assert_array_equal(joints, expected)
@@ -557,14 +560,14 @@ class TestDeriveJoints:
         data = np.zeros((2, 63))
         data[0, 3 * 7:3 * 7 + 3] = [0.0, 0.0, 0.0]   # LB hip
         data[0, 3 * 8:3 * 8 + 3] = [2.0, 0.0, 0.0]   # RB hip
-        joints = derive_joints(marker_take(data))
+        joints = derive_joints(data)
         np.testing.assert_array_equal(joints[0, 0:3], [1.0, 0.0, 0.0])
 
     def test_torso_matches_independent_mean(self):
         # oracle: recompute the 4-source mean with a different summation order
         rng = np.random.default_rng(42)
         data = rng.normal(0, 100, size=(6, 63))
-        joints = derive_joints(marker_take(data))
+        joints = derive_joints(data)
         j_idx = JOINT_LABELS.index("J")
         sources = (3, 4, 7, 8)
         for f in range(6):
@@ -577,7 +580,7 @@ class TestDeriveJoints:
     def test_copied_joints_bit_equal(self):
         rng = np.random.default_rng(1)
         data = rng.normal(0, 500, size=(5, 63))
-        joints = derive_joints(marker_take(data))
+        joints = derive_joints(data)
         # joint C copies L knee (marker 15)
         c_idx = JOINT_LABELS.index("C")
         np.testing.assert_array_equal(
@@ -589,15 +592,15 @@ class TestDeriveJoints:
         d1 = rng.normal(size=(4, 63))
         d2 = rng.normal(size=(4, 63))
         a, b = 2.5, -1.25
-        lhs = derive_joints(marker_take(a * d1 + b * d2))
-        rhs = a * derive_joints(marker_take(d1)) + b * derive_joints(marker_take(d2))
+        lhs = derive_joints(a * d1 + b * d2)
+        rhs = a * derive_joints(d1) + b * derive_joints(d2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_column_order_contract(self):
         # column i belongs to joint i // 3, coordinate i % 3
         data = np.zeros((2, 63))
         data[:, 3 * 15 + 1] = 7.0  # L knee Y drives joint C's Y column only
-        joints = derive_joints(marker_take(data))
+        joints = derive_joints(data)
         c_idx = JOINT_LABELS.index("C")
         hot = np.flatnonzero(joints[0] != 0)
         assert list(hot) == [3 * c_idx + 1]
@@ -728,16 +731,3 @@ class TestVelocity:
     def test_low_frame_rate_rejected(self):
         with pytest.raises(ValueError, match="twice the cutoff"):
             velocity(np.zeros((50, 60)), 48.0)
-
-
-class TestInvariants:
-    def test_take_data_immutable(self):
-        take = marker_take(np.zeros((2, 63)))
-        with pytest.raises(ValueError):
-            take.data[0, 0] = 1.0
-
-    def test_marker_take_rejects_nonfinite(self):
-        data = np.zeros((3, 63))
-        data[1, 5] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            marker_take(data)

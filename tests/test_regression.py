@@ -30,7 +30,7 @@ from movetrait.regression import (
     predict_means,
     save_model,
 )
-from movetrait.synth import default_strong_spec, generate
+from movetrait.synth import default_strong_spec, iter_takes, sample_traits
 from oracles import fit_bayes_ridge_every_step, predict_centered
 
 
@@ -311,12 +311,13 @@ def _fold_block(rng, n, standardized):
 def _synth_design(kind):
     """Features and trait targets of 40 synthetic single-take participants at
     600 frames, the shape of the benchmark's cross-validation grid."""
-    takes, traits = generate(default_strong_spec(participants=40, stimuli=1,
-                                                 frames=600, seed=1))
-    joints = [(derive_joints(take), take.frame_rate) for take in takes]
-    X = np.stack([extract_features(j if kind == "position" else velocity(j, rate))
-                  for j, rate in joints])
-    Y = np.array([[traits[take.participant_id][t] for t in TRAIT_NAMES] for take in takes])
+    spec = default_strong_spec(participants=40, stimuli=1, frames=600, seed=1)
+    traits = sample_traits(spec)
+    takes = list(iter_takes(spec, traits))
+    joints = [derive_joints(markers) for _, _, markers in takes]
+    X = np.stack([extract_features(j if kind == "position" else velocity(j, spec.frame_rate))
+                  for j in joints])
+    Y = np.array([[traits[pid][t] for t in TRAIT_NAMES] for pid, _, _ in takes])
     return X, Y
 
 

@@ -6,14 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from movetrait.mocap import MARKER_LABELS, format_g17, load_take
+from movetrait.mocap import MARKER_LABELS, format_g17, load_take, parse_sidecar
 from movetrait.regression import TRAIT_NAMES, load_trait_table
 from movetrait.synth import (
     SynthSpec,
     TRAIT_RANGES,
     TraitCoupling,
     default_strong_spec,
-    generate,
+    generate_take,
     iter_takes,
     planted_amplitude,
     sample_traits,
@@ -33,6 +33,16 @@ class TestSpecValidation:
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError, match="positive"):
             SynthSpec(participants=0, stimuli=1, frames=10, frame_rate=120.0)
+
+    def test_rejects_single_frame_naming_the_file(self, tmp_path):
+        with pytest.raises(ValueError, match="^frames must be at least 2, got 1$"):
+            SynthSpec(participants=1, stimuli=1, frames=1, frame_rate=120.0)
+        path = tmp_path / "spec.json"
+        small_spec().to_json(path)
+        path.write_text(path.read_text().replace('"frames": 120', '"frames": 1'))
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: frames must be at least 2, got 1$"):
+            SynthSpec.from_json(path)
 
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError, match="noise_std"):
@@ -82,45 +92,50 @@ class TestTraits:
 class TestGenerate:
     def test_deterministic_given_seed(self):
         spec = small_spec()
-        takes1, traits1 = generate(spec)
-        takes2, traits2 = generate(spec)
-        assert traits1 == traits2
-        for a, b in zip(takes1, takes2):
-            np.testing.assert_array_equal(a.data, b.data)
+        assert sample_traits(spec) == sample_traits(spec)
+        for a, b in zip(iter_takes(spec), iter_takes(spec)):
+            assert a[:2] == b[:2]
+            np.testing.assert_array_equal(a[2], b[2])
 
     def test_take_count_and_metadata(self):
-        spec = small_spec()
-        takes, _ = generate(spec)
+        takes = list(iter_takes(small_spec()))
         assert len(takes) == 6
-        assert takes[0].participant_id == "P000" and takes[0].stimulus_id == "S00"
-        assert takes[1].stimulus_id == "S01"
-        assert takes[0].frames == 120
-        assert takes[0].data.shape == (120, 63)
+        assert takes[0][:2] == ("P000", "S00")
+        assert takes[1][1] == "S01"
+        assert len(takes[0][2]) == 120
+        assert takes[0][2].shape == (120, 63)
 
     def test_no_coupling_no_noise_identical_across_participants(self):
         spec = SynthSpec(participants=4, stimuli=2, frames=60, frame_rate=120.0,
                          trait_coupling={}, noise_std=0.0, seed=9)
-        takes, _ = generate(spec)
-        ref_s0 = takes[0].data
-        ref_s1 = takes[1].data
+        takes = [data for _, _, data in iter_takes(spec)]
+        ref_s0 = takes[0]
+        ref_s1 = takes[1]
         for p in range(1, 4):
-            np.testing.assert_array_equal(takes[2 * p].data, ref_s0)
-            np.testing.assert_array_equal(takes[2 * p + 1].data, ref_s1)
+            np.testing.assert_array_equal(takes[2 * p], ref_s0)
+            np.testing.assert_array_equal(takes[2 * p + 1], ref_s1)
 
     def test_coupling_varies_across_participants(self):
-        takes, traits = generate(small_spec(noise_std=0.0))
-        assert not np.array_equal(takes[0].data, takes[2].data)
+        takes = [data for _, _, data in iter_takes(small_spec(noise_std=0.0))]
+        assert not np.array_equal(takes[0], takes[2])
 
-    def test_iter_matches_generate(self):
+    def test_iter_defaults_to_sampled_traits(self):
         spec = small_spec()
-        eager, traits = generate(spec)
-        lazy = list(iter_takes(spec, traits))
-        for a, b in zip(eager, lazy):
-            np.testing.assert_array_equal(a.data, b.data)
+        given = list(iter_takes(spec, sample_traits(spec)))
+        for a, b in zip(iter_takes(spec), given, strict=True):
+            assert a[:2] == b[:2]
+            np.testing.assert_array_equal(a[2], b[2])
+
+    def test_nonfinite_sample_rejected(self):
+        coupling = {"O": TraitCoupling(markers=(0,), frequency_hz=1.0,
+                                       amplitude_mm=(float("inf"), float("inf")))}
+        spec = SynthSpec(participants=1, stimuli=1, frames=10, frame_rate=120.0,
+                         trait_coupling=coupling)
+        with pytest.raises(ValueError, match="non-finite sample in take P000_S00"):
+            generate_take(spec, sample_traits(spec)["P000"], 0, 0)
 
     def test_higher_trait_moves_more(self):
         # same participant slot, manually forced low vs high trait value
-        from movetrait.synth import generate_take
         spec = small_spec(noise_std=0.0)
         row = {t: (TRAIT_RANGES[t][0] + TRAIT_RANGES[t][1]) / 2 for t in TRAIT_NAMES}
         low = dict(row, EQ=TRAIT_RANGES["EQ"][0])
@@ -129,8 +144,8 @@ class TestGenerate:
         take_high = generate_take(spec, high, 0, 0)
         markers = spec.trait_coupling["EQ"].markers
         cols = [3 * m + c for m in markers for c in range(3)]
-        var_low = take_low.data[:, cols].var(axis=0).sum()
-        var_high = take_high.data[:, cols].var(axis=0).sum()
+        var_low = take_low[:, cols].var(axis=0).sum()
+        var_high = take_high[:, cols].var(axis=0).sum()
         assert var_high > var_low
 
 
@@ -141,13 +156,13 @@ class TestWriteDataset:
         assert info["takes"] == 4
         tsvs = sorted(tmp_path.glob("*.tsv"))
         assert len(tsvs) == 4
-        take = load_take(tsvs[0])
-        assert take.frames == 30
-        assert take.frame_rate == spec.frame_rate
-        assert take.participant_id == "P000"
-        takes, _ = generate(spec)
+        data = load_take(tsvs[0])
+        side = parse_sidecar(tsvs[0].with_suffix(".json").read_bytes(), tsvs[0])
+        assert len(data) == 30
+        assert side["frame_rate"] == spec.frame_rate
+        assert side["participant_id"] == "P000"
         # %.17g round-trips every double
-        np.testing.assert_array_equal(take.data, takes[0].data)
+        np.testing.assert_array_equal(data, next(iter_takes(spec))[2])
 
     def test_trait_table_written(self, tmp_path):
         spec = small_spec(participants=2, stimuli=1, frames=30)
@@ -170,11 +185,11 @@ class TestWriteDataset:
         spec = small_spec(participants=2, stimuli=2, frames=40)
         write_dataset(spec, tmp_path)
         header = "#MARKERS\t" + "\t".join(MARKER_LABELS)
-        for take in iter_takes(spec):
+        for pid, sid, data in iter_takes(spec):
             rows = [header]
-            rows.extend("\t".join(f"{v:.17g}" for v in frame) for frame in take.data)
+            rows.extend("\t".join(f"{v:.17g}" for v in frame) for frame in data)
             expected = ("\n".join(rows) + "\n").encode()
-            path = tmp_path / f"{take.participant_id}_{take.stimulus_id}.tsv"
+            path = tmp_path / f"{pid}_{sid}.tsv"
             assert path.read_bytes() == expected
 
 
